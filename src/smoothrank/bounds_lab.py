@@ -36,6 +36,12 @@ from .smoothi import SmoothIParams, smooth_indicators
 
 LN2 = float(np.log(2.0))
 
+# Absolute slack added to each metric bound before comparing. The exact and
+# smooth metrics are summed in different orders (math.fsum against .sum()),
+# so even when the bound is 0 (eps_K underflows at large alpha) their gap
+# can be a few ulps of 1, the metrics' scale.
+METRIC_ROUNDING_SLACK = 4 * float(np.finfo(np.float64).eps)
+
 
 class CertificateError(ValueError):
     """No certificate exists for this instance (ties, non-positive scores, K=1)."""
@@ -228,13 +234,13 @@ def verify_metric_bounds(rel, scores, k: int, alpha: float, delta: float = 0.1) 
     return MetricBoundReport(
         precision_diff=float(p_diff),
         precision_bound=p_bound,
-        precision_holds=p_diff <= p_bound,
+        precision_holds=p_diff <= p_bound + METRIC_ROUNDING_SLACK,
         ap_diff=float(ap_diff),
         ap_bound=ap_bound,
-        ap_holds=ap_diff <= ap_bound,
+        ap_holds=ap_diff <= ap_bound + METRIC_ROUNDING_SLACK,
         ndcg_diff=float(ndcg_diff),
         ndcg_bound=ndcg_bound,
-        ndcg_holds=ndcg_diff <= ndcg_bound,
+        ndcg_holds=ndcg_diff <= ndcg_bound + METRIC_ROUNDING_SLACK,
         epsilon_at_k=eps_k,
         epsilon_at_n=eps_n,
     )

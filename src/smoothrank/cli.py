@@ -7,6 +7,11 @@ Wall-clock timings go to a separate .log file only. The output root defaults
 to the current directory and can be moved with the SMOOTHRANK_OUT
 environment variable.
 
+Each command's keys, their types and their defaults are the fields of one
+frozen dataclass (``TrainSettings``, ``EvaluateSettings``, ...). The JSON is
+coerced into it field by field, and ``resolved_config.json`` is that
+dataclass plus the command name, so it can be fed back through --config.
+
 Exit codes: 0 success, 2 config error, 3 data error, 4 training divergence,
 5 gradient-check tolerance breach.
 """
@@ -14,11 +19,16 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 training divergence,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import hashlib
 import json
 import os
 import sys
 import time
+import types
+import typing
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,99 +58,231 @@ class ConfigError(ValueError):
     pass
 
 
-_DATASET_KEYS = {
-    "dataset",
-    "n_queries",
-    "docs_per_query",
-    "feature_dim",
-    "train_queries",
-    "validation_queries",
-    "test_queries",
-    "data_seed",
-    "graded",
-    "train_path",
-    "vali_path",
-    "test_path",
-}
-_LOSS_KEYS = {"loss_kind", "loss_k", "alpha", "delta", "grad_mode", "shift_margin"}
-
-ALLOWED_KEYS = {
-    "train": _DATASET_KEYS
-    | _LOSS_KEYS
-    | {
-        "learning_rate",
-        "epochs",
-        "batch_size_queries",
-        "hidden_dim",
-        "select_cutoff",
-        "seed",
-        "output_dir",
-    },
-    "evaluate": _DATASET_KEYS | {"checkpoint", "split", "cutoffs", "run_tag", "seed", "output_dir"},
-    "gradcheck": {
-        "instances",
-        "min_docs",
-        "max_docs",
-        "max_cutoff",
-        "alpha_max",
-        "delta",
-        "grad_modes",
-        "loss_kinds",
-        "step_h",
-        "tolerance",
-        "seed",
-        "output_dir",
-    },
-    "verify-bounds": {
-        "instances",
-        "min_docs",
-        "max_docs",
-        "k_values",
-        "delta",
-        "alphas",
-        "alpha_factors",
-        "seed",
-        "output_dir",
-    },
-    "sweep": _DATASET_KEYS
-    | {
-        "loss_kind",
-        "loss_k",
-        "grad_mode",
-        "shift_margin",
-        "alpha_grid",
-        "delta_grid",
-        "learning_rate",
-        "epochs",
-        "batch_size_queries",
-        "hidden_dim",
-        "select_cutoff",
-        "seed",
-        "output_dir",
-    },
-}
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise ConfigError(message)
 
 
-def _load_config(path: str, command: str, seed_override: int | None) -> dict:
+def _at_least(settings, minimum: int, *names: str) -> None:
+    for name in names:
+        value = getattr(settings, name)
+        _check(value >= minimum, f"{name} must be >= {minimum}, got {value}")
+
+
+@contextlib.contextmanager
+def _as_config_error():
+    """The library's own checks, run on config values, report config errors."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+@dataclass(frozen=True)
+class _Settings:
+    seed: int = 0
+
+    def __post_init__(self):
+        _at_least(self, 0, "seed")
+
+
+@dataclass(frozen=True)
+class _DatasetSettings(_Settings):
+    """A synthetic set (the counts below) or LETOR files (all three paths)."""
+
+    dataset: str = "synthetic"
+    n_queries: int | None = None  # None: train + validation + test queries
+    docs_per_query: int = 20
+    feature_dim: int = 10
+    train_queries: int = 100
+    validation_queries: int = 20
+    test_queries: int = 0
+    data_seed: int = 0
+    graded: bool = False
+    train_path: str | None = None
+    vali_path: str | None = None
+    test_path: str | None = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        _check(self.dataset in ("synthetic", "svmlight"),
+               f"unknown dataset kind {self.dataset!r} (expected 'synthetic' or 'svmlight')")
+        if self.dataset == "svmlight":
+            _check(None not in (self.train_path, self.vali_path, self.test_path),
+                   "svmlight dataset requires train_path, vali_path and test_path")
+        _at_least(self, 1, "docs_per_query", "feature_dim", "train_queries")
+        _at_least(self, 0, "validation_queries", "test_queries", "data_seed")
+        if self.n_queries is not None:
+            _at_least(self, self.train_queries + self.validation_queries + self.test_queries,
+                      "n_queries")
+
+    def load(self) -> data_io.Dataset:
+        if self.dataset == "svmlight":
+            paths = {"train": self.train_path, "vali": self.vali_path, "test": self.test_path}
+            return data_io.assemble_folds([paths])[0]
+        counts = (self.train_queries, self.validation_queries, self.test_queries)
+        ds = data_io.synthesize(self.n_queries or sum(counts), self.docs_per_query,
+                                self.feature_dim, seed=self.data_seed, graded=self.graded)
+        return ds.split_by_counts(*counts)
+
+
+@dataclass(frozen=True)
+class _TrainingSettings(_DatasetSettings):
+    loss_kind: str = "ndcg@k"
+    loss_k: int | None = None  # None: the full list; cut to each list's length
+    grad_mode: str = "stop_gradient"
+    shift_margin: float = 1.0
+    learning_rate: float = 1e-3
+    epochs: int = 50
+    batch_size_queries: int = 128
+    hidden_dim: int = 1024
+    select_cutoff: int | None = None  # validation NDCG cutoff; None: full list
+
+    def train_config(self, alpha: float, delta: float, strict: bool) -> ltr_model.TrainConfig:
+        if strict:
+            for key, value, allowed in (
+                ("alpha", alpha, STRICT_ALPHAS),
+                ("delta", delta, (STRICT_DELTA,)),
+                ("learning_rate", self.learning_rate, STRICT_LEARNING_RATES),
+                ("epochs", self.epochs, (STRICT_EPOCHS,)),
+                ("batch_size_queries", self.batch_size_queries, (STRICT_BATCH,)),
+            ):
+                _check(value in allowed, f"--strict requires {key} in {allowed}, got {value}")
+        elif self.learning_rate not in STRICT_LEARNING_RATES:
+            print(f"warning: learning_rate {self.learning_rate} is outside the reference grid "
+                  f"{STRICT_LEARNING_RATES}", file=sys.stderr)
+        with _as_config_error():
+            loss = make_loss_spec(self.loss_kind, k=self.loss_k, alpha=alpha, delta=delta,
+                                  grad_mode=self.grad_mode, shift_margin=self.shift_margin)
+            return ltr_model.TrainConfig(
+                loss=loss, learning_rate=self.learning_rate, epochs=self.epochs,
+                batch_size_queries=self.batch_size_queries, seed=self.seed,
+                hidden_dim=self.hidden_dim, select_cutoff=self.select_cutoff)
+
+
+@dataclass(frozen=True)
+class TrainSettings(_TrainingSettings):
+    alpha: float = 1.0
+    delta: float = 0.1
+    output_dir: str = "runs/train"
+
+
+@dataclass(frozen=True)
+class SweepSettings(_TrainingSettings):
+    alpha_grid: tuple[float, ...] = (0.1, 1.0, 10.0, 100.0)
+    delta_grid: tuple[float, ...] = (0.05, 0.1, 0.2, 0.3, 0.45)
+    output_dir: str = "runs/sweep"
+
+    def __post_init__(self):
+        super().__post_init__()
+        _check(bool(self.alpha_grid and self.delta_grid), "alpha_grid and delta_grid must be non-empty")
+
+
+@dataclass(frozen=True)
+class EvaluateSettings(_DatasetSettings):
+    checkpoint: str | None = None
+    split: str = "test"
+    cutoffs: tuple[int, ...] = (1, 5, 10)
+    run_tag: str = "smoothrank"
+    output_dir: str = "runs/evaluate"
+
+    def __post_init__(self):
+        super().__post_init__()
+        _check(self.checkpoint is not None, "evaluate requires a checkpoint path")
+        _check(self.split in ("train", "validation", "test"),
+               f"split must be 'train', 'validation' or 'test', got {self.split!r}")
+        with _as_config_error():
+            ltr_model.check_cutoffs(self.cutoffs)
+
+
+@dataclass(frozen=True)
+class _InstanceSettings(_Settings):
+    """Random score lists: how many, their lengths, and the damping delta."""
+
+    instances: int = 100
+    min_docs: int = 2
+    max_docs: int = 10
+    delta: float = 0.1
+
+    def __post_init__(self):
+        super().__post_init__()
+        _at_least(self, 0, "instances")
+        _at_least(self, self.min_docs, "max_docs")
+
+
+@dataclass(frozen=True)
+class GradcheckSettings(_InstanceSettings):
+    max_cutoff: int = 5
+    alpha_max: float = 10.0
+    grad_modes: tuple[str, ...] = GRAD_MODES
+    loss_kinds: tuple[str, ...] = LOSS_KINDS
+    step_h: float = 1e-4
+    tolerance: float = 1e-4
+    output_dir: str = "runs/gradcheck"
+
+    def __post_init__(self):
+        super().__post_init__()
+        _at_least(self, 1, "min_docs", "max_cutoff")
+        _check(self.alpha_max > 0.0 and self.step_h > 0.0,
+               f"alpha_max and step_h must be positive, got {self.alpha_max} and {self.step_h}")
+        with _as_config_error():
+            for kind in self.loss_kinds:
+                for mode in self.grad_modes:
+                    make_loss_spec(kind, delta=self.delta, grad_mode=mode)
+
+
+@dataclass(frozen=True)
+class VerifyBoundsSettings(_InstanceSettings):
+    min_docs: int = 4
+    k_values: tuple[int, ...] = (2, 3, 5)
+    alphas: tuple[float, ...] | None = None  # None: alpha_factors x each threshold
+    alpha_factors: tuple[float, ...] = (1.05, 1.5, 3.0)
+    output_dir: str = "runs/verify-bounds"
+
+    def __post_init__(self):
+        super().__post_init__()
+        _at_least(self, 2, "min_docs")
+
+
+def _coerce(key: str, value, hint, spelled: str):
+    """One JSON value as its field's type: a bool is not a number, a float is
+    not an int, a string is not a bool, and a float must be finite."""
+    options = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+    if value is None and type(None) in options:
+        return None
+    kind = options[0]
+    if typing.get_origin(kind) is tuple and isinstance(value, list):
+        return tuple(_coerce(key, item, typing.get_args(kind)[0], spelled) for item in value)
+    if kind is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    if type(value) is kind:
+        return value
+    raise ConfigError(f"{key} must be {spelled}, got {json.dumps(value)}")
+
+
+def _load_settings(cls, path: str, command: str, seed_override: int | None):
     try:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(raw) - ALLOWED_KEYS[command]
-    if unknown:
-        raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
+    _check(isinstance(raw, dict), "config must be a JSON object")
+    spelled = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = set(raw) - set(spelled)
+    _check(not unknown, f"unknown config keys for {command}: {sorted(unknown)}")
     if seed_override is not None:
         raw["seed"] = seed_override
-    return raw
+    hints = typing.get_type_hints(cls)
+    return cls(**{key: _coerce(key, value, hints[key], spelled[key]) for key, value in raw.items()})
 
 
-def _out_dir(config: dict, command: str) -> Path:
-    root = Path(os.environ.get(ENV_OUTPUT_ROOT, "."))
-    out = root / config.get("output_dir", f"runs/{command}")
+def _resolved(settings: _Settings, command: str) -> dict:
+    return {**dataclasses.asdict(settings), "command": command}
+
+
+def _out_dir(settings: _Settings) -> Path:
+    out = Path(os.environ.get(ENV_OUTPUT_ROOT, ".")) / settings.output_dir
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -169,100 +311,6 @@ def _log(path: Path, lines: list[str]) -> None:
             fh.write(f"[{stamp}] {line}\n")
 
 
-def _load_dataset(config: dict) -> data_io.Dataset:
-    kind = config.get("dataset", "synthetic")
-    if kind == "synthetic":
-        train_q = int(config.get("train_queries", 100))
-        val_q = int(config.get("validation_queries", 20))
-        test_q = int(config.get("test_queries", 0))
-        total = int(config.get("n_queries", train_q + val_q + test_q))
-        ds = data_io.synthesize(
-            total,
-            int(config.get("docs_per_query", 20)),
-            int(config.get("feature_dim", 10)),
-            seed=int(config.get("data_seed", 0)),
-            graded=bool(config.get("graded", False)),
-        )
-        return ds.split_by_counts(train_q, val_q, test_q)
-    if kind == "svmlight":
-        paths = {}
-        for name, key in (("train", "train_path"), ("vali", "vali_path"), ("test", "test_path")):
-            if key in config:
-                paths[name] = config[key]
-        if "train" not in paths:
-            raise ConfigError("svmlight dataset requires train_path")
-        paths.setdefault("vali", paths["train"])
-        paths.setdefault("test", paths["train"])
-        return data_io.assemble_folds([paths])[0]
-    raise ConfigError(f"unknown dataset kind {kind!r} (expected 'synthetic' or 'svmlight')")
-
-
-def _loss_from_config(config: dict, strict: bool):
-    kind = config.get("loss_kind", "ndcg@k")
-    if kind not in LOSS_KINDS:
-        raise ConfigError(f"loss_kind must be one of {LOSS_KINDS}, got {kind!r}")
-    alpha = float(config.get("alpha", 1.0))
-    delta = float(config.get("delta", 0.1))
-    grad_mode = config.get("grad_mode", "stop_gradient")
-    if grad_mode not in GRAD_MODES:
-        raise ConfigError(f"grad_mode must be one of {GRAD_MODES}, got {grad_mode!r}")
-    if strict:
-        if alpha not in STRICT_ALPHAS:
-            raise ConfigError(f"--strict requires alpha in {STRICT_ALPHAS}, got {alpha}")
-        if delta != STRICT_DELTA:
-            raise ConfigError(f"--strict requires delta == {STRICT_DELTA}, got {delta}")
-    loss_k = config.get("loss_k")
-    try:
-        return make_loss_spec(
-            kind,
-            k=None if loss_k is None else int(loss_k),
-            alpha=alpha,
-            delta=delta,
-            grad_mode=grad_mode,
-            shift_margin=float(config.get("shift_margin", 1.0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _train_config(config: dict, loss, strict: bool) -> ltr_model.TrainConfig:
-    lr = float(config.get("learning_rate", 1e-3))
-    epochs = int(config.get("epochs", 50))
-    batch = int(config.get("batch_size_queries", 128))
-    if strict:
-        if lr not in STRICT_LEARNING_RATES:
-            raise ConfigError(f"--strict requires learning_rate in {STRICT_LEARNING_RATES}, got {lr}")
-        if epochs != STRICT_EPOCHS:
-            raise ConfigError(f"--strict requires epochs == {STRICT_EPOCHS}, got {epochs}")
-        if batch != STRICT_BATCH:
-            raise ConfigError(f"--strict requires batch_size_queries == {STRICT_BATCH}, got {batch}")
-    elif lr not in STRICT_LEARNING_RATES:
-        print(
-            f"warning: learning_rate {lr} is outside the reference grid {STRICT_LEARNING_RATES}",
-            file=sys.stderr,
-        )
-    select = config.get("select_cutoff")
-    try:
-        return ltr_model.TrainConfig(
-            loss=loss,
-            learning_rate=lr,
-            batch_size_queries=batch,
-            epochs=epochs,
-            seed=int(config.get("seed", 0)),
-            hidden_dim=int(config.get("hidden_dim", 1024)),
-            select_cutoff=None if select is None else int(select),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _resolved(config: dict, command: str, defaults: dict) -> dict:
-    out = dict(defaults)
-    out.update(config)
-    out["command"] = command
-    return out
-
-
 def _history_rows(history: ltr_model.TrainHistory) -> tuple[list[str], list[dict]]:
     metric_keys = sorted(history.records[0].val_metrics) if history.records else []
     header = ["epoch", "train_loss"] + [f"val_{k}" for k in metric_keys]
@@ -274,31 +322,18 @@ def _history_rows(history: ltr_model.TrainHistory) -> tuple[list[str], list[dict
     return header, rows
 
 
-def cmd_train(config: dict, strict: bool) -> int:
-    loss = _loss_from_config(config, strict)
-    train_cfg = _train_config(config, loss, strict)
-    dataset = _load_dataset(config)
-    out = _out_dir(config, "train")
+def cmd_train(settings: TrainSettings, strict: bool) -> int:
+    train_cfg = settings.train_config(settings.alpha, settings.delta, strict)
+    dataset = settings.load()
+    out = _out_dir(settings)
     scorer, history = ltr_model.train(dataset, train_cfg)
 
-    resolved = _resolved(config, "train", {
-        "loss_kind": loss.kind,
-        "alpha": loss.params.alpha,
-        "delta": loss.params.delta,
-        "grad_mode": loss.params.grad_mode,
-        "learning_rate": train_cfg.learning_rate,
-        "epochs": train_cfg.epochs,
-        "batch_size_queries": train_cfg.batch_size_queries,
-        "hidden_dim": train_cfg.hidden_dim,
-        "seed": train_cfg.seed,
-    })
-    resolved_text = json.dumps(resolved, indent=2, sort_keys=True)
-    hashed = {k: v for k, v in resolved.items() if k != "output_dir"}
+    hashed = {k: v for k, v in _resolved(settings, "train").items() if k != "output_dir"}
     ltr_model.save_checkpoint(
         scorer,
         out / "checkpoint.json",
         extra={
-            "loss": loss.label(),
+            "loss": train_cfg.loss.label(),
             "best_epoch": history.best_epoch,
             "config_sha256": hashlib.sha256(
                 json.dumps(hashed, sort_keys=True).encode()
@@ -307,77 +342,51 @@ def cmd_train(config: dict, strict: bool) -> int:
     )
     header, rows = _history_rows(history)
     _write_csv(out / "history.csv", header, rows)
-    (out / "resolved_config.json").write_text(resolved_text + "\n")
     data_io.write_stats_json(dataset, out / "dataset_stats.json")
     _log(out / "train.log", [f"epoch {r.epoch}: {r.seconds:.3f}s" for r in history.records]
          + [f"best epoch {history.best_epoch} by validation {history.select_metric}"])
-    print(f"trained {loss.label()}: best epoch {history.best_epoch}, "
+    print(f"trained {train_cfg.loss.label()}: best epoch {history.best_epoch}, "
           f"validation {history.select_metric}="
           f"{history.records[history.best_epoch - 1].val_metrics[history.select_metric]:.4f}")
     return EXIT_OK
 
 
-def cmd_evaluate(config: dict, strict: bool) -> int:
-    if "checkpoint" not in config:
-        raise ConfigError("evaluate requires a checkpoint path")
-    dataset = _load_dataset(config)
+def cmd_evaluate(settings: EvaluateSettings, strict: bool) -> int:
+    dataset = settings.load()
     try:
-        scorer = ltr_model.load_checkpoint(config["checkpoint"])
+        scorer = ltr_model.load_checkpoint(settings.checkpoint)
     except FileNotFoundError:
-        raise ConfigError(f"checkpoint not found: {config['checkpoint']}") from None
+        raise ConfigError(f"checkpoint not found: {settings.checkpoint}") from None
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if scorer.input_dim != dataset.feature_dim:
         raise ConfigError(
             f"checkpoint expects {scorer.input_dim} features, dataset has {dataset.feature_dim}"
         )
-    split = config.get("split", "test")
-    cutoffs = tuple(int(c) for c in config.get("cutoffs", (1, 5, 10)))
-    result = ltr_model.evaluate(scorer, dataset, split, cutoffs=cutoffs)
-    out = _out_dir(config, "evaluate")
+    split = settings.split
+    result = ltr_model.evaluate(scorer, dataset, split, cutoffs=settings.cutoffs)
+    out = _out_dir(settings)
     _write_json(out / "metrics.json", result.to_dict())
-    tag = config.get("run_tag", "smoothrank")
     lines = []
     for qid in sorted(dataset.query_ids(split)):
         g = dataset.groups[qid]
         scores = scorer.forward(g.features, training=False)
         order = np.argsort(-scores, kind="stable")
         for rank, idx in enumerate(order, start=1):
-            lines.append(f"{qid} Q0 {g.doc_ids[idx]} {rank} {float(scores[idx])!r} {tag}")
+            lines.append(f"{qid} Q0 {g.doc_ids[idx]} {rank} {float(scores[idx])!r} {settings.run_tag}")
     (out / "run.txt").write_text("\n".join(lines) + "\n")
     data_io.write_qrels(dataset, out / "qrels.txt", split=split)
     data_io.write_stats_json(dataset, out / "dataset_stats.json")
-    _write_json(out / "resolved_config.json", _resolved(config, "evaluate", {
-        "split": split, "cutoffs": list(cutoffs), "run_tag": tag,
-    }))
     summary = " ".join(f"{k}={v:.4f}" for k, v in sorted(result.summary.items()))
     print(f"{split}: {summary} (skipped {result.skipped_queries} zero-relevance queries)")
     return EXIT_OK
 
 
-def cmd_gradcheck(config: dict, strict: bool) -> int:
-    rng = np.random.default_rng(int(config.get("seed", 0)))
-    instances = int(config.get("instances", 100))
-    min_docs = int(config.get("min_docs", 2))
-    max_docs = int(config.get("max_docs", 10))
-    max_cutoff = int(config.get("max_cutoff", 5))
-    alpha_max = float(config.get("alpha_max", 10.0))
-    delta = float(config.get("delta", 0.1))
-    h = float(config.get("step_h", 1e-4))
-    tolerance = float(config.get("tolerance", 1e-4))
-    kinds = config.get("loss_kinds", list(LOSS_KINDS))
-    modes = config.get("grad_modes", list(GRAD_MODES))
-    for kind in kinds:
-        if kind not in LOSS_KINDS:
-            raise ConfigError(f"unknown loss kind {kind!r}")
-    for mode in modes:
-        if mode not in GRAD_MODES:
-            raise ConfigError(f"unknown grad mode {mode!r}")
-
+def cmd_gradcheck(settings: GradcheckSettings, strict: bool) -> int:
+    rng = np.random.default_rng(settings.seed)
     rows = []
-    worst = 0.0
-    for i in range(instances):
-        n = int(rng.integers(min_docs, max_docs + 1))
+    for i in range(settings.instances):
+        n = int(rng.integers(settings.min_docs, settings.max_docs + 1))
         raw = rng.random(n)
         rel = (rng.random(n) < 0.4).astype(float)
         if rel.sum() == 0:
@@ -385,101 +394,73 @@ def cmd_gradcheck(config: dict, strict: bool) -> int:
         if rel.sum() == n and n > 1:
             # an all-relevant list has a constant loss; nothing to check
             rel[int(rng.integers(n))] = 0.0
-        k = int(rng.integers(1, min(max_cutoff, n) + 1))
+        k = int(rng.integers(1, min(settings.max_cutoff, n) + 1))
         # log-uniform draw, matching the log-spaced hyperparameter grid
-        alpha = float(np.exp(rng.uniform(np.log(0.1), np.log(alpha_max))))
-        for kind in kinds:
-            for mode in modes:
+        alpha = float(np.exp(rng.uniform(np.log(0.1), np.log(settings.alpha_max))))
+        for kind in settings.loss_kinds:
+            for mode in settings.grad_modes:
                 spec = make_loss_spec(kind, k=None if kind == SMOOTH_AP else k,
-                                      alpha=alpha, delta=delta, grad_mode=mode)
-                report = finite_difference_check(rel, raw, spec, h=h)
-                worst = max(worst, report.max_rel_err)
+                                      alpha=alpha, delta=settings.delta, grad_mode=mode)
+                report = finite_difference_check(rel, raw, spec, h=settings.step_h)
                 rows.append({
                     "instance": i, "kind": kind, "mode": mode, "n": n,
                     "k": 0 if kind == SMOOTH_AP else k, "alpha": alpha,
                     "max_abs_err": report.max_abs_err,
                     "max_rel_err": report.max_rel_err,
-                    "pass": report.max_rel_err <= tolerance,
+                    "pass": report.max_rel_err <= settings.tolerance,
                 })
-    out = _out_dir(config, "gradcheck")
+    out = _out_dir(settings)
     header = ["instance", "kind", "mode", "n", "k", "alpha", "max_abs_err", "max_rel_err", "pass"]
     _write_csv(out / "gradcheck.csv", header, rows)
-    _write_json(out / "resolved_config.json", _resolved(config, "gradcheck", {
-        "instances": instances, "max_docs": max_docs, "max_cutoff": max_cutoff,
-        "alpha_max": alpha_max, "delta": delta, "step_h": h, "tolerance": tolerance,
-        "seed": int(config.get("seed", 0)),
-    }))
+    worst = max((r["max_rel_err"] for r in rows), default=0.0)
     failed = [r for r in rows if not r["pass"]]
     print(f"gradcheck: {len(rows)} checks, worst max_rel_err={worst:.3e}, "
-          f"{len(failed)} above tolerance {tolerance}")
+          f"{len(failed)} above tolerance {settings.tolerance}")
     return EXIT_GRADCHECK if failed else EXIT_OK
 
 
-def cmd_verify_bounds(config: dict, strict: bool) -> int:
-    delta = float(config.get("delta", 0.1))
-    if not 0.0 < delta < 0.5:
-        raise ConfigError(f"delta must lie in (0, 0.5), got {delta}")
-    alphas = config.get("alphas")
-    factors = config.get("alpha_factors", [1.05, 1.5, 3.0])
-    rows, summary = bounds_lab.bound_sweep(
-        instances=int(config.get("instances", 100)),
-        n_range=(int(config.get("min_docs", 4)), int(config.get("max_docs", 10))),
-        k_values=[int(k) for k in config.get("k_values", [2, 3, 5])],
-        delta=delta,
-        seed=int(config.get("seed", 0)),
-        alphas=None if alphas is None else [float(a) for a in alphas],
-        alpha_factors=[float(f) for f in factors],
-    )
-    out = _out_dir(config, "verify-bounds")
+def cmd_verify_bounds(settings: VerifyBoundsSettings, strict: bool) -> int:
+    # the sweep draws everything from the settings, so a ValueError it raises
+    # (delta, k_values, alphas out of range) is a config error
+    with _as_config_error():
+        rows, summary = bounds_lab.bound_sweep(
+            settings.instances, (settings.min_docs, settings.max_docs), settings.k_values,
+            settings.delta, settings.seed, settings.alphas, settings.alpha_factors)
+    out = _out_dir(settings)
     header = ["instance", "n", "k", "alpha", "delta", "beta", "gamma",
               "alpha_threshold", "epsilon_alpha", "max_err", "holds", "status"]
     _write_csv(out / "bounds.csv", header, rows)
     _write_json(out / "summary.json", summary)
-    _write_json(out / "resolved_config.json", _resolved(config, "verify-bounds", {
-        "delta": delta, "seed": int(config.get("seed", 0)),
-    }))
     print(f"verify-bounds: {summary['checked']} checked, {summary['skipped']} skipped, "
           f"fraction holding {summary['fraction_holding']:.3f}")
     return EXIT_OK
 
 
-def cmd_sweep(config: dict, strict: bool) -> int:
-    alpha_grid = [float(a) for a in config.get("alpha_grid", [0.1, 1.0, 10.0, 100.0])]
-    delta_grid = [float(d) for d in config.get("delta_grid", [0.05, 0.1, 0.2, 0.3, 0.45])]
-    dataset = _load_dataset(config)
+def cmd_sweep(settings: SweepSettings, strict: bool) -> int:
+    cells = [(alpha, delta, settings.train_config(alpha, delta, strict))
+             for alpha in settings.alpha_grid for delta in settings.delta_grid]
+    dataset = settings.load()
     rows = []
-    best = None
-    for alpha in alpha_grid:
-        for d in delta_grid:
-            cell_cfg = dict(config)
-            cell_cfg["alpha"] = alpha
-            cell_cfg["delta"] = d
-            loss = _loss_from_config(cell_cfg, strict)
-            train_cfg = _train_config(cell_cfg, loss, strict)
-            _, history = ltr_model.train(dataset, train_cfg)
-            value = history.records[history.best_epoch - 1].val_metrics[history.select_metric]
-            rows.append({"alpha": alpha, "delta": d, "val_ndcg": value,
-                         "best_epoch": history.best_epoch})
-            if best is None or value > best["val_ndcg"]:
-                best = rows[-1]
-    out = _out_dir(config, "sweep")
+    for alpha, delta, train_cfg in cells:
+        _, history = ltr_model.train(dataset, train_cfg)
+        value = history.records[history.best_epoch - 1].val_metrics[history.select_metric]
+        rows.append({"alpha": alpha, "delta": delta, "val_ndcg": value,
+                     "best_epoch": history.best_epoch})
+    best = max(rows, key=lambda row: row["val_ndcg"])
+    out = _out_dir(settings)
     _write_csv(out / "sweep.csv", ["alpha", "delta", "val_ndcg", "best_epoch"], rows)
     _write_json(out / "best.json", best)
-    _write_json(out / "resolved_config.json", _resolved(config, "sweep", {
-        "alpha_grid": alpha_grid, "delta_grid": delta_grid,
-        "seed": int(config.get("seed", 0)),
-    }))
     print(f"sweep: best cell alpha={best['alpha']} delta={best['delta']} "
           f"val_ndcg={best['val_ndcg']:.4f}")
     return EXIT_OK
 
 
 COMMANDS = {
-    "train": cmd_train,
-    "evaluate": cmd_evaluate,
-    "gradcheck": cmd_gradcheck,
-    "verify-bounds": cmd_verify_bounds,
-    "sweep": cmd_sweep,
+    "train": (TrainSettings, cmd_train),
+    "evaluate": (EvaluateSettings, cmd_evaluate),
+    "gradcheck": (GradcheckSettings, cmd_gradcheck),
+    "verify-bounds": (VerifyBoundsSettings, cmd_verify_bounds),
+    "sweep": (SweepSettings, cmd_sweep),
 }
 
 
@@ -498,9 +479,12 @@ def main(argv=None) -> int:
         "50 epochs, batch 128, alpha grid {0.1,1,10,100}, delta 0.1)",
     )
     args = parser.parse_args(argv)
+    settings_cls, run = COMMANDS[args.command]
     try:
-        config = _load_config(args.config, args.command, args.seed)
-        return COMMANDS[args.command](config, args.strict)
+        settings = _load_settings(settings_cls, args.config, args.command, args.seed)
+        code = run(settings, args.strict)
+        _write_json(_out_dir(settings) / "resolved_config.json", _resolved(settings, args.command))
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -236,6 +236,10 @@ class TrainConfig:
             raise ValueError(f"batch_size_queries must be >= 1, got {self.batch_size_queries}")
         if self.learning_rate < 0:
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if self.hidden_dim < 1:
+            raise ValueError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
+        if self.select_cutoff is not None and self.select_cutoff < 1:
+            raise ValueError(f"select_cutoff must be >= 1, got {self.select_cutoff}")
 
 
 @dataclass
@@ -262,13 +266,22 @@ def _binarized(rel: np.ndarray, kind: str) -> np.ndarray:
     return (rel >= 1.0).astype(np.float64)
 
 
+def _loss_for_list(loss: LossSpec, n: int) -> LossSpec:
+    """The loss with its cutoff cut to ``min(k, n)``, as ``evaluate`` does:
+    real LETOR lists vary in length."""
+    if loss.k is None or loss.k <= n:
+        return loss
+    return replace(loss, k=n)
+
+
 def train(dataset: Dataset, config: TrainConfig) -> tuple[Scorer, TrainHistory]:
     """Train a scorer on the dataset's train split, selecting on validation.
 
     Mini-batches are whole queries (the loss is listwise): the documents of
     each batch are stacked for one batch-norm forward pass, per-query losses
     and score gradients are averaged, and the mean gradient is backpropagated
-    through the scorer. Queries whose loss is undefined (zero relevance) are
+    through the scorer. A list shorter than the loss cutoff is scored at
+    its own length. Queries whose loss is undefined (zero relevance) are
     skipped. Raises DivergenceError when a batch loss goes non-finite.
     """
     for split in ("train", "validation"):
@@ -306,7 +319,9 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Scorer, TrainHistory]:
                     offset += len(g)
                     rel = _binarized(g.relevance, config.loss.kind)
                     try:
-                        value, grad = loss_and_gradient(rel, scores[span], config.loss)
+                        value, grad = loss_and_gradient(
+                            rel, scores[span], _loss_for_list(config.loss, len(g))
+                        )
                     except UndefinedMetricError:
                         continue
                     losses.append(value)
@@ -392,14 +407,22 @@ def _query_metrics(rel: np.ndarray, scores: np.ndarray, cutoffs) -> dict[str, fl
     return out
 
 
+def check_cutoffs(cutoffs) -> None:
+    """Reject metric cutoffs below 1; P@0 would divide by zero."""
+    bad = [c for c in cutoffs if c < 1]
+    if bad:
+        raise ValueError(f"metric cutoffs must be >= 1, got {bad}")
+
+
 def evaluate(scorer: Scorer, dataset: Dataset, split: str, cutoffs=(1, 5, 10)) -> EvaluationResult:
     """Exact metrics of the scorer on a split, averaged over queries.
 
     Queries with all-zero relevance have no defined NDCG or AP and are
     skipped entirely; the skip count is reported. Eval-mode forward passes
     use running batch-norm statistics, so this is a pure function of
-    (weights, data).
+    (weights, data). Cutoffs must be >= 1.
     """
+    check_cutoffs(cutoffs)
     per_query: dict[str, dict[str, float]] = {}
     skipped = 0
     for qid in dataset.query_ids(split):

@@ -189,6 +189,19 @@ class TestMetricBounds:
         with pytest.raises(ThresholdNotMetError):
             verify_metric_bounds([1.0, 0.0, 1.0], [4.0, 2.0, 1.0], k=2, alpha=1.0, delta=0.1)
 
+    def test_rounding_gap_under_a_zero_bound_holds(self):
+        # eps_K underflows to 0 here, so the NDCG bound is 0, while the exact
+        # and smooth NDCG, summed in different orders, differ by one ulp
+        scores = [45.92, 18.818, 38.319, 32.769, 49.919, 52.802, 23.642, 28.086,
+                  35.706, 42.32, 14.288, 48.272, 20.051, 54.451, 39.461, 12.176]
+        rel = [1, 0, 1, 1, 1, 1, 0, 0, 0, 1, 0, 1, 0, 0, 1, 0]
+        alpha = 1.5 * max(certificate(scores, 7, 0.1).alpha_threshold,
+                          certificate(scores, 16, 0.1).alpha_threshold)
+        report = verify_metric_bounds(rel, scores, k=7, alpha=alpha, delta=0.1)
+        assert report.ndcg_bound == 0.0
+        assert 0.0 < report.ndcg_diff < 1e-15
+        assert report.all_hold
+
 
 class TestCorollary:
     def test_identity_specializes_to_the_precision_bound(self):

@@ -1,11 +1,13 @@
 """CLI commands: artifacts, determinism, exit codes, output formats."""
 
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from smoothrank import cli
+from smoothrank import Scorer, cli, ltr_model, make_loss_spec, save_checkpoint, training_loss
 
 
 def write_config(path, payload):
@@ -35,10 +37,89 @@ def tiny_train_config(out_dir, **overrides):
     return payload
 
 
+def tiny_config(command, out_dir, tmp_path, **overrides):
+    """A quick, valid config for each command."""
+    if command in ("train", "sweep"):
+        payload = tiny_train_config(out_dir)
+        if command == "sweep":
+            del payload["alpha"], payload["delta"]
+            payload.update(alpha_grid=[10.0], delta_grid=[0.1])
+    elif command == "evaluate":
+        checkpoint = tmp_path / "untrained.json"
+        save_checkpoint(Scorer(4, hidden_dim=2, seed=0), checkpoint)
+        payload = {"train_queries": 12, "validation_queries": 6, "docs_per_query": 6,
+                   "feature_dim": 4, "data_seed": 7, "checkpoint": str(checkpoint),
+                   "split": "validation", "output_dir": out_dir}
+    else:
+        payload = {"instances": 5, "seed": 1, "output_dir": out_dir}
+    payload.update(overrides)
+    return payload
+
+
 @pytest.fixture()
 def out_root(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.ENV_OUTPUT_ROOT, str(tmp_path))
     return tmp_path
+
+
+# each a JSON value of the wrong type or out of range, and the key the
+# one-line message must name
+CONFIG_FAILURES = [
+    ("train", {"epochs": "abc"}, "epochs"),
+    ("train", {"epochs": 2.7}, "epochs"),
+    ("train", {"learning_rate": True}, "learning_rate"),
+    ("train", {"hidden_dim": 0}, "hidden_dim"),
+    ("train", {"graded": "false"}, "graded"),
+    ("train", {"select_cutoff": 0}, "select_cutoff"),
+    ("train", {"dataset": "svmlight", "train_path": "train.txt"}, "vali_path"),
+    ("verify-bounds", {"max_docs": 1}, "max_docs"),
+    ("sweep", {"alpha_grid": []}, "alpha_grid"),
+    ("evaluate", {"cutoffs": [0]}, "cutoffs"),
+]
+
+
+@pytest.mark.parametrize("command, overrides, key", CONFIG_FAILURES,
+                         ids=[f"{c}-{k}" for c, _, k in CONFIG_FAILURES])
+def test_bad_config_value_exits_two(tmp_path, out_root, capsys, command, overrides, key):
+    cfg = write_config(tmp_path / "c.json", tiny_config(command, "bad", tmp_path, **overrides))
+    assert cli.main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    assert line.startswith("config error:") and key in line
+    assert not (out_root / "bad").exists()
+
+
+def check_resolved_config_round_trip(tmp_path, out_root, command, output):
+    """Running a command's resolved_config.json again reproduces its output."""
+    cfg = write_config(tmp_path / "c.json", tiny_config(command, "orig", tmp_path))
+    assert cli.main([command, "--config", cfg]) == 0
+    resolved = json.loads((out_root / "orig" / "resolved_config.json").read_text())
+    assert resolved.pop("command") == command
+    settings_cls, _ = cli.COMMANDS[command]
+    assert set(resolved) == {f.name for f in dataclasses.fields(settings_cls)}
+    resolved["output_dir"] = "again"
+    cfg2 = write_config(tmp_path / "c2.json", resolved)
+    assert cli.main([command, "--config", cfg2]) == 0
+    assert (out_root / "orig" / output).read_bytes() == (out_root / "again" / output).read_bytes()
+
+
+# train's case is TestTrainCommand.test_resolved_config_reproduces_the_run
+@pytest.mark.parametrize("command, output", [
+    ("evaluate", "metrics.json"),
+    ("gradcheck", "gradcheck.csv"),
+    ("verify-bounds", "bounds.csv"),
+    ("sweep", "sweep.csv"),
+])
+def test_resolved_config_reproduces_the_run(tmp_path, out_root, command, output):
+    check_resolved_config_round_trip(tmp_path, out_root, command, output)
+
+
+def test_readme_documents_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for settings_cls, _ in cli.COMMANDS.values():
+        for field in dataclasses.fields(settings_cls):
+            assert f"`{field.name}`" in readme, field.name
 
 
 class TestTrainCommand:
@@ -63,16 +144,7 @@ class TestTrainCommand:
             assert a == b
 
     def test_resolved_config_reproduces_the_run(self, tmp_path, out_root):
-        cfg = write_config(tmp_path / "c.json", tiny_train_config("orig"))
-        assert cli.main(["train", "--config", cfg]) == 0
-        resolved = json.loads((out_root / "orig" / "resolved_config.json").read_text())
-        resolved.pop("command")
-        resolved["output_dir"] = "again"
-        cfg2 = write_config(tmp_path / "c2.json", resolved)
-        assert cli.main(["train", "--config", cfg2]) == 0
-        assert (out_root / "orig" / "history.csv").read_bytes() == (
-            out_root / "again" / "history.csv"
-        ).read_bytes()
+        check_resolved_config_round_trip(tmp_path, out_root, "train", "history.csv")
 
     def test_unknown_key_is_config_error(self, tmp_path, out_root):
         payload = tiny_train_config("x")
@@ -84,11 +156,46 @@ class TestTrainCommand:
         payload = {
             "dataset": "svmlight",
             "train_path": str(tmp_path / "missing.txt"),
+            "vali_path": str(tmp_path / "missing_vali.txt"),
+            "test_path": str(tmp_path / "missing_test.txt"),
             "output_dir": "x",
             "epochs": 1,
         }
         cfg = write_config(tmp_path / "c.json", payload)
         assert cli.main(["train", "--config", cfg]) == 3
+
+    def test_loss_cutoff_is_cut_to_short_lists(self, tmp_path, out_root, monkeypatch):
+        rng = np.random.default_rng(0)
+        paths = {}
+        for split, lengths in (("train", [3, 4, 9, 5, 8, 3]), ("vali", [4, 7]), ("test", [6])):
+            lines = []
+            for q, n in enumerate(lengths):
+                x = rng.standard_normal((n, 3))
+                rel = (x[:, 0] > 0).astype(int)
+                rel[0] = 1
+                for j in range(n):
+                    feats = " ".join(f"{i + 1}:{float(x[j, i])!r}" for i in range(3))
+                    lines.append(f"{rel[j]} qid:{split}{q} {feats}")
+            paths[f"{split}_path"] = str(tmp_path / f"{split}.txt")
+            Path(paths[f"{split}_path"]).write_text("\n".join(lines) + "\n")
+        calls = []
+        original = ltr_model.loss_and_gradient
+
+        def recording(rel, raw, spec):
+            value, grad = original(rel, raw, spec)
+            calls.append((rel, np.array(raw), spec, value))
+            return value, grad
+
+        monkeypatch.setattr(ltr_model, "loss_and_gradient", recording)
+        payload = tiny_train_config("varlen", dataset="svmlight", loss_k=6, epochs=1, **paths)
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert cli.main(["train", "--config", cfg]) == 0
+        assert {rel.size for rel, *_ in calls} == {3, 4, 5, 8, 9}
+        for rel, raw, spec, value in calls:
+            assert spec.k == min(6, rel.size)
+            if rel.size < 6:
+                at_n = make_loss_spec("ndcg@k", k=rel.size, alpha=10.0, delta=0.1)
+                assert value == training_loss(rel, raw, at_n)
 
     def test_strict_rejects_off_grid_learning_rate(self, tmp_path, out_root, capsys):
         payload = tiny_train_config("x", learning_rate=5e-3)

@@ -229,6 +229,11 @@ class TestTrainLoop:
         again = evaluate(scorer, ds, "validation")
         assert again.summary == best
 
+    @pytest.mark.parametrize("field", ["hidden_dim", "select_cutoff"])
+    def test_sizes_below_one_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(loss=make_loss_spec("ndcg@k", alpha=2.0), **{field: 0})
+
     def test_missing_split_rejected(self):
         ds = synthesize(4, 5, 3, seed=0)  # no splits assigned
         cfg = TrainConfig(loss=make_loss_spec("ndcg@k", alpha=2.0), epochs=1)
@@ -293,6 +298,11 @@ class TestEvaluate:
         for key, value in result.summary.items():
             rows = [row[key] for row in result.per_query.values()]
             assert value == pytest.approx(np.mean(rows), abs=1e-12)
+
+    def test_cutoff_below_one_rejected(self):
+        ds = single_query_dataset([1, 0], [[2.0], [1.0]])
+        with pytest.raises(ValueError, match="cutoffs"):
+            evaluate(zero_scorer(1), ds, "test", cutoffs=(1, 0))
 
     def test_eval_mode_is_pure(self):
         ds = synthesize(6, 7, 3, seed=12).split_by_counts(2, 2, 2)

@@ -343,7 +343,8 @@ def cmd_train(settings: TrainSettings, strict: bool) -> int:
     header, rows = _history_rows(history)
     _write_csv(out / "history.csv", header, rows)
     data_io.write_stats_json(dataset, out / "dataset_stats.json")
-    _log(out / "train.log", [f"epoch {r.epoch}: {r.seconds:.3f}s" for r in history.records]
+    _log(out / "train.log", [f"epoch {r.epoch}: {r.seconds:.3f}s, {r.skipped_queries} training queries "
+                             "skipped (undefined loss)" for r in history.records]
          + [f"best epoch {history.best_epoch} by validation {history.select_metric}"])
     print(f"trained {train_cfg.loss.label()}: best epoch {history.best_epoch}, "
           f"validation {history.select_metric}="

@@ -138,20 +138,24 @@ def parse_svmlight(path) -> Dataset:
     """Parse one SVMlight/LETOR file into a Dataset (no splits assigned).
 
     Feature dimension is the maximum index seen in the file; doc ids come
-    from the trailing comment when present, else ``<qid>_<ordinal>``.
+    from the trailing comment when present, else ``<qid>_<ordinal>``. The
+    file is read as UTF-8; bytes that do not decode raise ParseError.
     """
     path = Path(path)
     source = path.name
     records: dict[str, list] = {}
     max_idx = 0
-    with path.open() as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            rel, qid, feats, comment = _parse_line(raw, lineno, source)
-            records.setdefault(qid, []).append((rel, feats, comment))
-            if feats:
-                max_idx = max(max_idx, max(feats))
+    with path.open(encoding="utf-8") as fh:
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                if not raw.strip():
+                    continue
+                rel, qid, feats, comment = _parse_line(raw, lineno, source)
+                records.setdefault(qid, []).append((rel, feats, comment))
+                if feats:
+                    max_idx = max(max_idx, max(feats))
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{source}: not UTF-8 text ({exc.reason})") from None
     if not records:
         raise DatasetError(f"{source}: empty dataset")
     groups = {}

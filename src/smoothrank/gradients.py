@@ -6,6 +6,8 @@ are constants in the backward pass, so each indicator row differentiates
 exactly like a softmax whose logits are ``alpha * score * frozen_prefix``.
 In full mode the backward pass also walks the recursion, accumulating rank
 by rank the gradient that flows through the prefix products themselves.
+Both run on a padded ``(B, N)`` batch of lists at once, like the forward
+recursion; one list is the ``B = 1`` case.
 
 The finite-difference check has to differentiate the same function the
 chosen mode defines: for stop-gradient mode it perturbs the scores inside
@@ -31,7 +33,10 @@ from .smooth_metrics import (
     SMOOTH_NDCG_AT_K,
     SMOOTH_P_AT_K,
     LossSpec,
+    _forward,
+    _live_ranks,
     _prepare,
+    _shift,
     metric_from_weighted_sums,
     shift_scores,
 )
@@ -56,28 +61,35 @@ class GradientReport:
     step_h: float
 
 
-def _upstream_coeffs(u: np.ndarray, kind: str, k: int, rel_total: float, ideal: float) -> np.ndarray:
-    """Per-rank derivative of the metric wrt the weighted row sum u_r."""
+def _upstream_coeffs(u: np.ndarray, kind: str, k, rel_total, ideal) -> np.ndarray:
+    """Per-rank derivative of the metric wrt the weighted row sums ``u``.
+
+    Along the last axis, as ``metric_from_weighted_sums`` (``u`` is 0 past
+    each list's cutoff ``k``); ranks past the cutoff get 0.
+    """
+    live = _live_ranks(u.shape[-1], k)
+    ranks = np.arange(1.0, u.shape[-1] + 1.0)
     if kind == SMOOTH_P_AT_K:
-        return np.full(k, 1.0 / k)
-    if kind == SMOOTH_AP:
-        ranks = np.arange(1.0, u.size + 1.0)
-        prec = np.cumsum(u) / ranks
+        coeffs = live / np.asarray(k)[..., None]
+    elif kind == SMOOTH_AP:
+        prec = np.cumsum(u, axis=-1) / ranks
         # u_t appears directly against prec_t and inside prec_k for all k >= t
-        tail = np.cumsum((u / ranks)[::-1])[::-1]
-        return (prec + tail) / rel_total
-    if kind == SMOOTH_NDCG_AT_K:
-        discounts = np.log2(np.arange(2.0, k + 2.0))
-        return LN2 * np.exp2(u[:k]) / (discounts * ideal)
-    raise ValueError(f"unknown loss kind {kind!r}")
+        tail = np.flip(np.cumsum(np.flip(u / ranks, axis=-1), axis=-1), axis=-1)
+        coeffs = (prec + tail) / np.asarray(rel_total)[..., None]
+    elif kind == SMOOTH_NDCG_AT_K:
+        discounts = np.log2(ranks + 1.0)
+        coeffs = LN2 * np.exp2(u) / (discounts * np.asarray(ideal)[..., None])
+    else:
+        raise ValueError(f"unknown loss kind {kind!r}")
+    return np.where(live, coeffs, 0.0)
 
 
 def _softmax_rows_backward_stop(mat: SmoothIndicatorMatrix, upstream: np.ndarray) -> np.ndarray:
     """dL/dS with the prefix products held constant (stop-gradient semantics)."""
     rows = mat.rows
-    inner = (upstream * rows).sum(axis=1, keepdims=True)
+    inner = (upstream * rows).sum(axis=-1, keepdims=True)
     dz = rows * (upstream - inner)
-    return mat.params.alpha * (mat.prefix_products * dz).sum(axis=0)
+    return mat.params.alpha * (mat.prefix_products * dz).sum(axis=-2)
 
 
 def _softmax_rows_backward_full(mat: SmoothIndicatorMatrix, upstream: np.ndarray) -> np.ndarray:
@@ -85,77 +97,61 @@ def _softmax_rows_backward_full(mat: SmoothIndicatorMatrix, upstream: np.ndarray
 
     ``q`` carries dL/d(prefix of rank r+1); each step routes it into the
     current row (prefixes multiply the row's logits) and into the next-lower
-    prefix (prefixes chain by the factor ``1 - row - delta``).
+    prefix (prefixes chain by the factor ``1 - row - delta``). Arrays are
+    ``(B, K, N)``; padded entries have zero rows and so get 0.
     """
     rows, prefixes = mat.rows, mat.prefix_products
     alpha, delta = mat.params.alpha, mat.params.delta
     scores = mat.scores
-    k, n = rows.shape
-    ds = np.zeros(n)
-    q = np.zeros(n)
-    for r in range(k - 1, -1, -1):
-        a = upstream[r] - q * prefixes[r]
-        dz = rows[r] * (a - a @ rows[r])
-        ds += alpha * prefixes[r] * dz
-        q = alpha * scores * dz + q * (1.0 - rows[r] - delta)
+    ds = np.zeros(scores.shape)
+    q = np.zeros(scores.shape)
+    for r in range(rows.shape[1] - 1, -1, -1):
+        row, prefix = rows[:, r], prefixes[:, r]
+        a = upstream[:, r] - q * prefix
+        dz = row * (a - (a * row).sum(axis=1, keepdims=True))
+        ds += alpha * prefix * dz
+        q = alpha * scores * dz + q * (1.0 - row - delta)
     return ds
 
 
-def _check_indicators(mat: SmoothIndicatorMatrix, scores: np.ndarray, spec: LossSpec, k: int):
-    p = mat.params
-    if (
-        mat.k != k
-        or p.alpha != spec.params.alpha
-        or p.delta != spec.params.delta
-        or p.grad_mode != spec.params.grad_mode
-        or not np.array_equal(mat.scores, scores)
-    ):
-        raise ValueError("cached indicator matrix does not match the requested loss/scores")
-
-
-def _value_and_gradient(rel, scores, spec: LossSpec, indicators=None):
-    """Smooth metric value and its gradient wrt the (positive) scores."""
-    rel2, arr, k, rel_total, ideal, keep = _prepare(rel, scores, spec)
-    if indicators is None:
-        mat = smooth_indicators(arr, spec.params.with_k(k))
-    else:
-        _check_indicators(indicators, arr, spec, k)
-        mat = indicators
-    u = mat.rows @ rel2
-    value = metric_from_weighted_sums(u, spec.kind, k, rel_total, ideal)
-    upstream = np.outer(_upstream_coeffs(u, spec.kind, k, rel_total, ideal), rel2)
+def _value_and_gradient(rel, scores, spec: LossSpec, mask=None):
+    """Smooth metric value and its gradient wrt the (positive) scores, for
+    one list or a padded batch (see ``loss_and_gradient``)."""
+    lists = _prepare(rel, scores, spec, mask)
+    mat, u, value = _forward(lists, spec)
+    coeffs = _upstream_coeffs(u, spec.kind, lists.k, lists.rel_total, lists.ideal)
+    upstream = coeffs[:, :, None] * lists.rel[:, None, :]
     if spec.params.grad_mode == STOP_GRADIENT:
         grad = _softmax_rows_backward_stop(mat, upstream)
     else:
         grad = _softmax_rows_backward_full(mat, upstream)
-    if keep is not None:
-        full = np.zeros(np.asarray(scores).size)
-        full[keep] = grad
-        grad = full
-    return value, grad
+    return lists.values(value), lists.restore(grad)
 
 
-def metric_gradient(rel, scores, spec: LossSpec, indicators: SmoothIndicatorMatrix | None = None) -> np.ndarray:
-    """Gradient of the smooth metric wrt strictly positive scores.
+def metric_gradient(rel, scores, spec: LossSpec) -> np.ndarray:
+    """Gradient of the smooth metric wrt strictly positive scores."""
+    return _value_and_gradient(rel, scores, spec)[1]
 
-    ``indicators`` may pass a precomputed matrix for the same scores and
-    params; a mismatched one is rejected.
+
+def loss_and_gradient(rel, raw_scores, spec: LossSpec, mask=None):
+    """Training-loss value and gradient wrt the raw (unshifted) scores.
+
+    One list ``(n,)`` gives ``(float, (n,) array)``. A padded batch ``(B, N)``
+    with its boolean validity ``mask`` gives ``((B,), (B, N))``: one loss per
+    list, each shifted on its own, and zero gradient at padded entries. In a
+    batch each list's cutoff is ``min(k, n_q)``; one list keeps the strict
+    cutoff check. Raises ``UndefinedMetricError`` when any list's loss is
+    undefined (see ``smooth_metrics.undefined_lists``).
     """
-    return _value_and_gradient(rel, scores, spec, indicators)[1]
-
-
-def loss_and_gradient(rel, raw_scores, spec: LossSpec) -> tuple[float, np.ndarray]:
-    """Training-loss value and gradient wrt the raw (unshifted) scores."""
-    shifted = shift_scores(raw_scores, spec.shift_margin)
-    value, grad = _value_and_gradient(rel, shifted, spec)
+    shifted = _shift(raw_scores, spec.shift_margin, mask)
+    value, grad = _value_and_gradient(rel, shifted, spec, mask)
     return 1.0 - value, -grad
 
 
-def loss_gradient(rel, raw_scores, spec: LossSpec, indicators: SmoothIndicatorMatrix | None = None) -> np.ndarray:
+def loss_gradient(rel, raw_scores, spec: LossSpec) -> np.ndarray:
     """Gradient of ``training_loss`` wrt the raw scores (shift treated as a
     constant offset)."""
-    shifted = shift_scores(raw_scores, spec.shift_margin)
-    return -_value_and_gradient(rel, shifted, spec, indicators)[1]
+    return loss_and_gradient(rel, raw_scores, spec)[1]
 
 
 def finite_difference_check(rel, raw_scores, spec: LossSpec, h: float = 1e-4) -> GradientReport:
@@ -171,24 +167,25 @@ def finite_difference_check(rel, raw_scores, spec: LossSpec, h: float = 1e-4) ->
         warnings.warn(f"step h={h} outside [1e-6, 1e-2]; truncation or cancellation may dominate")
     analytic = loss_gradient(rel, raw, spec)
 
-    offset = spec.shift_margin - raw.min()
-    base = raw + offset
-    rel2, arr0, k, rel_total, ideal, keep = _prepare(rel, base, spec)
+    base = shift_scores(raw, spec.shift_margin)
+    lists = _prepare(rel, base, spec)
+    k = int(lists.k[0])
+    params = spec.params.with_k(k)
     if spec.params.grad_mode == STOP_GRADIENT:
-        frozen = smooth_indicators(arr0, spec.params.with_k(k)).prefix_products
+        frozen = smooth_indicators(lists.scores[0], params).prefix_products
     else:
         frozen = None
 
     def loss_at(shifted: np.ndarray) -> float:
-        sub = shifted if keep is None else shifted[keep]
+        sub = shifted if lists.keep is None else shifted[lists.keep[0]]
         if frozen is not None:
             rows = np.empty_like(frozen)
             for r in range(k):
                 rows[r] = stable_softmax(spec.params.alpha * sub * frozen[r])
         else:
-            rows = smooth_indicators(sub, spec.params.with_k(k)).rows
-        u = rows @ rel2
-        return 1.0 - metric_from_weighted_sums(u, spec.kind, k, rel_total, ideal)
+            rows = smooth_indicators(sub, params).rows
+        u = rows @ lists.rel[0]
+        return 1.0 - metric_from_weighted_sums(u, spec.kind, k, lists.rel_total[0], lists.ideal[0])
 
     numeric = np.empty(raw.size)
     for j in range(raw.size):

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -26,10 +25,17 @@ from .rank_core import (
     ideal_dcg_at_k,
     rank_permutation,
 )
-from .smooth_metrics import SMOOTH_NDCG_AT_K, LossSpec
+from .smooth_metrics import SMOOTH_NDCG_AT_K, LossSpec, undefined_lists
 
 CHECKPOINT_FORMAT = "smoothrank-scorer"
 CHECKPOINT_VERSION = 1
+
+# train() pads a batch's lists only to the longest list of their bucket, and a
+# bucket's longest list is at most this factor times its shortest. On
+# letor-varlen's training lengths (8-120 docs, AP with K = N), padding each
+# 128-query batch to its longest list does 13.6x the K*N work of one call per
+# list; 1.25x buckets do 1.19x that work in about 9 calls instead of about 118.
+BUCKET_SPREAD = 1.25
 
 
 class DivergenceError(RuntimeError):
@@ -244,10 +250,14 @@ class TrainConfig:
 
 @dataclass
 class EpochRecord:
+    """One epoch; ``skipped_queries`` counts the training queries left out
+    because their loss is undefined (no relevant document)."""
+
     epoch: int
     train_loss: float
     val_metrics: dict[str, float]
     seconds: float
+    skipped_queries: int
 
 
 @dataclass
@@ -266,12 +276,21 @@ def _binarized(rel: np.ndarray, kind: str) -> np.ndarray:
     return (rel >= 1.0).astype(np.float64)
 
 
-def _loss_for_list(loss: LossSpec, n: int) -> LossSpec:
-    """The loss with its cutoff cut to ``min(k, n)``, as ``evaluate`` does:
-    real LETOR lists vary in length."""
-    if loss.k is None or loss.k <= n:
-        return loss
-    return replace(loss, k=n)
+def length_buckets(lengths) -> list[np.ndarray]:
+    """Positions of the lists grouped into buckets of similar length.
+
+    The lists are sorted by length (stably); a bucket closes before the
+    first list longer than ``BUCKET_SPREAD`` times the bucket's shortest.
+    """
+    lengths = np.asarray(lengths)
+    order = np.argsort(lengths, kind="stable")
+    buckets = []
+    start = 0
+    for i in range(1, order.size + 1):
+        if i == order.size or lengths[order[i]] > BUCKET_SPREAD * lengths[order[start]]:
+            buckets.append(order[start:i])
+            start = i
+    return buckets
 
 
 def train(dataset: Dataset, config: TrainConfig) -> tuple[Scorer, TrainHistory]:
@@ -280,9 +299,12 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Scorer, TrainHistory]:
     Mini-batches are whole queries (the loss is listwise): the documents of
     each batch are stacked for one batch-norm forward pass, per-query losses
     and score gradients are averaged, and the mean gradient is backpropagated
-    through the scorer. A list shorter than the loss cutoff is scored at
-    its own length. Queries whose loss is undefined (zero relevance) are
-    skipped. Raises DivergenceError when a batch loss goes non-finite.
+    through the scorer. The losses come from one ``loss_and_gradient`` call
+    per bucket of similar-length lists (see ``length_buckets``), each list
+    padded to its bucket's longest; a list shorter than the loss cutoff is
+    scored at its own length. Queries whose loss is undefined (zero
+    relevance) are skipped and counted. Raises DivergenceError when a batch
+    loss goes non-finite.
     """
     for split in ("train", "validation"):
         if not dataset.splits.get(split):
@@ -291,6 +313,10 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Scorer, TrainHistory]:
     adam = Adam(config.learning_rate, config.beta1, config.beta2, config.adam_eps)
     rng = np.random.default_rng(config.seed)
     train_ids = dataset.query_ids("train")
+    groups = [dataset.groups[qid] for qid in train_ids]
+    rels = [_binarized(g.relevance, config.loss.kind) for g in groups]
+    lengths = np.array([len(g) for g in groups])
+    defined = np.array([not undefined_lists(rel, config.loss.kind) for rel in rels])
     select_key = "ndcg" if config.select_cutoff is None else f"ndcg@{config.select_cutoff}"
     history = TrainHistory(select_metric=select_key)
     best_value = -np.inf
@@ -300,39 +326,33 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Scorer, TrainHistory]:
         tic = time.perf_counter()
         order = rng.permutation(len(train_ids))
         epoch_losses = []
+        skipped = 0
         for start in range(0, len(order), config.batch_size_queries):
-            batch_ids = [train_ids[i] for i in order[start : start + config.batch_size_queries]]
-            groups = [dataset.groups[qid] for qid in batch_ids]
-            x = np.vstack([g.features for g in groups])
+            batch = order[start : start + config.batch_size_queries]
+            x = np.vstack([groups[i].features for i in batch])
             scores, cache = scorer.forward(x, training=True, want_cache=True)
             if not np.all(np.isfinite(scores)):
                 raise DivergenceError(epoch, f"non-finite scores at epoch {epoch}")
-            dscores = np.zeros_like(scores)
-            losses = []
-            spans_grads = []
-            offset = 0
-            with warnings.catch_warnings():
-                # tied raw scores are routine early in training
-                warnings.simplefilter("ignore", UserWarning)
-                for g in groups:
-                    span = slice(offset, offset + len(g))
-                    offset += len(g)
-                    rel = _binarized(g.relevance, config.loss.kind)
-                    try:
-                        value, grad = loss_and_gradient(
-                            rel, scores[span], _loss_for_list(config.loss, len(g))
-                        )
-                    except UndefinedMetricError:
-                        continue
-                    losses.append(value)
-                    spans_grads.append((span, grad))
-            if not losses:
+            live = np.flatnonzero(defined[batch])
+            skipped += batch.size - live.size
+            if live.size == 0:
                 continue
+            rel = np.concatenate([rels[i] for i in batch])
+            sizes = lengths[batch]
+            offsets = np.cumsum(sizes) - sizes
+            losses = np.empty(live.size)
+            dscores = np.zeros_like(scores)
+            for bucket in length_buckets(config.loss.kept_length(sizes[live])):
+                lists = live[bucket]
+                cols = np.arange(sizes[lists].max())
+                mask = cols < sizes[lists, None]
+                docs = np.where(mask, offsets[lists, None] + cols, 0)
+                values, grads = loss_and_gradient(rel[docs], scores[docs], config.loss, mask)
+                losses[bucket] = values
+                dscores[docs[mask]] = grads[mask] / live.size
             batch_loss = float(np.mean(losses))
             if not np.isfinite(batch_loss):
                 raise DivergenceError(epoch, f"non-finite loss at epoch {epoch}")
-            for span, grad in spans_grads:
-                dscores[span] = grad / len(losses)
             grads = scorer.backward(cache, dscores)
             adam.step(scorer.parameters(), grads)
             epoch_losses.append(batch_loss)
@@ -353,6 +373,7 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Scorer, TrainHistory]:
             train_loss=float(np.mean(epoch_losses)) if epoch_losses else float("nan"),
             val_metrics=dict(val.summary),
             seconds=time.perf_counter() - tic,
+            skipped_queries=skipped,
         )
         history.records.append(record)
         selected = val.summary[select_key]
@@ -464,9 +485,26 @@ def save_checkpoint(scorer: Scorer, path, extra: dict | None = None) -> None:
 
 
 def load_checkpoint(path) -> Scorer:
+    """Read a scorer saved by ``save_checkpoint``; raises ValueError on a file
+    that is not a complete checkpoint of this format."""
     payload = json.loads(Path(path).read_text())
-    if payload.get("format") != CHECKPOINT_FORMAT or payload.get("version") != CHECKPOINT_VERSION:
+    if (
+        not isinstance(payload, dict)
+        or payload.get("format") != CHECKPOINT_FORMAT
+        or payload.get("version") != CHECKPOINT_VERSION
+    ):
         raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} v{CHECKPOINT_VERSION} checkpoint")
+    arrays = payload.get("arrays")
+    missing = [key for key in ("input_dim", "hidden_dim", "bn_momentum", "bn_eps") if key not in payload]
+    if not isinstance(arrays, dict):
+        missing.append("arrays")
+    else:
+        missing += [f"arrays.{name}" for name in Scorer.PARAM_NAMES + Scorer.RUNNING_NAMES if name not in arrays]
+    if missing:
+        raise ValueError(f"{path}: checkpoint lacks {', '.join(missing)}")
+    dims = (payload["input_dim"], payload["hidden_dim"])
+    if not all(isinstance(d, int) and not isinstance(d, bool) for d in dims):
+        raise ValueError(f"{path}: input_dim and hidden_dim must be integers, got {dims}")
     scorer = Scorer(
         payload["input_dim"],
         payload["hidden_dim"],
@@ -474,7 +512,7 @@ def load_checkpoint(path) -> Scorer:
         bn_eps=payload["bn_eps"],
     )
     for name in scorer.PARAM_NAMES + scorer.RUNNING_NAMES:
-        arr = np.asarray(payload["arrays"][name], dtype=np.float64)
+        arr = np.asarray(arrays[name], dtype=np.float64)
         if arr.shape != getattr(scorer, name).shape:
             raise ValueError(f"{path}: array {name!r} has shape {arr.shape}")
         setattr(scorer, name, arr)

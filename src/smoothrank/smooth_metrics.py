@@ -5,6 +5,10 @@ the indicator-weighted grade sum ``u_r = sum_j rel[j] * rows[r, j]`` computed
 from the smooth rank indicator rows, so the metric becomes a smooth function
 of the scores. The training loss is ``1 - metric`` evaluated on scores
 shifted to be strictly positive.
+
+The metrics are evaluated along the last axis, so one list and a padded
+``(B, N)`` batch of lists share one code path: padded grades are 0, and each
+list's weighted sums past its own cutoff are ignored.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rank_core import UndefinedMetricError, as_relevance, as_scores, ideal_dcg_at_k
-from .smoothi import SmoothIParams, smooth_indicators
+from .smoothi import SmoothIndicatorMatrix, SmoothIParams, smooth_indicators
 
 SMOOTH_P_AT_K = "p@k"
 SMOOTH_AP = "ap"
@@ -62,6 +66,11 @@ class LossSpec:
             raise ValueError(f"cutoff k={self.k} exceeds list length {n}")
         return self.k
 
+    def kept_length(self, n):
+        """How many documents of an ``n``-document list the metric ranks: AP
+        keeps the top ``ap_list_cap``, the others keep every document."""
+        return np.minimum(n, self.ap_list_cap) if self.kind == SMOOTH_AP else n
+
     def label(self) -> str:
         if self.kind == SMOOTH_AP:
             return "smooth-ap"
@@ -93,59 +102,187 @@ def shift_scores(raw_scores, margin: float = 1.0) -> np.ndarray:
     arr = as_scores(raw_scores)
     if margin <= 0.0:
         raise ValueError(f"margin must be positive, got {margin}")
-    out = arr - arr.min() + margin
+    out = _shift(arr, margin)
     if np.unique(out).size != out.size:
         warnings.warn("shifted scores contain ties; strict-mode consumers will reject them")
     return out
 
 
-def _ap_truncation(scores: np.ndarray, cap: int) -> np.ndarray | None:
-    """Indices of the top-``cap`` documents when the list is longer, else None."""
-    if scores.size <= cap:
-        return None
-    return np.argsort(-scores, kind="stable")[:cap]
+def _shift(raw, margin: float, mask=None) -> np.ndarray:
+    """Each list (last axis) moved so its minimum valid score is ``margin``.
+
+    No validation and no tie scan: training batches, where ties are routine,
+    come through here, and the consumer validates.
+    """
+    raw = np.asarray(raw, dtype=np.float64)
+    low = np.min(raw, axis=-1, keepdims=True, initial=np.inf, where=True if mask is None else mask)
+    return raw - low + margin
 
 
-def metric_from_weighted_sums(u: np.ndarray, kind: str, k: int, rel_total: float, ideal: float) -> float:
+def undefined_lists(rel, kind: str) -> np.ndarray:
+    """Which lists (along the last axis of non-negative grades) have no smooth
+    metric value: AP without a relevant document, NDCG whose ideal DCG is 0
+    (every gain ``2^grade - 1`` is 0). P@K is always defined."""
+    rel = np.asarray(rel, dtype=np.float64)
+    if kind == SMOOTH_AP:
+        return rel.sum(axis=-1) == 0.0
+    if kind == SMOOTH_NDCG_AT_K:
+        return np.exp2(rel.max(axis=-1)) - 1.0 == 0.0
+    return np.zeros(rel.shape[:-1], dtype=bool)
+
+
+def _live_ranks(width: int, k) -> np.ndarray:
+    """Ranks 1..``width`` at or above each list's cutoff ``k`` (int or array)."""
+    return np.arange(1, width + 1) <= np.asarray(k)[..., None]
+
+
+def metric_from_weighted_sums(u, kind: str, k, rel_total, ideal):
     """Evaluate a smooth metric given the weighted row sums ``u``.
 
-    Shared by the forward path, the analytic gradients, and the
-    finite-difference harness (which re-evaluates it on perturbed rows).
+    Works along the last axis: ``u`` is ``(K,)`` for one list or ``(B, K)``
+    for a batch, and ``k``, ``rel_total`` and ``ideal`` are scalars or one
+    value per list. Entries of ``u`` past a list's cutoff ``k`` must be 0
+    (``u`` of exactly ``k`` entries needs nothing). Returns a float for one
+    list and a ``(B,)`` array for a batch. Shared by the forward path, the
+    analytic gradients, and the finite-difference harness (which
+    re-evaluates it on perturbed rows).
     """
+    u = np.asarray(u)
+    ranks = np.arange(1.0, u.shape[-1] + 1.0)
     if kind == SMOOTH_P_AT_K:
-        return float(u[:k].sum() / k)
-    if kind == SMOOTH_AP:
-        prec = np.cumsum(u) / np.arange(1.0, u.size + 1.0)
-        return float((u * prec).sum() / rel_total)
-    if kind == SMOOTH_NDCG_AT_K:
-        gains = np.exp2(u[:k]) - 1.0
-        return float((gains / np.log2(np.arange(2.0, k + 2.0))).sum() / ideal)
-    raise ValueError(f"unknown loss kind {kind!r}")
+        value = u.sum(axis=-1) / k
+    elif kind == SMOOTH_AP:
+        prec = np.cumsum(u, axis=-1) / ranks
+        value = (u * prec).sum(axis=-1) / rel_total
+    elif kind == SMOOTH_NDCG_AT_K:
+        gains = np.exp2(u) - 1.0
+        value = (gains / np.log2(ranks + 1.0)).sum(axis=-1) / ideal
+    else:
+        raise ValueError(f"unknown loss kind {kind!r}")
+    return float(value) if np.ndim(value) == 0 else value
 
 
-def _prepare(rel, scores, spec: LossSpec):
-    """Validate inputs and assemble everything the metric value needs."""
-    arr = as_scores(scores)
-    n = arr.size
-    if spec.kind == SMOOTH_P_AT_K:
-        rel = as_relevance(rel, n, binary=True)
-        k = spec.resolve_k(n)
-        return rel, arr, k, 0.0, 1.0, None
+@dataclass(frozen=True)
+class _Lists:
+    """Validated lists, padded to a common width, with what the metric needs.
+
+    ``rel``, ``scores`` and ``mask`` are ``(B, N)``; padded grades are 0 and
+    ``mask`` is ``None`` when no entry is padded. ``k``, ``rel_total`` and
+    ``ideal`` hold each list's cutoff and normalizers. When AP truncates
+    long lists, ``keep`` holds the ``(B, cap)`` input positions the three
+    arrays were gathered from, and ``width`` the input's width.
+    """
+
+    rel: np.ndarray
+    scores: np.ndarray
+    mask: np.ndarray | None
+    k: np.ndarray
+    rel_total: np.ndarray
+    ideal: np.ndarray
+    keep: np.ndarray | None
+    width: int
+    single: bool
+
+    def restore(self, per_doc: np.ndarray) -> np.ndarray:
+        """Per-document ``(B, N)`` values back in the caller's layout; the
+        documents AP dropped get 0."""
+        if self.keep is not None:
+            full = np.zeros((per_doc.shape[0], self.width))
+            np.put_along_axis(full, self.keep, per_doc, axis=1)
+            per_doc = full
+        return per_doc[0] if self.single else per_doc
+
+    def values(self, per_list: np.ndarray):
+        """Per-list values in the caller's layout: a float for one list."""
+        return float(per_list[0]) if self.single else per_list
+
+
+def _prepare(rel, scores, spec: LossSpec, mask=None) -> _Lists:
+    """Validate one list or a padded batch and assemble what the metric needs.
+
+    One list keeps the strict cutoff check of ``LossSpec.resolve_k``. In a
+    batch, whose lists differ in length, each list's cutoff is ``min(k,
+    n_q)``, the cutoff ``evaluate`` scores a short list at. AP ranks at most
+    ``ap_list_cap`` documents of each list: its top-scoring ones.
+    """
+    arr = np.asarray(scores, dtype=np.float64)
+    single = arr.ndim == 1
+    if single:
+        arr = as_scores(arr)
+    elif arr.ndim != 2 or arr.shape[1] == 0:
+        raise ValueError(f"scores must be a non-empty (n,) or (B, n) array, got shape {arr.shape}")
+    batch = arr.reshape(-1, arr.shape[-1])
+    grades = np.asarray(rel, dtype=np.float64)
+    if grades.shape != arr.shape:
+        raise ValueError(f"relevance has shape {grades.shape}, expected {arr.shape}")
+    grades = grades.reshape(batch.shape)
+    if mask is None:
+        valid = None
+        n = np.full(len(batch), batch.shape[1])
+        valid_scores = batch
+    else:
+        valid = np.asarray(mask, dtype=bool)
+        if valid.shape != batch.shape:
+            raise ValueError(f"mask has shape {valid.shape}, expected {batch.shape}")
+        n = valid.sum(axis=1)
+        valid_scores = batch[valid]
+        grades = np.where(valid, grades, 0.0)
+    if not single and not np.all(np.isfinite(valid_scores)):
+        raise ValueError("scores contain NaN or Inf")
+    grades = as_relevance(grades.ravel(), grades.size, binary=spec.kind != SMOOTH_NDCG_AT_K)
+    grades = grades.reshape(batch.shape)
+
     if spec.kind == SMOOTH_AP:
-        rel = as_relevance(rel, n, binary=True)
-        rel_total = float(rel.sum())
-        if rel_total == 0.0:
-            raise UndefinedMetricError("smooth AP is undefined: no relevant document")
-        keep = _ap_truncation(arr, spec.ap_list_cap)
-        if keep is not None:
-            rel, arr = rel[keep], arr[keep]
-        return rel, arr, arr.size, rel_total, 1.0, keep
-    rel = as_relevance(rel, n)
-    k = spec.resolve_k(n)
-    ideal = ideal_dcg_at_k(rel, k)
-    if ideal == 0.0:
-        raise UndefinedMetricError("smooth NDCG is undefined: all relevance grades are zero")
-    return rel, arr, k, 0.0, ideal, None
+        k = spec.kept_length(n)
+    else:
+        if single:
+            spec.resolve_k(int(n[0]))
+        k = n if spec.k is None else np.minimum(n, spec.k)
+    undefined = undefined_lists(grades, spec.kind)
+    if undefined.any():
+        where = "" if single else f" (lists {np.flatnonzero(undefined).tolist()})"
+        if spec.kind == SMOOTH_AP:
+            raise UndefinedMetricError(f"smooth AP is undefined{where}: no relevant document")
+        raise UndefinedMetricError(f"smooth NDCG is undefined{where}: all relevance grades are zero")
+    rel_total = grades.sum(axis=1)
+    if spec.kind == SMOOTH_NDCG_AT_K:
+        ideal = np.array([ideal_dcg_at_k(g, c) for g, c in zip(grades, k)])
+    else:
+        ideal = np.ones(len(grades))
+
+    keep = None
+    cap = spec.ap_list_cap
+    if spec.kind == SMOOTH_AP and batch.shape[1] > cap:
+        # a list longer than the cap keeps its top documents in descending
+        # score order (stable); a shorter one keeps its documents in place
+        if valid is None:
+            valid = np.ones(batch.shape, dtype=bool)
+        by_score = np.argsort(np.where(valid, -batch, np.inf), axis=1, kind="stable")
+        in_place = np.argsort(~valid, axis=1, kind="stable")
+        keep = np.where((n > cap)[:, None], by_score, in_place)[:, :cap]
+        batch, grades, valid = (np.take_along_axis(a, keep, axis=1) for a in (batch, grades, valid))
+    return _Lists(
+        rel=grades,
+        scores=batch,
+        mask=None if valid is None or valid.all() else valid,
+        k=k,
+        rel_total=rel_total,
+        ideal=ideal,
+        keep=keep,
+        width=arr.shape[-1],
+        single=single,
+    )
+
+
+def _forward(lists: _Lists, spec: LossSpec) -> tuple[SmoothIndicatorMatrix, np.ndarray, np.ndarray]:
+    """Indicator rows, weighted row sums ``u`` (0 past each list's cutoff)
+    and metric value of each list."""
+    k_max = int(lists.k.max())
+    mat = smooth_indicators(lists.scores, spec.params.with_k(k_max), lists.mask)
+    u = (mat.rows @ lists.rel[:, :, None])[:, :, 0]
+    if lists.k.min() < k_max:
+        u = np.where(_live_ranks(k_max, lists.k), u, 0.0)
+    return mat, u, metric_from_weighted_sums(u, spec.kind, lists.k, lists.rel_total, lists.ideal)
 
 
 def smooth_metric(rel, scores, spec: LossSpec) -> float:
@@ -157,10 +294,8 @@ def smooth_metric(rel, scores, spec: LossSpec) -> float:
     certificate threshold they sit within the proven distance of the exact
     metric, hence effectively in [0, 1].
     """
-    rel, arr, k, rel_total, ideal, _ = _prepare(rel, scores, spec)
-    mat = smooth_indicators(arr, spec.params.with_k(k))
-    u = mat.rows @ rel
-    return metric_from_weighted_sums(u, spec.kind, k, rel_total, ideal)
+    lists = _prepare(rel, scores, spec)
+    return lists.values(_forward(lists, spec)[2])
 
 
 def smooth_precision_at_k(rel, scores, spec: LossSpec) -> float:

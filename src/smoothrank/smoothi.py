@@ -11,6 +11,11 @@ Larger ``alpha`` sharpens every row toward the exact indicator; ``delta`` in
 The recursion is evaluated iteratively rank by rank with the damping prefix
 products cached, so computing K rows over N documents costs O(K*N) time and
 memory instead of the exponential blowup of the naive recursive expansion.
+It runs on a ``(B, N)`` batch of lists at once: lists shorter than ``N`` are
+padded, and a validity mask gives the padded entries ``-inf`` logits, so they
+take no indicator mass in any row. One list is the ``B = 1`` case. Each rank
+step is then one set of array operations over the whole batch, which is why
+training groups its lists into buckets of similar length before calling in.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .rank_core import as_scores
 
 FULL = "full"
 STOP_GRADIENT = "stop_gradient"
@@ -66,10 +70,13 @@ class SmoothIParams:
 class SmoothIndicatorMatrix:
     """Smooth indicator rows plus the cached damping prefix products.
 
-    ``rows[r-1, j]`` approximates "document j sits at rank r"; every row is a
-    softmax output summing to 1. ``prefix_products[r-1, j]`` is the product of
-    ``(1 - rows[l-1, j] - delta)`` over l < r (all ones for r=1), cached
-    because the analytic gradients reuse it. Written once, read-only after.
+    ``rows[..., r-1, j]`` approximates "document j sits at rank r"; every row
+    is a softmax output summing to 1 over the list's valid documents.
+    ``prefix_products[..., r-1, j]`` is the product of
+    ``(1 - rows[..., l-1, j] - delta)`` over l < r (all ones for r=1), cached
+    because the analytic gradients reuse it. For one list the arrays are
+    ``(k, n)``; for a batch they are ``(B, k, N)``, with zero rows and finite
+    scores at padded entries. Written once, read-only after.
     """
 
     rows: np.ndarray
@@ -79,11 +86,11 @@ class SmoothIndicatorMatrix:
 
     @property
     def k(self) -> int:
-        return self.rows.shape[0]
+        return self.rows.shape[-2]
 
     @property
     def n(self) -> int:
-        return self.rows.shape[1]
+        return self.rows.shape[-1]
 
 
 def stable_softmax(logits) -> np.ndarray:
@@ -97,22 +104,50 @@ def stable_softmax(logits) -> np.ndarray:
     return exps / exps.sum()
 
 
-def smooth_indicators(scores, params: SmoothIParams) -> SmoothIndicatorMatrix:
-    """Compute rows 1..k of the smooth rank indicator for one score list.
+def smooth_indicators(scores, params: SmoothIParams, mask=None) -> SmoothIndicatorMatrix:
+    """Compute rows 1..k of the smooth rank indicator for one list or a batch.
 
-    Scores must be strictly positive (the recursion relies on positivity to
-    keep damped documents below undamped ones); shift raw model outputs with
+    ``scores`` is one list ``(n,)`` or a padded batch ``(B, N)``; ``mask``
+    (same shape, boolean) marks the valid entries of a batch, ``None``
+    meaning all. ``k`` is ``params.k``, or the (padded) length when that is
+    ``None``; a list shorter than ``k`` gets finite rows past its length,
+    which callers cut off. Valid scores must be strictly positive (the
+    recursion relies on positivity to keep damped documents below undamped
+    ones); shift raw model outputs with
     :func:`smoothrank.smooth_metrics.shift_scores` first.
     """
-    arr = as_scores(scores)
-    if np.any(arr <= 0.0):
+    arr = np.asarray(scores, dtype=np.float64)
+    if arr.ndim not in (1, 2) or arr.shape[-1] == 0:
+        raise ValueError(f"scores must be a non-empty (n,) or (B, n) array, got shape {arr.shape}")
+    batch = arr.reshape(-1, arr.shape[-1])
+    valid = None if mask is None else np.asarray(mask, dtype=bool).reshape(batch.shape)
+    if valid is not None and not valid.any(axis=1).all():
+        raise ValueError("every list needs at least one valid document")
+    live = batch if valid is None else batch[valid]
+    if not np.all(np.isfinite(live)):
+        raise ValueError("scores contain NaN or Inf")
+    if np.any(live <= 0.0):
         raise ValueError("smooth indicators require strictly positive scores; shift them first")
-    k = params.resolve_k(arr.size)
-    rows = np.empty((k, arr.size))
-    prefixes = np.empty((k, arr.size))
-    prefix = np.ones(arr.size)
+    k = params.resolve_k(batch.shape[1])
+    if valid is not None:
+        batch = np.where(valid, batch, 1.0)
+    # alpha * score once: row r's logits are (alpha * score) * prefix
+    scaled = params.alpha * batch
+    pad = None if valid is None else np.where(valid, 0.0, -np.inf)
+    rows = np.empty((batch.shape[0], k, batch.shape[1]))
+    prefixes = np.empty_like(rows)
+    prefix = np.ones(batch.shape)
     for r in range(k):
-        prefixes[r] = prefix
-        rows[r] = stable_softmax(params.alpha * arr * prefix)
-        prefix = prefix * (1.0 - rows[r] - params.delta)
-    return SmoothIndicatorMatrix(rows=rows, prefix_products=prefixes, scores=arr, params=params)
+        prefixes[:, r] = prefix
+        logits = scaled * prefix
+        if pad is not None:
+            logits += pad
+        exps = np.exp(logits - logits.max(axis=1, keepdims=True))
+        row = rows[:, r]
+        np.divide(exps, exps.sum(axis=1, keepdims=True), out=row)
+        prefix = prefix * (1.0 - row - params.delta)
+    if arr.ndim == 1:
+        rows, prefixes = rows[0], prefixes[0]
+    return SmoothIndicatorMatrix(
+        rows=rows, prefix_products=prefixes, scores=batch.reshape(arr.shape), params=params
+    )

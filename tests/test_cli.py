@@ -164,6 +164,18 @@ class TestTrainCommand:
         cfg = write_config(tmp_path / "c.json", payload)
         assert cli.main(["train", "--config", cfg]) == 3
 
+    def test_non_utf8_data_file_is_data_error(self, tmp_path, out_root, capsys):
+        paths = {}
+        for split in ("train", "vali", "test"):
+            paths[f"{split}_path"] = tmp_path / f"{split}.txt"
+            paths[f"{split}_path"].write_text(f"1 qid:{split} 1:0.5\n0 qid:{split} 1:0.1\n")
+        paths["train_path"].write_bytes(b"1 qid:1 1:0.5\n\xff\xfe qid:1 1:0.1\n")
+        payload = {"dataset": "svmlight", "output_dir": "x", "epochs": 1}
+        payload.update({key: str(path) for key, path in paths.items()})
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert cli.main(["train", "--config", cfg]) == 3
+        assert "train.txt: not UTF-8" in capsys.readouterr().err
+
     def test_loss_cutoff_is_cut_to_short_lists(self, tmp_path, out_root, monkeypatch):
         rng = np.random.default_rng(0)
         paths = {}
@@ -178,24 +190,24 @@ class TestTrainCommand:
                     lines.append(f"{rel[j]} qid:{split}{q} {feats}")
             paths[f"{split}_path"] = str(tmp_path / f"{split}.txt")
             Path(paths[f"{split}_path"]).write_text("\n".join(lines) + "\n")
-        calls = []
+        lists = []
         original = ltr_model.loss_and_gradient
 
-        def recording(rel, raw, spec):
-            value, grad = original(rel, raw, spec)
-            calls.append((rel, np.array(raw), spec, value))
-            return value, grad
+        def recording(rel, raw, spec, mask):
+            values, grads = original(rel, raw, spec, mask)
+            for b, n in enumerate(mask.sum(axis=1)):
+                lists.append((rel[b, :n], np.array(raw[b, :n]), spec, values[b]))
+            return values, grads
 
         monkeypatch.setattr(ltr_model, "loss_and_gradient", recording)
         payload = tiny_train_config("varlen", dataset="svmlight", loss_k=6, epochs=1, **paths)
         cfg = write_config(tmp_path / "c.json", payload)
         assert cli.main(["train", "--config", cfg]) == 0
-        assert {rel.size for rel, *_ in calls} == {3, 4, 5, 8, 9}
-        for rel, raw, spec, value in calls:
-            assert spec.k == min(6, rel.size)
-            if rel.size < 6:
-                at_n = make_loss_spec("ndcg@k", k=rel.size, alpha=10.0, delta=0.1)
-                assert value == training_loss(rel, raw, at_n)
+        assert {rel.size for rel, *_ in lists} == {3, 4, 5, 8, 9}
+        for rel, raw, spec, value in lists:
+            at_n = make_loss_spec("ndcg@k", k=min(6, rel.size), alpha=10.0, delta=0.1)
+            assert spec.k == 6
+            assert value == pytest.approx(training_loss(rel, raw, at_n), abs=1e-12)
 
     def test_strict_rejects_off_grid_learning_rate(self, tmp_path, out_root, capsys):
         payload = tiny_train_config("x", learning_rate=5e-3)
@@ -270,6 +282,19 @@ class TestEvaluateCommand:
             "checkpoint": str(ckpt),
             "split": "validation",
             "output_dir": "eval2",
+        }
+        cfg = write_config(tmp_path / "e.json", payload)
+        assert cli.main(["evaluate", "--config", cfg]) == 2
+
+    def test_incomplete_checkpoint_exits_two(self, tmp_path, out_root):
+        ckpt = tmp_path / "partial.json"
+        ckpt.write_text('{"format": "smoothrank-scorer", "version": 1}')
+        payload = {
+            "dataset": "synthetic",
+            "train_queries": 4,
+            "validation_queries": 2,
+            "checkpoint": str(ckpt),
+            "output_dir": "eval4",
         }
         cfg = write_config(tmp_path / "e.json", payload)
         assert cli.main(["evaluate", "--config", cfg]) == 2

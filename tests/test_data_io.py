@@ -65,6 +65,12 @@ class TestParse:
         with pytest.raises(ParseError, match="1-based"):
             parse_svmlight(path)
 
+    def test_non_utf8_bytes_are_parse_error(self, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_bytes(b"1 qid:1 1:0.5\n\xff\xfe qid:1 1:0.5\n")
+        with pytest.raises(ParseError, match=r"s\.txt: not UTF-8"):
+            parse_svmlight(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "s.txt"
         path.write_text("")

@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from smoothrank import (
-    SmoothIParams,
     finite_difference_check,
     loss_and_gradient,
     loss_gradient,
     make_loss_spec,
     metric_gradient,
-    smooth_indicators,
     stable_softmax,
 )
 from oracles import random_ranking_instance
@@ -205,26 +203,3 @@ class TestReportAndErrors:
                 [1, 0], [2.0, 1.0], make_loss_spec("p@k", k=1, alpha=1.0), h=1e-10
             )
         assert np.all(np.isfinite(report.numeric))
-
-    def test_mismatched_cached_indicators_rejected(self):
-        scores = np.array([3.0, 2.0, 1.0])
-        rel = np.array([1.0, 0.0, 0.0])
-        spec = make_loss_spec("p@k", k=2, alpha=2.0)
-        wrong_alpha = smooth_indicators(scores, SmoothIParams(alpha=3.0, delta=0.1, k=2))
-        with pytest.raises(ValueError, match="does not match"):
-            metric_gradient(rel, scores, spec, indicators=wrong_alpha)
-        wrong_scores = smooth_indicators(
-            np.array([1.0, 2.0, 3.0]), SmoothIParams(alpha=2.0, delta=0.1, k=2)
-        )
-        with pytest.raises(ValueError, match="does not match"):
-            metric_gradient(rel, scores, spec, indicators=wrong_scores)
-
-    def test_matching_cached_indicators_accepted(self):
-        scores = np.array([3.0, 2.0, 1.0])
-        rel = np.array([1.0, 0.0, 0.0])
-        spec = make_loss_spec("p@k", k=2, alpha=2.0)
-        mat = smooth_indicators(scores, spec.params.with_k(2))
-        np.testing.assert_array_equal(
-            metric_gradient(rel, scores, spec, indicators=mat),
-            metric_gradient(rel, scores, spec),
-        )

@@ -1,5 +1,7 @@
 """Scorer forward/backward, Adam, the training loop, and evaluation."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -320,6 +322,18 @@ class TestCheckpoint:
         save_checkpoint(scorer, path, extra={"note": "test"})
         back = load_checkpoint(path)
         np.testing.assert_array_equal(back.forward(x), scorer.forward(x))
+
+    def test_incomplete_checkpoint_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        path.write_text('{"format": "smoothrank-scorer", "version": 1}')
+        with pytest.raises(ValueError, match="lacks input_dim"):
+            load_checkpoint(path)
+        save_checkpoint(Scorer(2, hidden_dim=3), path)
+        payload = json.loads(path.read_text())
+        del payload["arrays"]["w1"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=r"lacks arrays\.w1"):
+            load_checkpoint(path)
 
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"

@@ -365,13 +365,20 @@ def cmd_evaluate(settings: EvaluateSettings, strict: bool) -> int:
             f"checkpoint expects {scorer.input_dim} features, dataset has {dataset.feature_dim}"
         )
     split = settings.split
-    result = ltr_model.evaluate(scorer, dataset, split, cutoffs=settings.cutoffs)
+    try:
+        result = ltr_model.evaluate(scorer, dataset, split, cutoffs=settings.cutoffs)
+    except ltr_model.NonFiniteScoresError as exc:
+        raise ConfigError(f"checkpoint {settings.checkpoint}: {exc}") from exc
     out = _out_dir(settings)
     _write_json(out / "metrics.json", result.to_dict())
+    # the run file ranks the scores the metrics were computed from; the
+    # zero-relevance queries evaluate skipped are scored here
+    unscored = [dataset.groups[qid] for qid in dataset.query_ids(split) if qid not in result.scores]
+    scores_by_qid = {**result.scores, **ltr_model.score_queries(scorer, unscored)}
     lines = []
-    for qid in sorted(dataset.query_ids(split)):
+    for qid in sorted(scores_by_qid):
         g = dataset.groups[qid]
-        scores = scorer.forward(g.features, training=False)
+        scores = scores_by_qid[qid]
         order = np.argsort(-scores, kind="stable")
         for rank, idx in enumerate(order, start=1):
             lines.append(f"{qid} Q0 {g.doc_ids[idx]} {rank} {float(scores[idx])!r} {settings.run_tag}")

@@ -98,11 +98,77 @@ def average_precision(rel, scores) -> float:
     return math.fsum(ranked * prec) / total
 
 
+def _ideal_terms(rel: np.ndarray) -> np.ndarray:
+    """Each row's ideal DCG terms: the gains of its grades sorted descending,
+    over the log2 discount of their rank."""
+    top = np.sort(rel, axis=-1)[..., ::-1]
+    return (np.exp2(top) - 1.0) / np.log2(np.arange(2.0, top.shape[-1] + 2.0))
+
+
+def ideal_dcg(rel, cutoffs) -> np.ndarray:
+    """DCG of the best possible ordering of each row of grades, at each of
+    that row's cutoffs.
+
+    ``rel`` is ``(B, N)``, a row's padding grade 0 (which adds nothing), and
+    ``cutoffs`` is ``(B, m)``; so is the result. The terms are built for all
+    rows at once; each value is a ``math.fsum`` of the row's first ``c``
+    terms, exactly rounded, so it equals ``ideal_dcg_at_k`` of the row
+    whatever the batch and the padding.
+    """
+    terms = _ideal_terms(np.asarray(rel, dtype=np.float64)).tolist()
+    cuts = np.asarray(cutoffs)
+    sums = [[math.fsum(row[:c]) for c in row_cuts] for row, row_cuts in zip(terms, cuts.tolist())]
+    return np.array(sums, dtype=np.float64).reshape(cuts.shape)
+
+
 def ideal_dcg_at_k(rel, k: int) -> float:
     """DCG@k of the best possible ordering (grades sorted descending)."""
-    arr = np.asarray(rel, dtype=np.float64)
-    top = np.sort(arr)[::-1][:k]
-    return math.fsum((np.exp2(top) - 1.0) / np.log2(np.arange(2.0, top.size + 2.0)))
+    return math.fsum(_ideal_terms(np.asarray(rel, dtype=np.float64))[:k])
+
+
+def exact_metrics(rel, scores, lengths, cutoffs) -> dict[str, np.ndarray]:
+    """Exact P@c and NDCG@c per cutoff, full NDCG and AP of padded lists.
+
+    Row i of the ``(B, N)`` arrays holds a list of ``lengths[i]`` documents
+    with finite scores, then padding: grade 0, score ``-inf``. A stable
+    descending sort ranks the padding last and breaks ties by index, as
+    ``rank_permutation`` does. Grades >= 1 count as relevant for P@c and
+    AP; a list shorter than ``c`` counts its missing documents as
+    non-relevant (TREC style) and is scored at its own length for NDCG. A
+    list without a relevant document has AP 0; one with ideal DCG@c 0 has
+    NDCG@c 0.
+
+    Each value equals the one-list computation bit for bit: 0/1 sums are
+    exact, each DCG is a ``sum`` over exactly the list's first ``k`` terms
+    (numpy's summation order for a length-``k`` vector), and ideal DCG and
+    AP are ``math.fsum`` sums.
+    """
+    rel = np.asarray(rel, dtype=np.float64)
+    lengths = np.asarray(lengths)
+    width = rel.shape[1]
+    ranked = np.take_along_axis(rel, np.argsort(-np.asarray(scores), axis=1, kind="stable"), axis=1)
+    binary = (ranked >= 1.0).astype(np.float64)
+    terms = (np.exp2(ranked) - 1.0) / np.log2(np.arange(2.0, width + 2.0))
+
+    def dcg(k: np.ndarray) -> np.ndarray:
+        out = np.empty(len(k))
+        for c in set(k.tolist()):
+            rows = k == c
+            out[rows] = terms[rows, :c].sum(axis=1)
+        return out
+
+    cuts = np.column_stack([np.minimum(lengths, c) for c in cutoffs] + [lengths])
+    ideal = ideal_dcg(rel, cuts)
+    out = {f"p@{c}": binary[:, :c].sum(axis=1) / c for c in cutoffs}
+    for i, c in enumerate(cutoffs):
+        out[f"ndcg@{c}"] = np.divide(dcg(cuts[:, i]), ideal[:, i], out=np.zeros(len(cuts)),
+                                     where=ideal[:, i] > 0.0)
+    out["ndcg"] = dcg(lengths) / ideal[:, -1]
+    hits = binary.sum(axis=1)
+    precision = np.cumsum(binary, axis=1) / np.arange(1.0, width + 1.0)
+    ap_sums = np.array([math.fsum(row) for row in (binary * precision).tolist()])
+    out["map"] = np.divide(ap_sums, hits, out=np.zeros(len(hits)), where=hits > 0.0)
+    return out
 
 
 def ndcg_at_k(rel, scores, k: int) -> float:

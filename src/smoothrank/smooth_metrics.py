@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rank_core import UndefinedMetricError, as_relevance, as_scores, ideal_dcg_at_k
+from .rank_core import UndefinedMetricError, as_relevance, as_scores, ideal_dcg
 from .smoothi import SmoothIndicatorMatrix, SmoothIParams, smooth_indicators
 
 SMOOTH_P_AT_K = "p@k"
@@ -246,7 +246,7 @@ def _prepare(rel, scores, spec: LossSpec, mask=None) -> _Lists:
         raise UndefinedMetricError(f"smooth NDCG is undefined{where}: all relevance grades are zero")
     rel_total = grades.sum(axis=1)
     if spec.kind == SMOOTH_NDCG_AT_K:
-        ideal = np.array([ideal_dcg_at_k(g, c) for g, c in zip(grades, k)])
+        ideal = ideal_dcg(grades, k[:, None])[:, 0]
     else:
         ideal = np.ones(len(grades))
 

@@ -4,11 +4,18 @@ Everything here evaluates the defining formulas literally: explicit sorting,
 plain Python loops, no code shared with the package under test.
 Transcendentals call numpy's scalar functions so that exact-equality
 comparisons against the vectorized implementations are meaningful.
+
+The exception is ``query_metrics``, the one-query metric path that
+``evaluate`` ran per query before it worked on whole splits: it builds on
+``rank_core``'s one-list functions and is the oracle the split evaluation
+must equal bit for bit.
 """
 
 import math
 
 import numpy as np
+
+from smoothrank.rank_core import UndefinedMetricError, average_precision, ideal_dcg_at_k, rank_permutation
 
 
 def descending_order(scores):
@@ -110,3 +117,27 @@ def random_ranking_instance(rng, n_max=10, k_max=5):
     k = int(rng.integers(1, min(k_max, n) + 1))
     alpha = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
     return raw, rel, k, alpha
+
+
+def query_metrics(rel: np.ndarray, scores: np.ndarray, cutoffs) -> dict[str, float]:
+    n = scores.size
+    binary = (rel >= 1.0).astype(np.float64)
+    perm = rank_permutation(scores)
+    out: dict[str, float] = {}
+    for c in cutoffs:
+        # TREC-style: documents past the end of the list count as non-relevant
+        out[f"p@{c}"] = float(binary[perm[: min(c, n)]].sum() / c)
+    for c in cutoffs:
+        k = min(c, n)
+        ideal = ideal_dcg_at_k(rel, k)
+        gains = np.exp2(rel[perm[:k]]) - 1.0
+        dcg = float((gains / np.log2(np.arange(2.0, k + 2.0))).sum())
+        out[f"ndcg@{c}"] = dcg / ideal if ideal > 0 else 0.0
+    ideal_full = ideal_dcg_at_k(rel, n)
+    gains = np.exp2(rel[perm]) - 1.0
+    out["ndcg"] = float((gains / np.log2(np.arange(2.0, n + 2.0))).sum() / ideal_full)
+    try:
+        out["map"] = average_precision(binary, scores)
+    except UndefinedMetricError:
+        out["map"] = 0.0
+    return out

@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smoothrank import Scorer, cli, ltr_model, make_loss_spec, save_checkpoint, training_loss
+from smoothrank import Scorer, cli, data_io, ltr_model, make_loss_spec, save_checkpoint, training_loss
+
+from oracles import query_metrics
 
 
 def write_config(path, payload):
@@ -270,6 +272,42 @@ class TestEvaluateCommand:
         assert sorted(by_qid) == list(by_qid)  # sorted by qid
         for ranks in by_qid.values():
             assert ranks == list(range(1, len(ranks) + 1))  # 1-based contiguous
+
+    def test_run_file_ranks_the_scores_of_the_metrics(self, tmp_path, out_root):
+        ckpt = self._train(tmp_path, out_root)
+        payload = {"train_queries": 12, "validation_queries": 6, "docs_per_query": 6,
+                   "feature_dim": 4, "data_seed": 7, "graded": True, "checkpoint": str(ckpt),
+                   "split": "validation", "cutoffs": [1, 3, 7], "output_dir": "eval5"}
+        cfg = write_config(tmp_path / "e.json", payload)
+        assert cli.main(["evaluate", "--config", cfg]) == 0
+        metrics = json.loads((out_root / "eval5" / "metrics.json").read_text())
+        scores = {}
+        for line in (out_root / "eval5" / "run.txt").read_text().splitlines():
+            qid, _, doc_id, _, score, _ = line.split()
+            scores.setdefault(qid, {})[doc_id] = float(score)
+        dataset = data_io.synthesize(18, 6, 4, seed=7, graded=True).split_by_counts(12, 6)
+        assert sorted(scores) == sorted(dataset.query_ids("validation"))
+        result = ltr_model.evaluate(ltr_model.load_checkpoint(ckpt), dataset, "validation", cutoffs=(1, 3, 7))
+        assert metrics["per_query"]
+        for qid, row in metrics["per_query"].items():
+            g = dataset.groups[qid]
+            raw = np.array([scores[qid][doc_id] for doc_id in g.doc_ids])
+            np.testing.assert_array_equal(raw, result.scores[qid])
+            assert query_metrics(g.relevance, raw, (1, 3, 7)) == row
+
+    def test_non_finite_scores_exit_two(self, tmp_path, out_root, capsys):
+        scorer = Scorer(4, hidden_dim=3, seed=0)
+        scorer.w2[...] = np.nan
+        ckpt = tmp_path / "nan.json"
+        save_checkpoint(scorer, ckpt)
+        cfg = write_config(tmp_path / "e.json", tiny_config("evaluate", "eval6", tmp_path,
+                                                              checkpoint=str(ckpt)))
+        assert cli.main(["evaluate", "--config", cfg]) == 2
+        first = data_io.synthesize(18, 6, 4, seed=7).split_by_counts(12, 6).query_ids("validation")[0]
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert f"non-finite scores for query {first!r}" in err
+        assert not (out_root / "eval6" / "metrics.json").exists()
 
     def test_checkpoint_schema_mismatch(self, tmp_path, out_root):
         ckpt = self._train(tmp_path, out_root)

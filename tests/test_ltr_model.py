@@ -19,6 +19,7 @@ from smoothrank import (
     training_loss,
 )
 from smoothrank.data_io import Dataset, DatasetError, QueryGroup
+from smoothrank.ltr_model import NonFiniteScoresError
 
 
 def zero_scorer(input_dim, hidden_dim=4):
@@ -293,6 +294,9 @@ class TestEvaluate:
         result = evaluate(zero_scorer(2), ds, "test")
         assert result.skipped_queries == 1
         assert result.query_count == 1
+        ds.splits["test"] = ["a"]
+        result = evaluate(zero_scorer(2), ds, "test")
+        assert (result.summary, result.per_query, result.skipped_queries) == ({}, {}, 1)
 
     def test_summary_is_the_exact_mean_of_per_query_rows(self):
         ds = synthesize(15, 9, 4, seed=11).split_by_counts(5, 5, 5)
@@ -305,6 +309,18 @@ class TestEvaluate:
         ds = single_query_dataset([1, 0], [[2.0], [1.0]])
         with pytest.raises(ValueError, match="cutoffs"):
             evaluate(zero_scorer(1), ds, "test", cutoffs=(1, 0))
+
+    def test_non_finite_scores_name_the_first_query_in_split_order(self):
+        nan_row = np.array([[np.nan, 0.0]])
+        groups = {
+            "a": QueryGroup("a", ["a0", "a1"], np.eye(2), np.array([1.0, 0.0])),
+            "b": QueryGroup("b", ["b0", "b1"], np.vstack([np.eye(2)[:1], nan_row]), np.array([1.0, 0.0])),
+            "c": QueryGroup("c", ["c0", "c1"], np.vstack([nan_row, np.eye(2)[:1]]), np.array([0.0, 2.0])),
+            "z": QueryGroup("z", ["z0"], nan_row, np.array([0.0])),
+        }
+        ds = Dataset(groups=groups, feature_dim=2, splits={"test": ["a", "z", "c", "b"]})
+        with pytest.raises(NonFiniteScoresError, match="query 'c'"):
+            evaluate(Scorer(2, hidden_dim=4, seed=0), ds, "test")
 
     def test_eval_mode_is_pure(self):
         ds = synthesize(6, 7, 3, seed=12).split_by_counts(2, 2, 2)

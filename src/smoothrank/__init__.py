@@ -38,7 +38,6 @@ from .gradients import (
     GradientReport,
     finite_difference_check,
     loss_and_gradient,
-    loss_gradient,
     metric_gradient,
 )
 from .bounds_lab import (
@@ -115,7 +114,6 @@ __all__ = [
     "ideal_dcg_at_k",
     "load_checkpoint",
     "loss_and_gradient",
-    "loss_gradient",
     "make_loss_spec",
     "metric_gradient",
     "ndcg_at_k",

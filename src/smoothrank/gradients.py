@@ -148,12 +148,6 @@ def loss_and_gradient(rel, raw_scores, spec: LossSpec, mask=None):
     return 1.0 - value, -grad
 
 
-def loss_gradient(rel, raw_scores, spec: LossSpec) -> np.ndarray:
-    """Gradient of ``training_loss`` wrt the raw scores (shift treated as a
-    constant offset)."""
-    return loss_and_gradient(rel, raw_scores, spec)[1]
-
-
 def finite_difference_check(rel, raw_scores, spec: LossSpec, h: float = 1e-4) -> GradientReport:
     """Central differences of the mode-consistent loss versus the analytic
     gradient.
@@ -165,7 +159,7 @@ def finite_difference_check(rel, raw_scores, spec: LossSpec, h: float = 1e-4) ->
     raw = as_scores(raw_scores)
     if not 1e-6 <= h <= 1e-2:
         warnings.warn(f"step h={h} outside [1e-6, 1e-2]; truncation or cancellation may dominate")
-    analytic = loss_gradient(rel, raw, spec)
+    analytic = loss_and_gradient(rel, raw, spec)[1]
 
     base = shift_scores(raw, spec.shift_margin)
     lists = _prepare(rel, base, spec)

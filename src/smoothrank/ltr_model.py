@@ -6,6 +6,17 @@ pre-activations) and a linear head that emits one score per document. It is
 trained with Adam against any of the smooth ranking losses, on mini-batches
 of whole queries, and the weights of the best validation-NDCG epoch are the
 ones returned.
+
+A training-mode forward pass works in place in float64: the hidden layer's
+pre-activations are centered and scaled in their own array, which becomes the
+normalized ``xhat2``, and ``h = relu(gamma2 * xhat2 + beta2)`` is built in
+one further array. Its cache for ``backward`` is these two hidden-layer
+arrays, the normalized input ``xhat1`` and the hidden layer's
+``1 / sqrt(var + eps)``; the ReLU mask is ``h > 0``. Scores, running
+statistics and gradients are those of the unfused batch-norm formulas: the
+scores and statistics bit for bit, the gradients up to rounding. The score
+head takes one dot product per row, so equal feature rows in one call get
+equal scores.
 """
 
 from __future__ import annotations
@@ -53,20 +64,21 @@ class NonFiniteScoresError(ValueError):
     """The scorer emitted NaN/Inf scores (typically a diverged checkpoint)."""
 
 
-def _bn_forward(x, gamma, beta, mean, var, eps):
+def _standardize(a: np.ndarray, scratch: np.ndarray, eps: float):
+    """Batch-normalize the columns of ``a`` in place with its own batch
+    statistics; returns the mean, the variance and ``1 / sqrt(var + eps)``.
+
+    The steps and their rounding are those of ``a.mean(axis=0)``,
+    ``a.var(axis=0)`` and ``(a - mean) * inv_std``, but the variance comes
+    from the centered array instead of a second mean. ``scratch``, of
+    ``a``'s shape, receives the squared deviations.
+    """
+    mean = a.mean(axis=0)
+    a -= mean
+    var = np.square(a, out=scratch).sum(axis=0) / a.shape[0]
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean) * inv_std
-    return gamma * xhat + beta, xhat, inv_std
-
-
-def _bn_backward(dout, xhat, inv_std, gamma):
-    """Backward through batch norm with batch statistics (training mode)."""
-    m = dout.shape[0]
-    dgamma = (dout * xhat).sum(axis=0)
-    dbeta = dout.sum(axis=0)
-    dxhat = dout * gamma
-    dx = (inv_std / m) * (m * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
-    return dx, dgamma, dbeta
+    a *= inv_std
+    return mean, var, inv_std
 
 
 class Scorer:
@@ -131,39 +143,42 @@ class Scorer:
             if want_cache:
                 raise ValueError("backward needs a training-mode forward pass; eval mode keeps no cache")
             return self._eval_forward(x)
-        mu1, var1 = x.mean(axis=0), x.var(axis=0)
+        xhat1 = x.copy()
+        mu1, var1, _ = _standardize(xhat1, np.empty_like(x), self.bn_eps)
+        a1 = self.bn1_gamma * xhat1
+        a1 += self.bn1_beta
+        xhat2 = a1 @ self.w1
+        xhat2 += self.b1
+        h = np.empty_like(xhat2)
+        mu2, var2, inv2 = _standardize(xhat2, h, self.bn_eps)
         if update_running:
-            self.bn1_mean = self.bn_momentum * self.bn1_mean + (1 - self.bn_momentum) * mu1
-            self.bn1_var = self.bn_momentum * self.bn1_var + (1 - self.bn_momentum) * var1
-        a1, xhat1, inv1 = _bn_forward(x, self.bn1_gamma, self.bn1_beta, mu1, var1, self.bn_eps)
-
-        pre = a1 @ self.w1 + self.b1
-        mu2, var2 = pre.mean(axis=0), pre.var(axis=0)
-        if update_running:
-            self.bn2_mean = self.bn_momentum * self.bn2_mean + (1 - self.bn_momentum) * mu2
-            self.bn2_var = self.bn_momentum * self.bn2_var + (1 - self.bn_momentum) * var2
-        z2, xhat2, inv2 = _bn_forward(pre, self.bn2_gamma, self.bn2_beta, mu2, var2, self.bn_eps)
-
-        h = np.maximum(z2, 0.0)
-        scores = h @ self.w2 + self.b2[0]
+            keep = self.bn_momentum
+            self.bn1_mean = keep * self.bn1_mean + (1 - keep) * mu1
+            self.bn1_var = keep * self.bn1_var + (1 - keep) * var1
+            self.bn2_mean = keep * self.bn2_mean + (1 - keep) * mu2
+            self.bn2_var = keep * self.bn2_var + (1 - keep) * var2
+        np.multiply(xhat2, self.bn2_gamma, out=h)
+        h += self.bn2_beta
+        np.maximum(h, 0.0, out=h)
+        scores = self._head(h)
         if not want_cache:
             return scores
-        cache = {
-            "xhat1": xhat1,
-            "inv1": inv1,
-            "a1": a1,
-            "xhat2": xhat2,
-            "inv2": inv2,
-            "z2": z2,
-            "h": h,
-        }
-        return scores, cache
+        return scores, {"xhat1": xhat1, "xhat2": xhat2, "inv2": inv2, "h": h}
+
+    def _head(self, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Scores of the hidden activations ``h``. Each row is its own dot
+        product, so equal rows get equal scores wherever they sit; a BLAS
+        matrix-vector product rounds a row by its position."""
+        scores = np.einsum("ij,j->i", h, self.w2, out=out)
+        scores += self.b2[0]
+        return scores
 
     def _eval_forward(self, x: np.ndarray) -> np.ndarray:
-        """Eval-mode scores: ``_bn_forward``'s steps with the running
-        statistics, done in place on slices of at most ``EVAL_SLICE_ELEMENTS``
-        hidden activations. The operations and their order are those of the
-        training formula, so a slice's scores are the same bits."""
+        """Eval-mode scores: the batch-norm, affine and ReLU steps with the
+        running statistics, done in place on slices of at most
+        ``EVAL_SLICE_ELEMENTS`` hidden activations. The operations and their
+        order are those of ``gamma * ((x - mean) * inv_std) + beta``, so a
+        slice's scores are that formula's bits."""
         inv1 = 1.0 / np.sqrt(self.bn1_var + self.bn_eps)
         inv2 = 1.0 / np.sqrt(self.bn2_var + self.bn_eps)
         scores = np.empty(x.shape[0])
@@ -180,32 +195,46 @@ class Scorer:
             h *= self.bn2_gamma
             h += self.bn2_beta
             np.maximum(h, 0.0, out=h)
-            scores[start : start + rows] = h @ self.w2 + self.b2[0]
+            self._head(h, out=scores[start : start + rows])
         return scores
 
     def backward(self, cache: dict, dscores: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients of a scalar loss wrt all trainable parameters.
 
         ``dscores`` is dL/d(score) per document for the cached forward pass,
-        which must have run in training mode (batch statistics).
+        which must have run in training mode (batch statistics). With
+        ``P = 1[h > 0] * dscores[:, None]``, ``dbeta2 = w2 * colsum(P)`` and
+        ``dgamma2 = w2 * colsum(P * xhat2)``, the gradient at the hidden
+        pre-activations is ``inv2 * gamma2 * (w2 * P - (dbeta2 + xhat2 *
+        dgamma2) / m)``. The bracket is built in place in ``P``; its column
+        factor ``inv2 * gamma2`` is applied to the small products instead,
+        which saves a pass and keeps the bracket of a one-row batch, and so
+        every gradient before it, exactly 0. The input batch norm's input
+        gradient is not needed.
         """
-        h, z2 = cache["h"], cache["z2"]
+        xhat1, xhat2, inv2, h = cache["xhat1"], cache["xhat2"], cache["inv2"], cache["h"]
+        m = h.shape[0]
         dw2 = h.T @ dscores
         db2 = np.array([dscores.sum()])
-        dh = np.outer(dscores, self.w2)
-        dz2 = dh * (z2 > 0.0)
-        dpre, dg2, dbt2 = _bn_backward(dz2, cache["xhat2"], cache["inv2"], self.bn2_gamma)
-        dw1 = cache["a1"].T @ dpre
-        db1 = dpre.sum(axis=0)
-        da1 = dpre @ self.w1.T
-        _, dg1, dbt1 = _bn_backward(da1, cache["xhat1"], cache["inv1"], self.bn1_gamma)
+        p = (h > 0.0) * dscores[:, None]
+        dbt2 = self.w2 * p.sum(axis=0)
+        dg2 = self.w2 * np.einsum("ij,ij->j", p, xhat2)
+        p *= self.w2
+        p -= dbt2 / m
+        p -= xhat2 * (dg2 / m)
+        col = inv2 * self.bn2_gamma
+        a1 = self.bn1_gamma * xhat1
+        a1 += self.bn1_beta
+        dw1 = (a1.T @ p) * col
+        db1 = p.sum(axis=0) * col
+        da1 = p @ (self.w1 * col).T
         return {
             "w1": dw1,
             "b1": db1,
             "w2": dw2,
             "b2": db2,
-            "bn1_gamma": dg1,
-            "bn1_beta": dbt1,
+            "bn1_gamma": np.einsum("ij,ij->j", da1, xhat1),
+            "bn1_beta": da1.sum(axis=0),
             "bn2_gamma": dg2,
             "bn2_beta": dbt2,
         }

@@ -5,10 +5,14 @@ plain Python loops, no code shared with the package under test.
 Transcendentals call numpy's scalar functions so that exact-equality
 comparisons against the vectorized implementations are meaningful.
 
-The exception is ``query_metrics``, the one-query metric path that
+The exceptions are ``query_metrics``, the one-query metric path that
 ``evaluate`` ran per query before it worked on whole splits: it builds on
 ``rank_core``'s one-list functions and is the oracle the split evaluation
-must equal bit for bit.
+must equal bit for bit; and ``scorer_training_pass``, the scorer's
+training-mode forward and backward written with the unfused batch-norm
+formulas ``bn_forward`` and ``bn_backward``, whose score head is the
+scorer's own per-row ``einsum`` so that the scores can be compared bit for
+bit.
 """
 
 import math
@@ -141,3 +145,63 @@ def query_metrics(rel: np.ndarray, scores: np.ndarray, cutoffs) -> dict[str, flo
     except UndefinedMetricError:
         out["map"] = 0.0
     return out
+
+
+def bn_forward(x, gamma, beta, mean, var, eps):
+    """Batch norm with the given statistics: ``(gamma * xhat + beta, xhat, inv_std)``."""
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean) * inv_std
+    return gamma * xhat + beta, xhat, inv_std
+
+
+def bn_backward(dout, xhat, inv_std, gamma):
+    """Backward through batch norm with batch statistics (training mode):
+    ``(dx, dgamma, dbeta)``."""
+    m = dout.shape[0]
+    dgamma = (dout * xhat).sum(axis=0)
+    dbeta = dout.sum(axis=0)
+    dxhat = dout * gamma
+    dx = (inv_std / m) * (m * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
+    return dx, dgamma, dbeta
+
+
+def score_head(h, scorer):
+    """One dot product per row of hidden activations, as the scorer's head."""
+    return np.einsum("ij,j->i", h, scorer.w2) + scorer.b2[0]
+
+
+def scorer_training_pass(scorer, x, dscores):
+    """A training-mode forward pass of ``scorer`` on ``x`` and the backward
+    pass of ``dscores``, step by step: batch statistics from ``mean`` and
+    ``var``, the full ``outer(dscores, w2)`` upstream gradient and both batch
+    norms' complete backward. Returns the scores, the running statistics the
+    pass leaves and the parameter gradients; ``scorer`` is not changed."""
+    s, keep = scorer, scorer.bn_momentum
+    mu1, var1 = x.mean(axis=0), x.var(axis=0)
+    a1, xhat1, inv1 = bn_forward(x, s.bn1_gamma, s.bn1_beta, mu1, var1, s.bn_eps)
+    pre = a1 @ s.w1 + s.b1
+    mu2, var2 = pre.mean(axis=0), pre.var(axis=0)
+    z2, xhat2, inv2 = bn_forward(pre, s.bn2_gamma, s.bn2_beta, mu2, var2, s.bn_eps)
+    h = np.maximum(z2, 0.0)
+    scores = score_head(h, s)
+    running = {
+        "bn1_mean": keep * s.bn1_mean + (1 - keep) * mu1,
+        "bn1_var": keep * s.bn1_var + (1 - keep) * var1,
+        "bn2_mean": keep * s.bn2_mean + (1 - keep) * mu2,
+        "bn2_var": keep * s.bn2_var + (1 - keep) * var2,
+    }
+    dz2 = np.outer(dscores, s.w2) * (z2 > 0.0)
+    dpre, dg2, dbt2 = bn_backward(dz2, xhat2, inv2, s.bn2_gamma)
+    da1 = dpre @ s.w1.T
+    _, dg1, dbt1 = bn_backward(da1, xhat1, inv1, s.bn1_gamma)
+    grads = {
+        "w1": a1.T @ dpre,
+        "b1": dpre.sum(axis=0),
+        "w2": h.T @ dscores,
+        "b2": np.array([dscores.sum()]),
+        "bn1_gamma": dg1,
+        "bn1_beta": dbt1,
+        "bn2_gamma": dg2,
+        "bn2_beta": dbt2,
+    }
+    return scores, running, grads

@@ -6,7 +6,6 @@ import pytest
 from smoothrank import (
     finite_difference_check,
     loss_and_gradient,
-    loss_gradient,
     make_loss_spec,
     metric_gradient,
     stable_softmax,
@@ -33,12 +32,12 @@ class TestClosedFormCases:
     def test_zero_relevance_gives_zero_gradient(self):
         spec = make_loss_spec("p@k", k=2, alpha=3.0)
         np.testing.assert_array_equal(
-            loss_gradient([0, 0, 0], [3.0, 1.0, 2.0], spec), np.zeros(3)
+            loss_and_gradient([0, 0, 0], [3.0, 1.0, 2.0], spec)[1], np.zeros(3)
         )
 
     def test_single_document_p_at_1_gradient_is_zero(self):
         spec = make_loss_spec("p@k", k=1, alpha=2.0)
-        np.testing.assert_array_equal(loss_gradient([1.0], [4.0], spec), np.zeros(1))
+        np.testing.assert_array_equal(loss_and_gradient([1.0], [4.0], spec)[1], np.zeros(1))
 
     def test_symmetric_instance_has_equal_components(self):
         spec = make_loss_spec("ndcg@k", k=2, alpha=2.0)
@@ -142,7 +141,7 @@ class TestFiniteDifferenceAgreement:
         raw = rng.random(6)
         rel = np.array([1, 0, 1, 0, 1, 0], dtype=float)
         spec = LossSpec(kind="ap", params=SmoothIParams(alpha=2.0, delta=0.1), ap_list_cap=4)
-        grad = loss_gradient(rel, raw, spec)
+        grad = loss_and_gradient(rel, raw, spec)[1]
         dropped = np.argsort(-raw, kind="stable")[4:]
         np.testing.assert_array_equal(grad[dropped], 0.0)
         report = finite_difference_check(rel, raw, spec, h=1e-4)

@@ -7,10 +7,10 @@ import pytest
 
 from smoothrank import Scorer, evaluate, ltr_model
 from smoothrank.data_io import Dataset, QueryGroup
-from smoothrank.ltr_model import EVAL_SLICE_ELEMENTS, _bn_forward
+from smoothrank.ltr_model import EVAL_SLICE_ELEMENTS
 from smoothrank.rank_core import ideal_dcg
 
-from oracles import query_metrics
+from oracles import bn_forward, query_metrics, score_head
 
 
 DIM = 5
@@ -121,13 +121,13 @@ class TestIdealDcg:
 
 
 def old_eval_formula(scorer, x):
-    """The eval-mode forward as ``_bn_forward`` states it."""
-    a1, _, _ = _bn_forward(x, scorer.bn1_gamma, scorer.bn1_beta, scorer.bn1_mean, scorer.bn1_var,
-                           scorer.bn_eps)
+    """The eval-mode forward as ``bn_forward`` states it."""
+    a1, _, _ = bn_forward(x, scorer.bn1_gamma, scorer.bn1_beta, scorer.bn1_mean, scorer.bn1_var,
+                          scorer.bn_eps)
     pre = a1 @ scorer.w1 + scorer.b1
-    z2, _, _ = _bn_forward(pre, scorer.bn2_gamma, scorer.bn2_beta, scorer.bn2_mean, scorer.bn2_var,
-                           scorer.bn_eps)
-    return np.maximum(z2, 0.0) @ scorer.w2 + scorer.b2[0]
+    z2, _, _ = bn_forward(pre, scorer.bn2_gamma, scorer.bn2_beta, scorer.bn2_mean, scorer.bn2_var,
+                          scorer.bn_eps)
+    return score_head(np.maximum(z2, 0.0), scorer)
 
 
 class TestEvalForward:

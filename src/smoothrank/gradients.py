@@ -17,6 +17,14 @@ derivative. The positivity shift is handled alike in both modes: the
 subtracted minimum is piecewise constant in the scores, so it is treated as
 a constant (its almost-everywhere derivative) and frozen at the base point
 during differencing.
+
+The check differences in ``np.longdouble`` (80-bit, eps 1.1e-19, on x86-64
+Linux; float64 resolution where the platform's longdouble is float64), so
+rounding stays far below its gate even on trained lists whose gradients
+float64 differences at h=1e-4 cannot resolve. In stop-gradient mode a check
+is a few passes over ``(K, N)`` arrays, since moving one score changes one
+logit per frozen-prefix row; in full mode it is one recursion over the 2N
+perturbed lists as a batch.
 """
 
 from __future__ import annotations
@@ -27,12 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rank_core import as_scores
-from .smoothi import STOP_GRADIENT, SmoothIndicatorMatrix, smooth_indicators, stable_softmax
+from .smoothi import STOP_GRADIENT, SmoothIndicatorMatrix, smooth_indicators
 from .smooth_metrics import (
     SMOOTH_AP,
     SMOOTH_NDCG_AT_K,
     SMOOTH_P_AT_K,
     LossSpec,
+    _Lists,
     _forward,
     _live_ranks,
     _prepare,
@@ -48,6 +57,11 @@ LN2 = float(np.log(2.0))
 # meaningful at finite h: a component whose true derivative is below roughly
 # ulp(loss)/(2h) ~ 1e-12 cannot be resolved by differencing at all.
 REL_ERR_FLOOR = 1e-8
+
+# The full-mode oracle runs its 2N perturbed lists through the recursion in
+# chunks of at most this many indicator-row elements (16 MB per array in
+# longdouble); unchunked, a 128-document list would hold 134 MB.
+FD_CHUNK_ELEMENTS = 2**20
 
 
 @dataclass
@@ -114,18 +128,24 @@ def _softmax_rows_backward_full(mat: SmoothIndicatorMatrix, upstream: np.ndarray
     return ds
 
 
-def _value_and_gradient(rel, scores, spec: LossSpec, mask=None):
-    """Smooth metric value and its gradient wrt the (positive) scores, for
-    one list or a padded batch (see ``loss_and_gradient``)."""
-    lists = _prepare(rel, scores, spec, mask)
-    mat, u, value = _forward(lists, spec)
+def _gradient(lists: _Lists, mat: SmoothIndicatorMatrix, u: np.ndarray, spec: LossSpec) -> np.ndarray:
+    """Gradient of the smooth metric wrt the (positive) scores, in the
+    caller's layout, from one forward pass (``_forward``) over ``lists``."""
     coeffs = _upstream_coeffs(u, spec.kind, lists.k, lists.rel_total, lists.ideal)
     upstream = coeffs[:, :, None] * lists.rel[:, None, :]
     if spec.params.grad_mode == STOP_GRADIENT:
         grad = _softmax_rows_backward_stop(mat, upstream)
     else:
         grad = _softmax_rows_backward_full(mat, upstream)
-    return lists.values(value), lists.restore(grad)
+    return lists.restore(grad)
+
+
+def _value_and_gradient(rel, scores, spec: LossSpec, mask=None):
+    """Smooth metric value and its gradient wrt the (positive) scores, for
+    one list or a padded batch (see ``loss_and_gradient``)."""
+    lists = _prepare(rel, scores, spec, mask)
+    mat, u, value = _forward(lists, spec)
+    return lists.values(value), _gradient(lists, mat, u, spec)
 
 
 def metric_gradient(rel, scores, spec: LossSpec) -> np.ndarray:
@@ -148,44 +168,76 @@ def loss_and_gradient(rel, raw_scores, spec: LossSpec, mask=None):
     return 1.0 - value, -grad
 
 
+def _differenced_loss(lists: _Lists, mat: SmoothIndicatorMatrix, spec: LossSpec, h: float) -> np.ndarray:
+    """Central differences of the mode-consistent loss of one prepared list,
+    one per kept document, evaluated in ``np.longdouble``.
+
+    Stop-gradient mode: moving score j by ``h`` changes exactly one logit of
+    each frozen-prefix row, by ``alpha * h * prefix[r, j]``. So with the base
+    rows' exponentials ``e`` (shifted by each row's max), their sums ``S``
+    and grade-weighted sums ``U``, the perturbed weighted sum is the rank-one
+    update ``(U_r + g_j c_rj) / (S_r + c_rj)``, where
+    ``c_rj = e_rj * expm1(+-alpha * h * prefix[r, j])``: all 2N perturbed
+    ``u`` vectors come from ``(K, N)`` arrays. Full mode runs the 2N
+    perturbed lists through the recursion as batches of at most
+    ``FD_CHUNK_ELEMENTS`` row elements.
+    """
+    k = int(lists.k[0])
+    scores = lists.scores[0].astype(np.longdouble)
+    rel = lists.rel[0].astype(np.longdouble)
+    n = scores.size
+    if spec.params.grad_mode == STOP_GRADIENT:
+        prefix = mat.prefix_products[0].astype(np.longdouble)
+        logits = spec.params.alpha * scores * prefix
+        exps = np.exp(logits - logits.max(axis=1, keepdims=True))
+        total = exps.sum(axis=1, keepdims=True)
+        weighted = (exps * rel).sum(axis=1, keepdims=True)
+        moved = h * (spec.params.alpha * prefix)
+        # (2N, K): row j moves score j up by h, row N + j moves it down
+        u = np.concatenate([
+            ((weighted + rel * change) / (total + change)).T
+            for change in (exps * np.expm1(moved), exps * np.expm1(-moved))
+        ])
+    else:
+        perturbed = np.tile(scores, (2 * n, 1))
+        docs = np.arange(n)
+        perturbed[docs, docs] += h
+        perturbed[n + docs, docs] -= h
+        params = spec.params.with_k(k)
+        chunk = max(1, FD_CHUNK_ELEMENTS // (k * n))
+        u = np.concatenate([
+            smooth_indicators(perturbed[i:i + chunk], params).rows @ rel
+            for i in range(0, 2 * n, chunk)
+        ])
+    loss = 1.0 - metric_from_weighted_sums(u, spec.kind, k, lists.rel_total[0], lists.ideal[0])
+    return (loss[:n] - loss[n:]) / (2.0 * h)
+
+
 def finite_difference_check(rel, raw_scores, spec: LossSpec, h: float = 1e-4) -> GradientReport:
     """Central differences of the mode-consistent loss versus the analytic
     gradient.
 
     For stop-gradient mode the compared function recomputes every softmax row
     from perturbed scores but keeps the prefix products (and the shift's
-    subtracted minimum, in both modes) fixed at their base-point values.
+    subtracted minimum, in both modes) fixed at their base-point values;
+    documents AP drops get numeric 0. The analytic gradient and the frozen
+    prefixes come from one forward pass on the shifted base point.
+
+    The differences are taken in ``np.longdouble``, which is 80-bit with eps
+    1.1e-19 on x86-64 Linux, so rounding in the loss (about eps / (2h)) stays
+    far below the relative-error gate even where a trained list's gradient
+    is tiny. Where ``np.longdouble`` is float64, as on some other platforms,
+    the oracle has float64 resolution. A check costs O(K N) array work in
+    stop-gradient mode and one batched recursion over the 2N perturbed lists
+    in full mode.
     """
     raw = as_scores(raw_scores)
     if not 1e-6 <= h <= 1e-2:
         warnings.warn(f"step h={h} outside [1e-6, 1e-2]; truncation or cancellation may dominate")
-    analytic = loss_and_gradient(rel, raw, spec)[1]
-
-    base = shift_scores(raw, spec.shift_margin)
-    lists = _prepare(rel, base, spec)
-    k = int(lists.k[0])
-    params = spec.params.with_k(k)
-    if spec.params.grad_mode == STOP_GRADIENT:
-        frozen = smooth_indicators(lists.scores[0], params).prefix_products
-    else:
-        frozen = None
-
-    def loss_at(shifted: np.ndarray) -> float:
-        sub = shifted if lists.keep is None else shifted[lists.keep[0]]
-        if frozen is not None:
-            rows = np.empty_like(frozen)
-            for r in range(k):
-                rows[r] = stable_softmax(spec.params.alpha * sub * frozen[r])
-        else:
-            rows = smooth_indicators(sub, params).rows
-        u = rows @ lists.rel[0]
-        return 1.0 - metric_from_weighted_sums(u, spec.kind, k, lists.rel_total[0], lists.ideal[0])
-
-    numeric = np.empty(raw.size)
-    for j in range(raw.size):
-        step = np.zeros(raw.size)
-        step[j] = h
-        numeric[j] = (loss_at(base + step) - loss_at(base - step)) / (2.0 * h)
+    lists = _prepare(rel, shift_scores(raw, spec.shift_margin), spec)
+    mat, u, _ = _forward(lists, spec)
+    analytic = -_gradient(lists, mat, u, spec)
+    numeric = lists.restore(_differenced_loss(lists, mat, spec, h).astype(np.float64)[None])
 
     max_abs_err = float(np.abs(analytic - numeric).max())
     denom = max(float(np.abs(analytic).max()), float(np.abs(numeric).max()), REL_ERR_FLOOR)

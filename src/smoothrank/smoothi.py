@@ -114,9 +114,13 @@ def smooth_indicators(scores, params: SmoothIParams, mask=None) -> SmoothIndicat
     which callers cut off. Valid scores must be strictly positive (the
     recursion relies on positivity to keep damped documents below undamped
     ones); shift raw model outputs with
-    :func:`smoothrank.smooth_metrics.shift_scores` first.
+    :func:`smoothrank.smooth_metrics.shift_scores` first. Float scores keep
+    their dtype (``np.longdouble`` runs the recursion in extended precision);
+    any other input is converted to float64.
     """
-    arr = np.asarray(scores, dtype=np.float64)
+    arr = np.asarray(scores)
+    if arr.dtype.kind != "f":
+        arr = arr.astype(np.float64)
     if arr.ndim not in (1, 2) or arr.shape[-1] == 0:
         raise ValueError(f"scores must be a non-empty (n,) or (B, n) array, got shape {arr.shape}")
     batch = arr.reshape(-1, arr.shape[-1])
@@ -134,9 +138,9 @@ def smooth_indicators(scores, params: SmoothIParams, mask=None) -> SmoothIndicat
     # alpha * score once: row r's logits are (alpha * score) * prefix
     scaled = params.alpha * batch
     pad = None if valid is None else np.where(valid, 0.0, -np.inf)
-    rows = np.empty((batch.shape[0], k, batch.shape[1]))
+    rows = np.empty((batch.shape[0], k, batch.shape[1]), dtype=batch.dtype)
     prefixes = np.empty_like(rows)
-    prefix = np.ones(batch.shape)
+    prefix = np.ones(batch.shape, dtype=batch.dtype)
     for r in range(k):
         prefixes[:, r] = prefix
         logits = scaled * prefix

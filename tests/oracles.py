@@ -12,14 +12,26 @@ must equal bit for bit; and ``scorer_training_pass``, the scorer's
 training-mode forward and backward written with the unfused batch-norm
 formulas ``bn_forward`` and ``bn_backward``, whose score head is the
 scorer's own per-row ``einsum`` so that the scores can be compared bit for
-bit.
+bit; and ``finite_difference_loop``, the float64 finite-difference check as
+``gradients.finite_difference_check`` ran it before it was batched: one
+loss evaluation per perturbation, rebuilding the softmax rows one by one on
+the package's own preparation, shift and metric.
 """
 
 import math
 
 import numpy as np
 
-from smoothrank.rank_core import UndefinedMetricError, average_precision, ideal_dcg_at_k, rank_permutation
+from smoothrank.gradients import REL_ERR_FLOOR, GradientReport, loss_and_gradient
+from smoothrank.rank_core import (
+    UndefinedMetricError,
+    as_scores,
+    average_precision,
+    ideal_dcg_at_k,
+    rank_permutation,
+)
+from smoothrank.smooth_metrics import LossSpec, _prepare, metric_from_weighted_sums, shift_scores
+from smoothrank.smoothi import STOP_GRADIENT, smooth_indicators, stable_softmax
 
 
 def descending_order(scores):
@@ -205,3 +217,46 @@ def scorer_training_pass(scorer, x, dscores):
         "bn2_beta": dbt2,
     }
     return scores, running, grads
+
+
+def finite_difference_loop(rel, raw_scores, spec: LossSpec, h: float = 1e-4) -> GradientReport:
+    """Central differences of the mode-consistent loss, one float64 loss
+    evaluation per perturbation, versus the analytic gradient."""
+    raw = as_scores(raw_scores)
+    analytic = loss_and_gradient(rel, raw, spec)[1]
+
+    base = shift_scores(raw, spec.shift_margin)
+    lists = _prepare(rel, base, spec)
+    k = int(lists.k[0])
+    params = spec.params.with_k(k)
+    if spec.params.grad_mode == STOP_GRADIENT:
+        frozen = smooth_indicators(lists.scores[0], params).prefix_products
+    else:
+        frozen = None
+
+    def loss_at(shifted: np.ndarray) -> float:
+        sub = shifted if lists.keep is None else shifted[lists.keep[0]]
+        if frozen is not None:
+            rows = np.empty_like(frozen)
+            for r in range(k):
+                rows[r] = stable_softmax(spec.params.alpha * sub * frozen[r])
+        else:
+            rows = smooth_indicators(sub, params).rows
+        u = rows @ lists.rel[0]
+        return 1.0 - metric_from_weighted_sums(u, spec.kind, k, lists.rel_total[0], lists.ideal[0])
+
+    numeric = np.empty(raw.size)
+    for j in range(raw.size):
+        step = np.zeros(raw.size)
+        step[j] = h
+        numeric[j] = (loss_at(base + step) - loss_at(base - step)) / (2.0 * h)
+
+    max_abs_err = float(np.abs(analytic - numeric).max())
+    denom = max(float(np.abs(analytic).max()), float(np.abs(numeric).max()), REL_ERR_FLOOR)
+    return GradientReport(
+        analytic=analytic,
+        numeric=numeric,
+        max_abs_err=max_abs_err,
+        max_rel_err=max_abs_err / denom,
+        step_h=h,
+    )

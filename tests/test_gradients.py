@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from smoothrank import (
+    LossSpec,
+    SmoothIParams,
     finite_difference_check,
     loss_and_gradient,
     make_loss_spec,
     metric_gradient,
     stable_softmax,
 )
-from oracles import random_ranking_instance
+from smoothrank import gradients
+from oracles import finite_difference_loop, random_ranking_instance
 
 
 class TestClosedFormCases:
@@ -146,6 +149,88 @@ class TestFiniteDifferenceAgreement:
         np.testing.assert_array_equal(grad[dropped], 0.0)
         report = finite_difference_check(rel, raw, spec, h=1e-4)
         assert report.max_rel_err <= 1e-4
+
+
+class TestAgainstTheLoopOracle:
+    """The batched extended-precision check against the float64 loop that
+    rebuilds the softmax rows once per perturbation: the same analytic
+    gradient, bit for bit, and differences within 64 float64 ulps of the
+    loss over 2h (the loop's own rounding is most of that)."""
+
+    H = 1e-4
+    TOL = 64 * np.finfo(np.float64).eps / (2 * H)
+
+    def assert_agrees(self, rel, raw, spec):
+        fast = finite_difference_check(rel, raw, spec, h=self.H)
+        loop = finite_difference_loop(rel, raw, spec, h=self.H)
+        np.testing.assert_array_equal(fast.analytic, loop.analytic)
+        np.testing.assert_allclose(fast.numeric, loop.numeric, rtol=0.0, atol=self.TOL)
+
+    @pytest.mark.parametrize("mode", ["stop_gradient", "full"])
+    @pytest.mark.parametrize("kind", ["p@k", "ap", "ndcg@k"])
+    def test_random_instances(self, kind, mode):
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            raw, rel, k, alpha = random_ranking_instance(rng)
+            spec = make_loss_spec(kind, k=None if kind == "ap" else k, alpha=alpha, grad_mode=mode)
+            self.assert_agrees(rel, raw, spec)
+
+    @pytest.mark.parametrize("mode", ["stop_gradient", "full"])
+    def test_list_longer_than_the_ap_cap(self, mode):
+        rng = np.random.default_rng(10)
+        raw = rng.random(9)
+        rel = np.array([1, 0, 1, 0, 1, 0, 0, 1, 0], dtype=float)
+        spec = LossSpec(kind="ap", params=SmoothIParams(alpha=3.0, grad_mode=mode), ap_list_cap=4)
+        self.assert_agrees(rel, raw, spec)
+        dropped = np.argsort(-raw, kind="stable")[4:]
+        np.testing.assert_array_equal(finite_difference_check(rel, raw, spec).numeric[dropped], 0.0)
+
+    @pytest.mark.parametrize("mode", ["stop_gradient", "full"])
+    def test_one_document_list(self, mode):
+        for kind in ("p@k", "ap", "ndcg@k"):
+            self.assert_agrees([1.0], [0.3], make_loss_spec(kind, alpha=2.0, grad_mode=mode))
+
+    @pytest.mark.parametrize("mode", ["stop_gradient", "full"])
+    def test_tied_list(self, mode):
+        spec = make_loss_spec("ndcg@k", k=3, alpha=4.0, grad_mode=mode)
+        with pytest.warns(UserWarning, match="ties"):
+            self.assert_agrees([1.0, 0.0, 2.0, 0.0], [0.5, 0.5, 0.2, 0.5], spec)
+
+    def test_120_document_list(self):
+        rng = np.random.default_rng(11)
+        raw = rng.random(120)
+        rel = (rng.random(120) < 0.3).astype(float)
+        self.assert_agrees(rel, raw, make_loss_spec("ap", alpha=5.0))
+        self.assert_agrees(rel, raw, make_loss_spec("ndcg@k", k=10, alpha=5.0, grad_mode="full"))
+
+    def test_full_mode_chunks_give_the_same_bits(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        raw, rel, k, alpha = random_ranking_instance(rng, n_max=8)
+        spec = make_loss_spec("ap", alpha=alpha, grad_mode="full")
+        whole = finite_difference_check(rel, raw, spec).numeric
+        monkeypatch.setattr(gradients, "FD_CHUNK_ELEMENTS", 2 * raw.size**2 + 1)
+        np.testing.assert_array_equal(finite_difference_check(rel, raw, spec).numeric, whole)
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= 1e-18,
+    reason="np.longdouble is float64 here, so the check has float64 resolution",
+)
+def test_saturated_lists_pass_the_gate():
+    """Lists whose softmax rows are nearly one-hot, as a trained scorer ranks
+    them, have gradients too small for float64 differences at h=1e-4 to
+    resolve; differenced in extended precision they pass the 1e-4 gate."""
+    rng = np.random.default_rng(0)
+    lists = []
+    for _ in range(50):
+        raw = rng.uniform(0.0, 80.0, 20)
+        rel = np.zeros(20)
+        rel[np.argsort(-raw)[:7]] = 1.0
+        lists.append((rel, raw))
+    for kind, k in (("p@k", 5), ("ndcg@k", 10), ("ndcg@k", None)):
+        spec = make_loss_spec(kind, k=k, alpha=10.0, delta=0.1)
+        for rel, raw in lists:
+            assert finite_difference_check(rel, raw, spec, h=1e-4).max_rel_err <= 1e-4
 
 
 class TestBatchLinearity:

@@ -120,6 +120,19 @@ class TestForward:
         np.testing.assert_array_equal(a.rows, b.rows)
         np.testing.assert_array_equal(a.prefix_products, b.prefix_products)
 
+    def test_extended_precision_input_keeps_its_dtype(self):
+        """Longdouble scores run the recursion in longdouble; integer scores
+        are converted to float64 like lists of floats."""
+        rng = np.random.default_rng(5)
+        scores = rng.uniform(0.5, 2.0, (3, 7))
+        params = SmoothIParams(alpha=4.0, delta=0.1)
+        wide = smooth_indicators(scores.astype(np.longdouble), params)
+        assert wide.rows.dtype == wide.prefix_products.dtype == np.longdouble
+        np.testing.assert_allclose(
+            wide.rows.astype(np.float64), smooth_indicators(scores, params).rows, atol=1e-14
+        )
+        assert smooth_indicators(np.array([3, 1, 2]), params).rows.dtype == np.float64
+
     def test_requires_positive_scores(self):
         with pytest.raises(ValueError, match="positive"):
             smooth_indicators([1.0, 0.0], SmoothIParams(alpha=1.0))

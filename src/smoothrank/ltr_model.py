@@ -2,26 +2,28 @@
 
 The scorer normalizes the input features with batch norm, feeds them through
 one ReLU hidden layer (1024 units by default, batch-normalized
-pre-activations) and a linear head that emits one score per document. It is
+pre-activations) and a linear head that emits one score per document. The
+hidden batch norm removes any shift of its input, so the first layer has no
+bias and the input batch norm no shift: six trainable parameters. It is
 trained with Adam against any of the smooth ranking losses, on mini-batches
 of whole queries, and the weights of the best validation-NDCG epoch are the
 ones returned.
 
-A training-mode forward pass works in place in float64: the hidden layer's
-pre-activations are centered and scaled in their own array, which becomes the
-normalized ``xhat2``, and ``h = relu(gamma2 * xhat2 + beta2)`` is built in
-one further array. Its cache for ``backward`` is these two hidden-layer
-arrays, the normalized input ``xhat1`` and the hidden layer's
-``1 / sqrt(var + eps)``; the ReLU mask is ``h > 0``. Scores, running
-statistics and gradients are those of the unfused batch-norm formulas: the
-scores and statistics bit for bit, the gradients up to rounding. The score
-head takes one dot product per row, so equal feature rows in one call get
-equal scores.
+A training-mode forward pass works in place in float64. For ``backward`` it
+caches the normalized input ``xhat1``, the normalized hidden pre-activations
+``xhat2`` with their ``1 / sqrt(var + eps)``, and ``h = relu(gamma2 * xhat2 +
+beta2)``, whose ``h > 0`` is the ReLU mask. Scores and running statistics are
+those of the unfused batch-norm formulas bit for bit, the gradients up to
+rounding. The head takes one dot product per row, so equal feature rows in
+one call get equal scores. Eval mode folds both batch norms into one affine
+map on fixed-height slices, and version 1 checkpoints load folded (see
+``Scorer._eval_forward`` and ``load_checkpoint``).
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,7 +36,7 @@ from .rank_core import exact_metrics
 from .smooth_metrics import SMOOTH_NDCG_AT_K, LossSpec, undefined_lists
 
 CHECKPOINT_FORMAT = "smoothrank-scorer"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # train() pads a batch's lists only to the longest list of their bucket, and a
 # bucket's longest list is at most this factor times its shortest. On
@@ -43,13 +45,18 @@ CHECKPOINT_VERSION = 1
 # list; 1.25x buckets do 1.19x that work in about 9 calls instead of about 118.
 BUCKET_SPREAD = 1.25
 
-# Eval-mode forward passes work on row slices of at most this many hidden
-# activations (rows x hidden_dim; 512 KiB of float64), so a slice's
-# activations stay in the 2 MiB per-core L2 cache. On synth-ndcg's 200-query
-# test split (4,000 rows x 1,024 units, one BLAS thread), one eval forward
-# took 50 ms unsliced, 27-29 ms with 2^18 elements per slice, 20-24 ms with
-# 2^15 to 2^17 and 43 ms with 2^12 (per-slice overhead).
+# Eval-mode slices hold about this many hidden activations (512 KiB), which
+# stay in the 2 MiB per-core L2 cache. One eval forward, one BLAS thread: 11 ms
+# up to 2^16 and 16 ms at 2^18 on 4,000 x 10 rows at 1,024 units, 2.1 and 3.1
+# ms on 3,000 x 46 rows at 128 units.
 EVAL_SLICE_ELEMENTS = 2**16
+
+
+def eval_slice_shape(hidden_dim: int) -> tuple[int, int]:
+    """Rows and columns of every eval-mode product: the hidden width rounded
+    up to a multiple of 64, and a multiple of 64 rows, at least 64."""
+    cols = -(-hidden_dim // 64) * 64
+    return max(64, EVAL_SLICE_ELEMENTS // cols // 64 * 64), cols
 
 
 class DivergenceError(RuntimeError):
@@ -107,11 +114,9 @@ class Scorer:
         lim1 = np.sqrt(6.0 / input_dim)
         lim2 = np.sqrt(6.0 / hidden_dim)
         self.w1 = rng.uniform(-lim1, lim1, size=(input_dim, hidden_dim))
-        self.b1 = np.zeros(hidden_dim)
         self.w2 = rng.uniform(-lim2, lim2, size=hidden_dim)
         self.b2 = np.zeros(1)
         self.bn1_gamma = np.ones(input_dim)
-        self.bn1_beta = np.zeros(input_dim)
         self.bn1_mean = np.zeros(input_dim)
         self.bn1_var = np.ones(input_dim)
         self.bn2_gamma = np.ones(hidden_dim)
@@ -119,7 +124,7 @@ class Scorer:
         self.bn2_mean = np.zeros(hidden_dim)
         self.bn2_var = np.ones(hidden_dim)
 
-    PARAM_NAMES = ("w1", "b1", "w2", "b2", "bn1_gamma", "bn1_beta", "bn2_gamma", "bn2_beta")
+    PARAM_NAMES = ("w1", "w2", "b2", "bn1_gamma", "bn2_gamma", "bn2_beta")
     RUNNING_NAMES = ("bn1_mean", "bn1_var", "bn2_mean", "bn2_var")
 
     def parameters(self) -> dict[str, np.ndarray]:
@@ -145,10 +150,7 @@ class Scorer:
             return self._eval_forward(x)
         xhat1 = x.copy()
         mu1, var1, _ = _standardize(xhat1, np.empty_like(x), self.bn_eps)
-        a1 = self.bn1_gamma * xhat1
-        a1 += self.bn1_beta
-        xhat2 = a1 @ self.w1
-        xhat2 += self.b1
+        xhat2 = (self.bn1_gamma * xhat1) @ self.w1
         h = np.empty_like(xhat2)
         mu2, var2, inv2 = _standardize(xhat2, h, self.bn_eps)
         if update_running:
@@ -174,29 +176,27 @@ class Scorer:
         return scores
 
     def _eval_forward(self, x: np.ndarray) -> np.ndarray:
-        """Eval-mode scores: the batch-norm, affine and ReLU steps with the
-        running statistics, done in place on slices of at most
-        ``EVAL_SLICE_ELEMENTS`` hidden activations. The operations and their
-        order are those of ``gamma * ((x - mean) * inv_std) + beta``, so a
-        slice's scores are that formula's bits."""
-        inv1 = 1.0 / np.sqrt(self.bn1_var + self.bn_eps)
-        inv2 = 1.0 / np.sqrt(self.bn2_var + self.bn_eps)
-        scores = np.empty(x.shape[0])
-        rows = max(1, EVAL_SLICE_ELEMENTS // self.hidden_dim)
-        for start in range(0, x.shape[0], rows):
-            a = x[start : start + rows] - self.bn1_mean
-            a *= inv1
-            a *= self.bn1_gamma
-            a += self.bn1_beta
-            h = a @ self.w1
-            h += self.b1
-            h -= self.bn2_mean
-            h *= inv2
-            h *= self.bn2_gamma
-            h += self.bn2_beta
+        """Eval-mode scores ``relu(x @ W + b) . w2 + b2``, both batch norms
+        folded in: ``W = s1[:, None] * w1 * s2``, ``b = beta2 - (mean2 + (mean1
+        * s1) @ w1) * s2``, ``s = gamma / sqrt(var + eps)``. OpenBLAS can round
+        a row by its position in a product whose height varies or whose width
+        is no multiple of 8, so every product has the ``eval_slice_shape``, the
+        input padded with zero rows and ``W`` with zero columns: a row then
+        scores the same in any call and at any position."""
+        s1 = self.bn1_gamma / np.sqrt(self.bn1_var + self.bn_eps)
+        s2 = self.bn2_gamma / np.sqrt(self.bn2_var + self.bn_eps)
+        rows, cols = eval_slice_shape(self.hidden_dim)
+        w = np.pad(s1[:, None] * self.w1 * s2, ((0, 0), (0, cols - self.hidden_dim)))
+        b = self.bn2_beta - (self.bn2_mean + (self.bn1_mean * s1) @ self.w1) * s2
+        padded = np.zeros((len(x) + -len(x) % rows, self.input_dim))
+        padded[: len(x)] = x
+        scores = np.empty(len(padded))
+        for start in range(0, len(padded), rows):
+            h = (padded[start : start + rows] @ w)[:, : self.hidden_dim]
+            h += b
             np.maximum(h, 0.0, out=h)
             self._head(h, out=scores[start : start + rows])
-        return scores
+        return scores[: len(x)]
 
     def backward(self, cache: dict, dscores: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients of a scalar loss wrt all trainable parameters.
@@ -223,18 +223,13 @@ class Scorer:
         p -= dbt2 / m
         p -= xhat2 * (dg2 / m)
         col = inv2 * self.bn2_gamma
-        a1 = self.bn1_gamma * xhat1
-        a1 += self.bn1_beta
-        dw1 = (a1.T @ p) * col
-        db1 = p.sum(axis=0) * col
+        dw1 = ((self.bn1_gamma * xhat1).T @ p) * col
         da1 = p @ (self.w1 * col).T
         return {
             "w1": dw1,
-            "b1": db1,
             "w2": dw2,
             "b2": db2,
             "bn1_gamma": np.einsum("ij,ij->j", da1, xhat1),
-            "bn1_beta": da1.sum(axis=0),
             "bn2_gamma": dg2,
             "bn2_beta": dbt2,
         }
@@ -345,6 +340,14 @@ def length_buckets(lengths) -> list[np.ndarray]:
     return buckets
 
 
+def padded_lists(offsets: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(docs, mask)``: the indices of lists stored back to back in a flat
+    array, padded to the longest with index 0; ``mask`` marks real entries."""
+    cols = np.arange(lengths.max())
+    mask = cols < lengths[:, None]
+    return np.where(mask, offsets[:, None] + cols, 0), mask
+
+
 def train(dataset: Dataset, config: TrainConfig) -> tuple[Scorer, TrainHistory]:
     """Train a scorer on the dataset's train split, selecting on validation.
 
@@ -396,9 +399,7 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Scorer, TrainHistory]:
             dscores = np.zeros_like(scores)
             for bucket in length_buckets(config.loss.kept_length(sizes[live])):
                 lists = live[bucket]
-                cols = np.arange(sizes[lists].max())
-                mask = cols < sizes[lists, None]
-                docs = np.where(mask, offsets[lists, None] + cols, 0)
+                docs, mask = padded_lists(offsets[lists], sizes[lists])
                 values, grads = loss_and_gradient(rel[docs], scores[docs], config.loss, mask)
                 losses[bucket] = values
                 dscores[docs[mask]] = grads[mask] / live.size
@@ -468,22 +469,13 @@ def check_cutoffs(cutoffs) -> None:
         raise ValueError(f"metric cutoffs must be >= 1, got {bad}")
 
 
-def _stacked_scores(scorer: Scorer, groups) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
-    """One eval-mode forward over the groups' stacked features: the scores,
-    each group's offset into them, and each group's scores by query id."""
-    sizes = np.array([len(g) for g in groups], dtype=np.int64)
-    x = np.vstack([g.features for g in groups]) if groups else np.empty((0, scorer.input_dim))
-    flat = scorer.forward(x, training=False)
-    offsets = np.cumsum(sizes) - sizes
-    ends = offsets + sizes
-    by_query = {g.query_id: flat[a:b] for g, a, b in zip(groups, offsets.tolist(), ends.tolist())}
-    return flat, offsets, by_query
-
-
 def score_queries(scorer: Scorer, groups) -> dict[str, np.ndarray]:
     """Eval-mode scores of each query group, by query id, from one forward
     pass over their stacked features."""
-    return _stacked_scores(scorer, groups)[2]
+    x = np.vstack([g.features for g in groups]) if groups else np.empty((0, scorer.input_dim))
+    flat = scorer.forward(x, training=False)
+    sizes = [len(g) for g in groups]
+    return dict(zip([g.query_id for g in groups], np.split(flat, np.cumsum(sizes)[:-1])))
 
 
 def evaluate(scorer: Scorer, dataset: Dataset, split: str, cutoffs=(1, 5, 10)) -> EvaluationResult:
@@ -503,18 +495,18 @@ def evaluate(scorer: Scorer, dataset: Dataset, split: str, cutoffs=(1, 5, 10)) -
     scored = [g for g in groups if g.relevance.sum() != 0.0]
     if not scored:
         return EvaluationResult(summary={}, per_query={}, skipped_queries=len(groups), query_count=0, scores={})
-    flat, offsets, scores = _stacked_scores(scorer, scored)
+    scores = score_queries(scorer, scored)
+    flat = np.concatenate(list(scores.values()))
+    lengths = np.array([len(g) for g in scored])
+    offsets = np.cumsum(lengths) - lengths
     bad = np.flatnonzero(~np.isfinite(flat))
     if bad.size:
         first = scored[np.searchsorted(offsets, bad[0], side="right") - 1]
         raise NonFiniteScoresError(f"non-finite scores for query {first.query_id!r}")
     rel = np.concatenate([g.relevance for g in scored])
-    lengths = np.diff(offsets, append=flat.size)
     columns: dict[str, np.ndarray] = {}
     for bucket in length_buckets(lengths):
-        cols = np.arange(lengths[bucket].max())
-        mask = cols < lengths[bucket, None]
-        docs = np.where(mask, offsets[bucket, None] + cols, 0)
+        docs, mask = padded_lists(offsets[bucket], lengths[bucket])
         values = exact_metrics(np.where(mask, rel[docs], 0.0), np.where(mask, flat[docs], -np.inf),
                                lengths[bucket], cutoffs)
         for key, value in values.items():
@@ -546,34 +538,41 @@ def save_checkpoint(scorer: Scorer, path, extra: dict | None = None) -> None:
 
 def load_checkpoint(path) -> Scorer:
     """Read a scorer saved by ``save_checkpoint``; raises ValueError on a file
-    that is not a complete checkpoint of this format."""
+    that is not a complete checkpoint of this format. Version 1's ``b1`` and
+    ``bn1_beta`` are folded into ``bn2_mean``, which keeps its eval scores."""
     payload = json.loads(Path(path).read_text())
-    if (
-        not isinstance(payload, dict)
-        or payload.get("format") != CHECKPOINT_FORMAT
-        or payload.get("version") != CHECKPOINT_VERSION
-    ):
-        raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} v{CHECKPOINT_VERSION} checkpoint")
+    version = payload.get("version") if isinstance(payload, dict) else None
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT or (
+            isinstance(version, bool) or version not in (1, CHECKPOINT_VERSION)):
+        raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} v1 or v{CHECKPOINT_VERSION} checkpoint")
+    names = Scorer.PARAM_NAMES + Scorer.RUNNING_NAMES + (("b1", "bn1_beta") if version == 1 else ())
     arrays = payload.get("arrays")
     missing = [key for key in ("input_dim", "hidden_dim", "bn_momentum", "bn_eps") if key not in payload]
     if not isinstance(arrays, dict):
         missing.append("arrays")
     else:
-        missing += [f"arrays.{name}" for name in Scorer.PARAM_NAMES + Scorer.RUNNING_NAMES if name not in arrays]
+        missing += [f"arrays.{name}" for name in names if name not in arrays]
     if missing:
         raise ValueError(f"{path}: checkpoint lacks {', '.join(missing)}")
     dims = (payload["input_dim"], payload["hidden_dim"])
     if not all(isinstance(d, int) and not isinstance(d, bool) for d in dims):
         raise ValueError(f"{path}: input_dim and hidden_dim must be integers, got {dims}")
-    scorer = Scorer(
-        payload["input_dim"],
-        payload["hidden_dim"],
-        bn_momentum=payload["bn_momentum"],
-        bn_eps=payload["bn_eps"],
-    )
-    for name in scorer.PARAM_NAMES + scorer.RUNNING_NAMES:
-        arr = np.asarray(arrays[name], dtype=np.float64)
-        if arr.shape != getattr(scorer, name).shape:
+    bn = {key: payload[key] for key in ("bn_momentum", "bn_eps")}
+    for key, value in bn.items():
+        # a bool is an int to Python; a JSON number can be NaN, infinite or too large for a float
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+            raise ValueError(f"{path}: {key} must be a finite number, got {value!r}")
+    if bn["bn_eps"] <= 0:
+        raise ValueError(f"{path}: bn_eps must be > 0, got {bn['bn_eps']!r}")
+    scorer = Scorer(*dims, **{key: float(value) for key, value in bn.items()})
+    shapes = {"b1": (scorer.hidden_dim,), "bn1_beta": (scorer.input_dim,)} | {
+        name: arr.shape for name, arr in scorer.state().items()}
+    loaded = {name: np.asarray(arrays[name], dtype=np.float64) for name in names}
+    for name, arr in loaded.items():
+        if arr.shape != shapes[name]:
             raise ValueError(f"{path}: array {name!r} has shape {arr.shape}")
+    if version == 1:
+        loaded["bn2_mean"] = loaded["bn2_mean"] - (loaded.pop("b1") + loaded.pop("bn1_beta") @ loaded["w1"])
+    for name, arr in loaded.items():
         setattr(scorer, name, arr)
     return scorer

@@ -8,11 +8,13 @@ comparisons against the vectorized implementations are meaningful.
 The exceptions are ``query_metrics``, the one-query metric path that
 ``evaluate`` ran per query before it worked on whole splits: it builds on
 ``rank_core``'s one-list functions and is the oracle the split evaluation
-must equal bit for bit; and ``scorer_training_pass``, the scorer's
+must equal bit for bit; ``scorer_training_pass``, the scorer's
 training-mode forward and backward written with the unfused batch-norm
 formulas ``bn_forward`` and ``bn_backward``, whose score head is the
 scorer's own per-row ``einsum`` so that the scores can be compared bit for
-bit; and ``finite_difference_loop``, the float64 finite-difference check as
+bit; ``folded_eval_scores``, the eval forward's folded formula on the
+scorer's own slice height, which eval-mode scores must equal bit for bit;
+and ``finite_difference_loop``, the float64 finite-difference check as
 ``gradients.finite_difference_check`` ran it before it was batched: one
 loss evaluation per perturbation, rebuilding the softmax rows one by one on
 the package's own preparation, shift and metric.
@@ -23,6 +25,7 @@ import math
 import numpy as np
 
 from smoothrank.gradients import REL_ERR_FLOOR, GradientReport, loss_and_gradient
+from smoothrank.ltr_model import eval_slice_shape
 from smoothrank.rank_core import (
     UndefinedMetricError,
     as_scores,
@@ -182,6 +185,35 @@ def score_head(h, scorer):
     return np.einsum("ij,j->i", h, scorer.w2) + scorer.b2[0]
 
 
+def unfused_eval_scores(scorer, x, b1=0.0, bn1_beta=0.0):
+    """Eval-mode scores with each batch norm applied as ``bn_forward`` states
+    it. ``b1`` and ``bn1_beta`` are the first layer's bias and the input
+    batch norm's shift, which version 1 checkpoints held."""
+    s = scorer
+    a1, _, _ = bn_forward(x, s.bn1_gamma, bn1_beta, s.bn1_mean, s.bn1_var, s.bn_eps)
+    z2, _, _ = bn_forward(a1 @ s.w1 + b1, s.bn2_gamma, s.bn2_beta, s.bn2_mean, s.bn2_var, s.bn_eps)
+    return score_head(np.maximum(z2, 0.0), s)
+
+
+def folded_eval_scores(scorer, x):
+    """Eval-mode scores ``relu(x @ W + b) . w2 + b2`` with both batch norms
+    folded into ``W`` and ``b``, each product of ``eval_slice_shape``: slices
+    of ``x`` padded with zero rows, ``W`` with zero columns."""
+    s = scorer
+    s1 = s.bn1_gamma / np.sqrt(s.bn1_var + s.bn_eps)
+    s2 = s.bn2_gamma / np.sqrt(s.bn2_var + s.bn_eps)
+    rows, cols = eval_slice_shape(s.hidden_dim)
+    w = np.hstack([s1[:, None] * s.w1 * s2, np.zeros((s.input_dim, cols - s.hidden_dim))])
+    b = s.bn2_beta - (s.bn2_mean + (s.bn1_mean * s1) @ s.w1) * s2
+    out = []
+    for start in range(0, len(x), rows):
+        part = x[start : start + rows]
+        padded = np.vstack([part, np.zeros((rows - len(part), x.shape[1]))])
+        h = (padded @ w)[:, : s.hidden_dim] + b
+        out.append(score_head(np.maximum(h, 0.0), s)[: len(part)])
+    return np.concatenate(out)
+
+
 def scorer_training_pass(scorer, x, dscores):
     """A training-mode forward pass of ``scorer`` on ``x`` and the backward
     pass of ``dscores``, step by step: batch statistics from ``mean`` and
@@ -190,8 +222,8 @@ def scorer_training_pass(scorer, x, dscores):
     pass leaves and the parameter gradients; ``scorer`` is not changed."""
     s, keep = scorer, scorer.bn_momentum
     mu1, var1 = x.mean(axis=0), x.var(axis=0)
-    a1, xhat1, inv1 = bn_forward(x, s.bn1_gamma, s.bn1_beta, mu1, var1, s.bn_eps)
-    pre = a1 @ s.w1 + s.b1
+    a1, xhat1, inv1 = bn_forward(x, s.bn1_gamma, 0.0, mu1, var1, s.bn_eps)
+    pre = a1 @ s.w1
     mu2, var2 = pre.mean(axis=0), pre.var(axis=0)
     z2, xhat2, inv2 = bn_forward(pre, s.bn2_gamma, s.bn2_beta, mu2, var2, s.bn_eps)
     h = np.maximum(z2, 0.0)
@@ -205,14 +237,12 @@ def scorer_training_pass(scorer, x, dscores):
     dz2 = np.outer(dscores, s.w2) * (z2 > 0.0)
     dpre, dg2, dbt2 = bn_backward(dz2, xhat2, inv2, s.bn2_gamma)
     da1 = dpre @ s.w1.T
-    _, dg1, dbt1 = bn_backward(da1, xhat1, inv1, s.bn1_gamma)
+    _, dg1, _ = bn_backward(da1, xhat1, inv1, s.bn1_gamma)
     grads = {
         "w1": a1.T @ dpre,
-        "b1": dpre.sum(axis=0),
         "w2": h.T @ dscores,
         "b2": np.array([dscores.sum()]),
         "bn1_gamma": dg1,
-        "bn1_beta": dbt1,
         "bn2_gamma": dg2,
         "bn2_beta": dbt2,
     }

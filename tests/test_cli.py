@@ -309,6 +309,19 @@ class TestEvaluateCommand:
         assert f"non-finite scores for query {first!r}" in err
         assert not (out_root / "eval6" / "metrics.json").exists()
 
+    def test_non_numeric_bn_eps_exits_two(self, tmp_path, out_root, capsys):
+        ckpt = tmp_path / "eps.json"
+        save_checkpoint(Scorer(4, hidden_dim=2, seed=0), ckpt)
+        payload = json.loads(ckpt.read_text())
+        payload["bn_eps"] = "x"
+        ckpt.write_text(json.dumps(payload))
+        cfg = write_config(tmp_path / "e.json", tiny_config("evaluate", "eval7", tmp_path,
+                                                              checkpoint=str(ckpt)))
+        assert cli.main(["evaluate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "bn_eps must be a finite number" in err
+        assert not (out_root / "eval7" / "metrics.json").exists()
+
     def test_checkpoint_schema_mismatch(self, tmp_path, out_root):
         ckpt = self._train(tmp_path, out_root)
         payload = {
@@ -356,7 +369,6 @@ class TestEvaluateCommand:
         hidden = np.random.default_rng(3).standard_normal(5)
         oracle = Scorer(5, hidden_dim=2, seed=0)
         oracle.w1[...] = np.column_stack([hidden, -hidden])
-        oracle.b1[...] = 0.0
         oracle.w2[...] = np.array([1.0, -1.0])
         oracle.b2[...] = 0.0
         ckpt = tmp_path / "oracle.json"

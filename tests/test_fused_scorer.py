@@ -10,17 +10,14 @@ from oracles import scorer_training_pass
 
 
 DIM = 6
-# b1 and bn1_beta shift the input of a batch norm, which removes any shift:
-# their true gradient is 0 and both sides compute rounding noise
-SHIFT_CANCELLED = ("b1", "bn1_beta")
 
 
 def random_scorer(hidden, seed):
-    """A scorer with non-unit batch-norm scales and shifts, non-zero biases
-    and running statistics away from their initial values."""
+    """A scorer with non-unit batch-norm scales, non-zero shifts and bias and
+    running statistics away from their initial values."""
     scorer = Scorer(DIM, hidden, seed=seed)
     rng = np.random.default_rng(seed)
-    for name in Scorer.RUNNING_NAMES + ("bn1_gamma", "bn1_beta", "bn2_gamma", "bn2_beta", "b1", "b2"):
+    for name in Scorer.RUNNING_NAMES + ("bn1_gamma", "bn2_gamma", "bn2_beta", "b2"):
         arr = getattr(scorer, name)
         arr[...] = rng.uniform(0.5, 1.5, size=arr.shape) if "var" in name or "gamma" in name else (
             rng.normal(scale=0.5, size=arr.shape))
@@ -48,15 +45,11 @@ def test_fused_pass_matches_the_unfused_formulas(hidden, rows):
         np.testing.assert_array_equal(getattr(scorer, name), value, err_msg=name)
     assert set(grads) == set(Scorer.PARAM_NAMES)
     # one row normalizes to exactly 0 at both batch norms: every gradient
-    # before the hidden one is then exactly 0 on both sides, and so is w1_scale
-    w1_scale = np.abs(want_grads["w1"]).max()
+    # before the hidden one is then exactly 0 on both sides
     for name, want in want_grads.items():
         got = grads[name]
         assert got.shape == want.shape, name
-        scale = w1_scale if name in SHIFT_CANCELLED else np.abs(want).max()
-        assert np.abs(got - want).max() <= 1e-12 * scale, name
-        if name in SHIFT_CANCELLED:
-            assert np.abs(got).max() <= 1e-12 * w1_scale, name
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
 
 
 def test_cache_holds_two_hidden_arrays_and_is_left_unchanged():

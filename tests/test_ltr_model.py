@@ -21,6 +21,8 @@ from smoothrank import (
 from smoothrank.data_io import Dataset, DatasetError, QueryGroup
 from smoothrank.ltr_model import NonFiniteScoresError
 
+from oracles import query_metrics, unfused_eval_scores
+
 
 def zero_scorer(input_dim, hidden_dim=4):
     scorer = Scorer(input_dim, hidden_dim, seed=0)
@@ -35,7 +37,6 @@ def linear_scorer(weights, sign=1.0):
     scorer = Scorer(dim, hidden_dim=2, seed=0)
     w = np.asarray(weights, dtype=float)
     scorer.w1[...] = np.column_stack([w, -w])
-    scorer.b1[...] = 0.0
     scorer.w2[...] = np.array([sign, -sign])
     scorer.b2[...] = 0.0
     return scorer
@@ -349,6 +350,59 @@ class TestCheckpoint:
         del payload["arrays"]["w1"]
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=r"lacks arrays\.w1"):
+            load_checkpoint(path)
+
+    def test_version_1_evaluates_as_the_version_1_formula(self, tmp_path):
+        """Version 1 also held the first layer's bias ``b1`` and the input
+        batch norm's shift ``bn1_beta``; loaded with both folded in, the
+        scorer keeps the eval scores up to rounding and the exact metrics."""
+        rng = np.random.default_rng(8)
+        v1 = Scorer(4, hidden_dim=16, seed=2)
+        for name, arr in v1.state().items():
+            arr[...] = rng.uniform(0.5, 1.5, arr.shape) if "var" in name or "gamma" in name else (
+                rng.normal(size=arr.shape))
+        b1, bn1_beta = rng.normal(size=16), rng.normal(size=4)
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps({
+            "format": "smoothrank-scorer",
+            "version": 1,
+            "input_dim": 4,
+            "hidden_dim": 16,
+            "bn_momentum": 0.9,
+            "bn_eps": 1e-5,
+            "arrays": {"b1": b1.tolist(), "bn1_beta": bn1_beta.tolist(),
+                       **{name: arr.tolist() for name, arr in v1.state().items()}},
+            "extra": {},
+        }))
+        ds = synthesize(30, 8, 4, seed=8, graded=True).split_by_counts(10, 10, 10)
+        result = evaluate(load_checkpoint(path), ds, "test", cutoffs=(1, 3))
+        assert result.query_count > 5
+        for qid, scores in result.scores.items():
+            g = ds.groups[qid]
+            want = unfused_eval_scores(v1, g.features, b1, bn1_beta)
+            assert np.all(np.abs(scores - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), qid
+            assert result.per_query[qid] == query_metrics(g.relevance, want, (1, 3)), qid
+
+    @pytest.mark.parametrize("key, value", [
+        ("bn_eps", "x"), ("bn_eps", True), ("bn_eps", 0), ("bn_eps", -1e-5), ("bn_eps", float("nan")),
+        ("bn_momentum", None), ("bn_momentum", float("inf")), ("bn_momentum", 10**400),
+    ])
+    def test_batch_norm_scalars_must_be_finite_numbers(self, tmp_path, key, value):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(Scorer(2, hidden_dim=3), path)
+        payload = json.loads(path.read_text())
+        payload[key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=key):
+            load_checkpoint(path)
+
+    def test_boolean_version_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(Scorer(2, hidden_dim=3), path)
+        payload = json.loads(path.read_text())
+        payload["version"] = True  # equal to 1 in Python
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="not a smoothrank-scorer"):
             load_checkpoint(path)
 
     def test_wrong_format_rejected(self, tmp_path):

@@ -7,18 +7,18 @@ import pytest
 
 from smoothrank import Scorer, evaluate, ltr_model
 from smoothrank.data_io import Dataset, QueryGroup
-from smoothrank.ltr_model import EVAL_SLICE_ELEMENTS
+from smoothrank.ltr_model import eval_slice_shape
 from smoothrank.rank_core import ideal_dcg
 
-from oracles import bn_forward, query_metrics, score_head
+from oracles import folded_eval_scores, query_metrics, unfused_eval_scores
 
 
 DIM = 5
-HIDDEN = 512  # EVAL_SLICE_ELEMENTS // 512 rows per slice: the split spans many slices
+HIDDEN = 512  # 128 rows per eval slice: the split spans many slices
 CUTOFFS = (2, 7, 10)  # lists of 1 document are shorter than every cutoff
 
 
-def mixed_split(seed=0):
+def mixed_split(seed=0, dim=DIM):
     """Lists of 1-140 documents in shuffled order: binary and graded grades,
     zero-relevance lists, lists of one repeated feature row and lists of
     three (tied scores)."""
@@ -27,7 +27,7 @@ def mixed_split(seed=0):
     groups = {}
     for i, n in enumerate(lengths.tolist()):
         qid = f"q{i:03d}"
-        features = rng.normal(size=(n, DIM))
+        features = rng.normal(size=(n, dim))
         if i % 5 == 0:
             features[:] = features[0]
         elif i % 5 == 1:
@@ -39,15 +39,15 @@ def mixed_split(seed=0):
         else:
             rel = (rng.random(n) < 0.3).astype(float)
         groups[qid] = QueryGroup(qid, [f"{qid}-{j}" for j in range(n)], features, rel)
-    return Dataset(groups=groups, feature_dim=DIM, splits={"test": list(groups)})
+    return Dataset(groups=groups, feature_dim=dim, splits={"test": list(groups)})
 
 
-def random_scorer(seed=1):
+def random_scorer(seed=1, hidden=HIDDEN, dim=DIM):
     """A scorer whose running statistics and affine parameters are not the
     initial ones, so every batch-norm step changes the bits."""
-    scorer = Scorer(DIM, HIDDEN, seed=seed)
+    scorer = Scorer(dim, hidden, seed=seed)
     rng = np.random.default_rng(seed)
-    for name in Scorer.RUNNING_NAMES + ("bn1_gamma", "bn1_beta", "bn2_gamma", "bn2_beta", "b1", "b2"):
+    for name in Scorer.RUNNING_NAMES + ("bn1_gamma", "bn2_gamma", "bn2_beta", "b2"):
         arr = getattr(scorer, name)
         arr[...] = rng.uniform(0.5, 1.5, size=arr.shape) if "var" in name or "gamma" in name else (
             rng.normal(scale=0.3, size=arr.shape))
@@ -66,7 +66,7 @@ class TestSplitMetricsMatchTheOracle:
         ds = mixed_split()
         lengths = [len(g) for g in ds.groups.values()]
         assert len(ltr_model.length_buckets(lengths)) > 5
-        assert sum(lengths) > 10 * EVAL_SLICE_ELEMENTS // HIDDEN
+        assert sum(lengths) > 10 * eval_slice_shape(HIDDEN)[0]
         assert min(lengths) < min(CUTOFFS) and max(lengths) > max(CUTOFFS)
         rels = [g.relevance for g in ds.groups.values()]
         assert any(r.sum() == 0 for r in rels) and any(r.max() > 1 for r in rels)
@@ -89,13 +89,17 @@ class TestSplitMetricsMatchTheOracle:
         for key, value in result.summary.items():
             assert value == float(np.mean([row[key] for row in expected.values()]))
 
-    def test_scores_are_the_per_query_forward_up_to_rounding(self):
-        ds = mixed_split()
-        scorer = random_scorer()
+    @pytest.mark.parametrize("hidden, dim", [(512, DIM), (300, DIM), (300, 46), (500, 46)])
+    def test_per_query_scores_are_the_split_scores_bitwise(self, hidden, dim):
+        """Every eval-mode product has one shape, so a query scored alone
+        gets the bits it gets among the whole split (if this fails, the BLAS
+        that numpy links rounds a row by its position in the product)."""
+        ds = mixed_split(dim=dim)
+        scorer = random_scorer(hidden=hidden, dim=dim)
         result = evaluate(scorer, ds, "test", cutoffs=CUTOFFS)
         for qid, scores in result.scores.items():
-            alone = scorer.forward(ds.groups[qid].features, training=False)
-            np.testing.assert_allclose(scores, alone, rtol=0.0, atol=1e-12)
+            alone = ltr_model.score_queries(scorer, [ds.groups[qid]])[qid]
+            np.testing.assert_array_equal(alone, scores, err_msg=qid)
 
     def test_zero_scorer_ranks_ties_by_index(self):
         ds = mixed_split()
@@ -120,28 +124,23 @@ class TestIdealDcg:
             assert got[i].tolist() == want
 
 
-def old_eval_formula(scorer, x):
-    """The eval-mode forward as ``bn_forward`` states it."""
-    a1, _, _ = bn_forward(x, scorer.bn1_gamma, scorer.bn1_beta, scorer.bn1_mean, scorer.bn1_var,
-                          scorer.bn_eps)
-    pre = a1 @ scorer.w1 + scorer.b1
-    z2, _, _ = bn_forward(pre, scorer.bn2_gamma, scorer.bn2_beta, scorer.bn2_mean, scorer.bn2_var,
-                          scorer.bn_eps)
-    return score_head(np.maximum(z2, 0.0), scorer)
-
-
 class TestEvalForward:
-    def test_one_slice_is_bitwise_the_old_formula(self):
+    def test_one_slice_is_bitwise_the_folded_formula(self):
         scorer = random_scorer()
         x = np.random.default_rng(2).normal(size=(37, DIM))
-        np.testing.assert_array_equal(scorer.forward(x), old_eval_formula(scorer, x))
+        np.testing.assert_array_equal(scorer.forward(x), folded_eval_scores(scorer, x))
 
-    def test_slices_are_bitwise_the_old_formula_on_each_slice(self):
+    def test_slices_are_bitwise_the_folded_formula_on_each_slice(self):
         scorer = random_scorer()
-        rows = EVAL_SLICE_ELEMENTS // HIDDEN
-        x = np.random.default_rng(3).normal(size=(2 * rows + 17, DIM))
-        want = np.concatenate([old_eval_formula(scorer, x[s : s + rows]) for s in range(0, len(x), rows)])
-        np.testing.assert_array_equal(scorer.forward(x), want)
+        x = np.random.default_rng(3).normal(size=(2 * eval_slice_shape(HIDDEN)[0] + 17, DIM))
+        np.testing.assert_array_equal(scorer.forward(x), folded_eval_scores(scorer, x))
+
+    @pytest.mark.parametrize("hidden", [1, 300, 1024])
+    def test_folded_scores_are_the_unfused_formula_up_to_rounding(self, hidden):
+        scorer = random_scorer(hidden=hidden)
+        x = np.random.default_rng(4).normal(size=(300, DIM))
+        want = unfused_eval_scores(scorer, x)
+        assert np.all(np.abs(scorer.forward(x) - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
     def test_input_is_left_unchanged(self):
         scorer = random_scorer()

@@ -313,10 +313,11 @@ def _log(path: Path, lines: list[str]) -> None:
 
 def _history_rows(history: ltr_model.TrainHistory) -> tuple[list[str], list[dict]]:
     metric_keys = sorted(history.records[0].val_metrics) if history.records else []
-    header = ["epoch", "train_loss"] + [f"val_{k}" for k in metric_keys]
+    header = ["epoch", "train_loss", "skipped_queries"] + [f"val_{k}" for k in metric_keys]
     rows = []
     for rec in history.records:
-        row = {"epoch": rec.epoch, "train_loss": rec.train_loss}
+        row = {"epoch": rec.epoch, "train_loss": rec.train_loss,
+               "skipped_queries": rec.skipped_queries}
         row.update({f"val_{k}": rec.val_metrics[k] for k in metric_keys})
         rows.append(row)
     return header, rows

@@ -8,6 +8,7 @@ file order.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -134,43 +135,120 @@ def _parse_line(line: str, lineno: int, source: str):
     return rel, qid, feats, comment
 
 
+def _read_lines(path: Path, source: str) -> list[str]:
+    """The file's lines, newline-translated as text-mode iteration would."""
+    with path.open(encoding="utf-8") as fh:
+        try:
+            return fh.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{source}: not UTF-8 text ({exc.reason})") from None
+
+
+# deletes the ASCII characters that are neither whitespace nor ':', so what
+# is left of a feature section shows how it splits into tokens and fields
+_SEPARATORS_ONLY = str.maketrans(
+    "", "", "".join(c for c in map(chr, range(128)) if not c.isspace() and c != ":"))
+
+
+def _parse_dense(lines: list[str]):
+    """Rows of a dense file as ``(qids, comments, relevance, features)``.
+
+    A dense file has every non-blank line as ``<rel> qid:<id> 1:<v> ... d:<v>``
+    with one d and single spaces between features. One cheap pass per line
+    checks that shape; one ``np.loadtxt`` call then reads the numbers, whose
+    float and integer syntax is a subset of ``float()`` and ``int()``.
+    Returns None for any other file, on any ``loadtxt`` error or warning, and
+    for a negative or NaN grade, so that the per-line reader parses it and
+    raises its errors.
+    """
+    qids, comments, numeric = [], [], []
+    separators = None
+    for line in lines:
+        head, _, tail = line.partition("#")
+        parts = head.split(None, 2)
+        if len(parts) < 2:
+            if parts or line.strip():
+                return None
+            continue
+        features = parts[2].rstrip() if len(parts) == 3 else ""
+        if separators is None:
+            separators = (": " * features.count(":"))[:-1]
+        # one ':' per feature token and one space between tokens: Python's
+        # split and loadtxt's then see the same tokens, two fields each
+        if (not parts[1].startswith("qid:") or len(parts[1]) <= 4
+                or features.translate(_SEPARATORS_ONLY) != separators):
+            return None
+        qids.append(parts[1][4:])
+        comments.append(tail.strip() or None)
+        numeric.append(f"{parts[0]} {features.replace(':', ' ')}")
+    if not qids:
+        return None
+    dim = (len(separators) + 1) // 2
+    columns = [("rel", np.float64)]
+    for i in range(1, dim + 1):
+        columns += [(f"i{i}", np.int64), (f"v{i}", np.float64)]
+    try:
+        # numpy < 2 reads "3.0" in an integer column with only a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(numeric, dtype=np.dtype(columns), comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    table = table.view(np.float64).reshape(len(qids), 2 * dim + 1)
+    relevance = table[:, 0]
+    indices = table.view(np.int64)[:, 1::2]
+    if not (relevance >= 0).all() or not (indices == np.arange(1, dim + 1)).all():
+        return None
+    return qids, comments, relevance, table[:, 2::2]
+
+
+def _parse_per_line(lines: list[str], source: str):
+    """Rows of any file as ``(qids, comments, relevance, features)``, one
+    ``_parse_line`` call per non-blank line; missing indices read 0."""
+    qids, comments, relevance = [], [], []
+    rows, cols, values = [], [], []
+    for lineno, raw in enumerate(lines, start=1):
+        if not raw.strip():
+            continue
+        rel, qid, feats, comment = _parse_line(raw, lineno, source)
+        rows += [len(qids)] * len(feats)
+        cols += feats
+        values += feats.values()
+        qids.append(qid)
+        comments.append(comment)
+        relevance.append(rel)
+    features = np.zeros((len(qids), max(cols, default=0)))
+    features[rows, np.array(cols, dtype=np.int64) - 1] = values
+    return qids, comments, np.array(relevance), features
+
+
 def parse_svmlight(path) -> Dataset:
     """Parse one SVMlight/LETOR file into a Dataset (no splits assigned).
 
     Feature dimension is the maximum index seen in the file; doc ids come
     from the trailing comment when present, else ``<qid>_<ordinal>``. The
     file is read as UTF-8; bytes that do not decode raise ParseError.
+
+    A dense file, where every line lists the indices ``1..d`` in order with
+    one d, is read with one ``np.loadtxt`` call. Any other file, and any
+    dense-looking file that fails a check of that reader, is parsed line by
+    line, which raises ParseError with the file and line of a malformed
+    line. Both readers give the same Dataset, to the bit of every value.
     """
     path = Path(path)
     source = path.name
-    records: dict[str, list] = {}
-    max_idx = 0
-    with path.open(encoding="utf-8") as fh:
-        try:
-            for lineno, raw in enumerate(fh, start=1):
-                if not raw.strip():
-                    continue
-                rel, qid, feats, comment = _parse_line(raw, lineno, source)
-                records.setdefault(qid, []).append((rel, feats, comment))
-                if feats:
-                    max_idx = max(max_idx, max(feats))
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{source}: not UTF-8 text ({exc.reason})") from None
-    if not records:
+    lines = _read_lines(path, source)
+    qids, comments, relevance, features = _parse_dense(lines) or _parse_per_line(lines, source)
+    if not qids:
         raise DatasetError(f"{source}: empty dataset")
+    rows: dict[str, list[int]] = {}
+    for j, qid in enumerate(qids):
+        rows.setdefault(qid, []).append(j)
     groups = {}
-    for qid, rows in records.items():
-        n = len(rows)
-        features = np.zeros((n, max_idx))
-        relevance = np.zeros(n)
-        doc_ids = []
-        for j, (rel, feats, comment) in enumerate(rows):
-            relevance[j] = rel
-            for i, v in feats.items():
-                features[j, i - 1] = v
-            doc_ids.append(comment if comment else f"{qid}_{j}")
-        groups[qid] = QueryGroup(qid, doc_ids, features, relevance)
-    return Dataset(groups=groups, feature_dim=max_idx)
+    for qid, idx in rows.items():
+        doc_ids = [comments[j] or f"{qid}_{k}" for k, j in enumerate(idx)]
+        groups[qid] = QueryGroup(qid, doc_ids, features[idx], relevance[idx])
+    return Dataset(groups=groups, feature_dim=features.shape[1])
 
 
 def _pad_features(dataset: Dataset, dim: int, source: str) -> Dataset:

@@ -14,16 +14,21 @@ formulas ``bn_forward`` and ``bn_backward``, whose score head is the
 scorer's own per-row ``einsum`` so that the scores can be compared bit for
 bit; ``folded_eval_scores``, the eval forward's folded formula on the
 scorer's own slice height, which eval-mode scores must equal bit for bit;
-and ``finite_difference_loop``, the float64 finite-difference check as
+``finite_difference_loop``, the float64 finite-difference check as
 ``gradients.finite_difference_check`` ran it before it was batched: one
 loss evaluation per perturbation, rebuilding the softmax rows one by one on
-the package's own preparation, shift and metric.
+the package's own preparation, shift and metric; and
+``svmlight_per_line``, the SVMlight reader as ``parse_svmlight`` was before
+it read dense files with ``np.loadtxt``: ``data_io._parse_line`` per line
+and a scatter per feature value.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 
+from smoothrank import data_io
 from smoothrank.gradients import REL_ERR_FLOOR, GradientReport, loss_and_gradient
 from smoothrank.ltr_model import eval_slice_shape
 from smoothrank.rank_core import (
@@ -290,3 +295,34 @@ def finite_difference_loop(rel, raw_scores, spec: LossSpec, h: float = 1e-4) -> 
         max_rel_err=max_abs_err / denom,
         step_h=h,
     )
+
+
+def svmlight_per_line(path) -> data_io.Dataset:
+    path = Path(path)
+    records: dict[str, list] = {}
+    max_idx = 0
+    with path.open(encoding="utf-8") as fh:
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                if not raw.strip():
+                    continue
+                rel, qid, feats, comment = data_io._parse_line(raw, lineno, path.name)
+                records.setdefault(qid, []).append((rel, feats, comment))
+                if feats:
+                    max_idx = max(max_idx, max(feats))
+        except UnicodeDecodeError as exc:
+            raise data_io.ParseError(f"{path.name}: not UTF-8 text ({exc.reason})") from None
+    if not records:
+        raise data_io.DatasetError(f"{path.name}: empty dataset")
+    groups = {}
+    for qid, rows in records.items():
+        features = np.zeros((len(rows), max_idx))
+        relevance = np.zeros(len(rows))
+        doc_ids = []
+        for j, (rel, feats, comment) in enumerate(rows):
+            relevance[j] = rel
+            for i, v in feats.items():
+                features[j, i - 1] = v
+            doc_ids.append(comment if comment else f"{qid}_{j}")
+        groups[qid] = data_io.QueryGroup(qid, doc_ids, features, relevance)
+    return data_io.Dataset(groups=groups, feature_dim=max_idx)

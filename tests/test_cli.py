@@ -134,6 +134,26 @@ class TestTrainCommand:
         assert (out / "train.log").exists()
         history = (out / "history.csv").read_text().splitlines()
         assert len(history) == 1 + 2  # header + one row per epoch
+        assert history[0].split(",")[:3] == ["epoch", "train_loss", "skipped_queries"]
+        assert [row.split(",")[2] for row in history[1:]] == ["0", "0"]
+
+    def test_history_counts_skipped_training_queries(self, tmp_path, out_root):
+        rng = np.random.default_rng(3)
+        paths = {}
+        for split, grades in (("train", [1, 0, 1, 0, 1]), ("vali", [1, 1]), ("test", [1])):
+            lines = []
+            for q, top in enumerate(grades):
+                for j in range(4):
+                    feats = " ".join(f"{i + 1}:{rng.random():.6f}" for i in range(3))
+                    lines.append(f"{top if j == 0 else 0} qid:{split}{q} {feats}")
+            paths[f"{split}_path"] = str(tmp_path / f"{split}.txt")
+            Path(paths[f"{split}_path"]).write_text("\n".join(lines) + "\n")
+        payload = tiny_train_config("skips", dataset="svmlight", **paths)
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert cli.main(["train", "--config", cfg]) == 0
+        history = (out_root / "skips" / "history.csv").read_text().splitlines()
+        column = history[0].split(",").index("skipped_queries")
+        assert [row.split(",")[column] for row in history[1:]] == ["2", "2"]
 
     def test_byte_identical_reruns(self, tmp_path, out_root):
         cfg1 = write_config(tmp_path / "c1.json", tiny_train_config("runA"))

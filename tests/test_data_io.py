@@ -1,7 +1,11 @@
 """SVMlight parsing, fold assembly, synthetic data, and writers."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
+from oracles import svmlight_per_line
 
 from smoothrank import (
     Dataset,
@@ -9,6 +13,7 @@ from smoothrank import (
     ParseError,
     SchemaError,
     assemble_folds,
+    data_io,
     ndcg_at_k,
     parse_svmlight,
     synthesize,
@@ -76,6 +81,187 @@ class TestParse:
         path.write_text("")
         with pytest.raises(DatasetError, match="empty"):
             parse_svmlight(path)
+
+
+def _dense_lines(seed, queries=("7", "9", "tr12"), per_query=3, dim=4):
+    """A seeded dense file's lines: grades 0-2, values in several float
+    spellings, a comment on some lines."""
+    rng = np.random.default_rng(seed)
+    spellings = (repr, lambda v: "%.17g" % v, lambda v: "%.6f" % v)
+    lines = []
+    for qid in queries:
+        for j in range(per_query):
+            feats = " ".join(
+                f"{i + 1}:{spellings[int(rng.integers(3))](float(rng.standard_normal()))}"
+                for i in range(dim)
+            )
+            comment = f" # {qid}-d{j}" if rng.random() < 0.7 else ""
+            lines.append(f"{int(rng.integers(3))} qid:{qid} {feats}{comment}")
+    return lines
+
+
+def _outcome(parse, path):
+    try:
+        return parse(path)
+    except ValueError as exc:  # ParseError, DatasetError, or numpy's on a huge index
+        return exc
+
+
+def assert_parses_as_per_line(path):
+    """parse_svmlight gives the per-line reader's Dataset to the byte, or
+    raises the same exception type with the same message."""
+    got, want = _outcome(parse_svmlight, path), _outcome(svmlight_per_line, path)
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        assert_same_dataset(got, want)
+
+
+def assert_same_dataset(got, want):
+    assert isinstance(got, Dataset), got
+    assert got.feature_dim == want.feature_dim
+    assert list(got.groups) == list(want.groups)
+    for qid, g in want.groups.items():
+        h = got.groups[qid]
+        assert h.doc_ids == g.doc_ids
+        for a, b in ((h.features, g.features), (h.relevance, g.relevance)):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.flags.c_contiguous
+            assert a.tobytes() == b.tobytes()
+
+
+def _set_value(line, value):
+    """The line with feature 2's value spelled ``value``."""
+    return re.sub(r"(?<= 2:)\S+", value, line, count=1)
+
+
+# (name, line -> mutated line) on lines like "1 qid:7 1:0.5 2:-1.25 3:... # c"
+MUTATIONS = [
+    ("index 3.0", lambda s: s.replace(" 3:", " 3.0:")),
+    ("index 1_0", lambda s: s.replace(" 1:", " 1_0:")),
+    ("index +3", lambda s: s.replace(" 3:", " +3:")),
+    ("index 03", lambda s: s.replace(" 3:", " 03:")),
+    ("index 0", lambda s: s.replace(" 1:", " 0:")),
+    ("index -1", lambda s: s.replace(" 1:", " -1:")),
+    ("index 1e0", lambda s: s.replace(" 1:", " 1e0:")),
+    ("index overflows int64", lambda s: s.replace(" 1:", " 99999999999999999999:")),
+    ("arabic-indic index", lambda s: s.replace(" 3:", " \u0663:")),
+    ("duplicate index", lambda s: s.replace(" 2:", " 1:")),
+    ("missing index", lambda s: " ".join(t for t in s.split(" ") if not t.startswith("4:"))),
+    ("extra index", lambda s: s.replace(" #", " 5:1.5 #") if "#" in s else s + " 5:1.5"),
+    ("swapped indices", lambda s: s.replace(" 1:", " @:").replace(" 2:", " 1:").replace(" @:", " 2:")),
+    ("negative grade", lambda s: "-1" + s[1:]),
+    ("nan grade", lambda s: "nan" + s[1:]),
+    ("negative zero grade", lambda s: "-0" + s[1:]),
+    ("inf grade", lambda s: "inf" + s[1:]),
+    ("grade 1:2", lambda s: "1:2" + s[1:]),
+    ("grade x", lambda s: "x" + s[1:]),
+    ("nbsp", lambda s: s.replace(" 2:", "\xa02:")),
+    ("nbsp beside space", lambda s: s.replace(" 2:", " \xa02:")),
+    ("tab", lambda s: s.replace(" 2:", "\t2:")),
+    ("tab beside space", lambda s: s.replace(" 2:", "\t 2:")),
+    ("tab and empty index", lambda s: s.replace(" 2:", "\t2 :")),
+    ("vertical tab", lambda s: s.replace(" 2:", "\x0b2:")),
+    ("form feed beside space", lambda s: s.replace(" 2:", " \x0c2:")),
+    ("file separator", lambda s: s.replace(" 3:", "\x1c3:")),
+    ("carriage return", lambda s: s.replace(" 3:", "\r3:")),
+    ("double space", lambda s: s.replace(" 2:", "  2:")),
+    ("trailing spaces", lambda s: s + "   "),
+    ("nul in value", lambda s: s.replace(" 2:", " 2:1\x00")),
+    ("space after colon", lambda s: s.replace(" 2:", " 2: ")),
+    ("qid::", lambda s: s.replace("qid:", "qid::")),
+    ("empty qid", lambda s: s.split(" ", 2)[0] + " qid: " + s.split(" ", 2)[2]),
+    ("qid with colon", lambda s: s.replace("qid:", "qid:a:")),
+    ("missing qid", lambda s: s.replace("qid:", "query:")),
+    ("a:b:c", lambda s: s.replace(" 2:", " 2:1:")),
+    ("colon-less token beside a:b:c", lambda s: s.replace(" 2:", " 2:1:").replace(" 4:", " ")),
+    ("empty value", lambda s: _set_value(s, "")),
+    ("empty index", lambda s: s.replace(" 2:", " :")),
+    ("value inf", lambda s: _set_value(s, "inf")),
+    ("value -nan", lambda s: _set_value(s, "-nan")),
+    ("value 1e999", lambda s: _set_value(s, "1e999")),
+    ("value -0", lambda s: _set_value(s, "-0")),
+    ("value 1_0", lambda s: _set_value(s, "1_0")),
+    ("value 0x1p3", lambda s: _set_value(s, "0x1p3")),
+    ("value 3.", lambda s: _set_value(s, "3.")),
+    ("comment only", lambda s: "# " + s),
+    ("second hash", lambda s: s + " # more"),
+    ("rel only", lambda s: s.split(" ")[0]),
+]
+
+
+class TestDenseReader:
+    """parse_svmlight reads dense files with one loadtxt call; on every
+    file it gives the per-line reader's result."""
+
+    @pytest.mark.parametrize("name, mutate", MUTATIONS, ids=[m[0] for m in MUTATIONS])
+    @pytest.mark.parametrize("where", [0, 4, 8])
+    def test_mutated_line_parses_as_per_line(self, tmp_path, name, mutate, where):
+        lines = _dense_lines(seed=where)
+        lines[where] = mutate(lines[where])
+        path = tmp_path / "m.txt"
+        path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+        assert_parses_as_per_line(path)
+
+    DENSE_FILES = {
+        "bench-like": "\n".join(_dense_lines(seed=1)) + "\n",
+        "no features": "1 qid:1 # a\n0 qid:1\n2 qid:2 #\n",
+        "crlf": "\r\n".join(_dense_lines(seed=2)) + "\r\n",
+        "cr": "\r".join(_dense_lines(seed=3)) + "\r",
+        "qid in two blocks": "\n".join(_dense_lines(seed=4, queries=("7", "9", "7"))) + "\n",
+        "one line": _dense_lines(seed=5)[0] + "\n",
+        "no final newline": "\n".join(_dense_lines(seed=6)),
+        "blank lines": "\n\n" + "\n \t\n".join(_dense_lines(seed=7)) + "\n\n",
+        "one feature": "\n".join(_dense_lines(seed=8, dim=1)) + "\n",
+        "tab before comment": "\n".join(s.replace(" #", "\t#") for s in _dense_lines(seed=9)),
+        "tab after qid": "\n".join(s.replace(" 1:", "\t1:") for s in _dense_lines(seed=10)),
+    }
+
+    @pytest.mark.parametrize("name", list(DENSE_FILES))
+    def test_dense_file_parses_as_per_line(self, tmp_path, name):
+        path = tmp_path / "d.txt"
+        path.write_bytes(self.DENSE_FILES[name].encode("utf-8"))
+        assert_parses_as_per_line(path)
+
+    @pytest.mark.parametrize("name", list(DENSE_FILES))
+    def test_dense_file_skips_the_per_line_reader(self, tmp_path, monkeypatch, name):
+        """A regression to reading every file line by line fails here."""
+        path = tmp_path / "d.txt"
+        path.write_bytes(self.DENSE_FILES[name].encode("utf-8"))
+        want = parse_svmlight(path)
+
+        def per_line(*args):
+            raise AssertionError("a dense file reached the per-line reader")
+
+        monkeypatch.setattr(data_io, "_parse_line", per_line)
+        assert_same_dataset(parse_svmlight(path), want)
+
+    @pytest.mark.parametrize("text", ["", "\n\n", " \n\t\n"])
+    def test_empty_files_parse_as_per_line(self, tmp_path, text):
+        path = tmp_path / "e.txt"
+        path.write_text(text)
+        assert_parses_as_per_line(path)
+
+    def test_loadtxt_warning_falls_back(self, tmp_path, monkeypatch):
+        """numpy 1.24-1.26 read "3.0" in an integer column with only a
+        DeprecationWarning; int("3.0") raises, so the file must fail as the
+        per-line reader fails it."""
+        real = np.loadtxt
+
+        def old_loadtxt(lines, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning, stacklevel=2)
+            return real([s.replace(" 3.0 ", " 3 ") for s in lines], **kwargs)
+
+        lines = _dense_lines(seed=11)
+        lines[4] = lines[4].replace(" 3:", " 3.0:")
+        path = tmp_path / "w.txt"
+        path.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(np, "loadtxt", old_loadtxt)
+        with pytest.raises(ParseError, match=r"w\.txt:5: bad feature token '3\.0:"):
+            parse_svmlight(path)
+        clean = tmp_path / "c.txt"
+        clean.write_text(self.DENSE_FILES["bench-like"])
+        assert_parses_as_per_line(clean)
 
 
 class TestRoundTrip:

@@ -17,14 +17,14 @@ from .rank_core import (
     rank_permutation,
 )
 from .smoothi import (
-    FULL,
-    STOP_GRADIENT,
     SmoothIndicatorMatrix,
     SmoothIParams,
     smooth_indicators,
     stable_softmax,
 )
 from .smooth_metrics import (
+    FULL,
+    STOP_GRADIENT,
     LossSpec,
     make_loss_spec,
     shift_scores,

@@ -160,6 +160,22 @@ def epsilon_alpha(cert: BoundCertificate, alpha: float) -> float:
     return (cert.k - 1) * math.exp(-alpha * cert.decay_rate)
 
 
+def _certified_rows(scores, k: int, alpha: float, delta: float):
+    """``(scores, certificate, eps_alpha, hard rows, smooth rows)`` of one
+    instance, rows 1..k; raises ThresholdNotMetError unless alpha exceeds the
+    certificate threshold."""
+    cert = certificate(scores, k, delta)
+    if alpha <= cert.alpha_threshold:
+        raise ThresholdNotMetError(
+            f"alpha={alpha} does not exceed the certificate threshold "
+            f"{cert.alpha_threshold:.6g}; the bound is not certified there"
+        )
+    # certificate() has validated the scores strictly
+    arr = np.asarray(scores, dtype=np.float64)
+    smooth = smooth_indicators(arr, SmoothIParams(alpha=alpha, delta=delta), k=k).rows
+    return arr, cert, epsilon_alpha(cert, alpha), hard_indicator_matrix(arr, k), smooth
+
+
 def verify_indicator_bound(scores, k: int, alpha: float, delta: float = 0.1) -> BoundReport:
     """Check max_{r<=k, all j} |hard - smooth| <= eps_alpha for one instance.
 
@@ -167,17 +183,8 @@ def verify_indicator_bound(scores, k: int, alpha: float, delta: float = 0.1) -> 
     raises instead of reporting, naming the threshold. The top-k error is
     additionally reported over the columns of the k highest-scoring documents.
     """
-    cert = certificate(scores, k, delta)
-    if alpha <= cert.alpha_threshold:
-        raise ThresholdNotMetError(
-            f"alpha={alpha} does not exceed the certificate threshold "
-            f"{cert.alpha_threshold:.6g}; the bound is not certified there"
-        )
-    arr = as_scores(scores, strict=True)
-    smooth = smooth_indicators(arr, SmoothIParams(alpha=alpha, delta=delta, k=k)).rows
-    hard = hard_indicator_matrix(arr, k)
+    arr, cert, eps, hard, smooth = _certified_rows(scores, k, alpha, delta)
     err = np.abs(hard - smooth)
-    eps = epsilon_alpha(cert, alpha)
     max_err = float(err.max())
     topk_cols = rank_permutation(arr)[:k]
     return BoundReport(
@@ -268,19 +275,13 @@ def verify_corollary(
     """
     if g not in GAIN_FUNCTIONS:
         raise ValueError(f"g must be one of {GAIN_FUNCTIONS}, got {g!r}")
-    arr = as_scores(scores, strict=True)
     a = np.asarray(a_weights, dtype=np.float64)
     b = np.asarray(b_weights, dtype=np.float64)
     if a.shape != (k,):
         raise ValueError(f"a_weights must have length k={k}, got shape {a.shape}")
+    arr, _, eps, hard, smooth = _certified_rows(scores, k, alpha, delta)
     if b.shape != (arr.size,):
         raise ValueError(f"b_weights must have length n={arr.size}, got shape {b.shape}")
-    cert = certificate(arr, k, delta)
-    if alpha <= cert.alpha_threshold:
-        raise ThresholdNotMetError(
-            f"alpha={alpha} does not exceed the certificate threshold {cert.alpha_threshold:.6g}"
-        )
-    eps = epsilon_alpha(cert, alpha)
     if g == "identity":
         lip = 1.0
         gain = lambda x: x
@@ -289,8 +290,6 @@ def verify_corollary(
         lip = 2.0**bound * LN2
         gain = lambda x: np.exp2(x) - 1.0
 
-    smooth = smooth_indicators(arr, SmoothIParams(alpha=alpha, delta=delta, k=k)).rows
-    hard = hard_indicator_matrix(arr, k)
     lhs = abs(float(a @ gain(hard @ b)) - float(a @ gain(smooth @ b)))
     rhs = float(np.abs(a).sum() * np.abs(b).sum() * lip * eps)
     return CorollaryReport(

@@ -35,8 +35,7 @@ import numpy as np
 
 from . import bounds_lab, data_io, ltr_model
 from .gradients import finite_difference_check
-from .smooth_metrics import LOSS_KINDS, SMOOTH_AP, make_loss_spec
-from .smoothi import GRAD_MODES
+from .smooth_metrics import GRAD_MODES, LOSS_KINDS, SMOOTH_AP, STOP_GRADIENT, make_loss_spec
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -130,7 +129,7 @@ class _DatasetSettings(_Settings):
 class _TrainingSettings(_DatasetSettings):
     loss_kind: str = "ndcg@k"
     loss_k: int | None = None  # None: the full list; cut to each list's length
-    grad_mode: str = "stop_gradient"
+    grad_mode: str = STOP_GRADIENT
     shift_margin: float = 1.0
     learning_rate: float = 1e-3
     epochs: int = 50

@@ -35,11 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rank_core import as_scores
-from .smoothi import STOP_GRADIENT, SmoothIndicatorMatrix, smooth_indicators
+from .smoothi import SmoothIndicatorMatrix, smooth_indicators
 from .smooth_metrics import (
     SMOOTH_AP,
     SMOOTH_NDCG_AT_K,
     SMOOTH_P_AT_K,
+    STOP_GRADIENT,
     LossSpec,
     _Lists,
     _forward,
@@ -133,7 +134,7 @@ def _gradient(lists: _Lists, mat: SmoothIndicatorMatrix, u: np.ndarray, spec: Lo
     caller's layout, from one forward pass (``_forward``) over ``lists``."""
     coeffs = _upstream_coeffs(u, spec.kind, lists.k, lists.rel_total, lists.ideal)
     upstream = coeffs[:, :, None] * lists.rel[:, None, :]
-    if spec.params.grad_mode == STOP_GRADIENT:
+    if spec.grad_mode == STOP_GRADIENT:
         grad = _softmax_rows_backward_stop(mat, upstream)
     else:
         grad = _softmax_rows_backward_full(mat, upstream)
@@ -186,7 +187,7 @@ def _differenced_loss(lists: _Lists, mat: SmoothIndicatorMatrix, spec: LossSpec,
     scores = lists.scores[0].astype(np.longdouble)
     rel = lists.rel[0].astype(np.longdouble)
     n = scores.size
-    if spec.params.grad_mode == STOP_GRADIENT:
+    if spec.grad_mode == STOP_GRADIENT:
         prefix = mat.prefix_products[0].astype(np.longdouble)
         logits = spec.params.alpha * scores * prefix
         exps = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -203,10 +204,9 @@ def _differenced_loss(lists: _Lists, mat: SmoothIndicatorMatrix, spec: LossSpec,
         docs = np.arange(n)
         perturbed[docs, docs] += h
         perturbed[n + docs, docs] -= h
-        params = spec.params.with_k(k)
         chunk = max(1, FD_CHUNK_ELEMENTS // (k * n))
         u = np.concatenate([
-            smooth_indicators(perturbed[i:i + chunk], params).rows @ rel
+            smooth_indicators(perturbed[i:i + chunk], spec.params, k=k).rows @ rel
             for i in range(0, 2 * n, chunk)
         ])
     loss = 1.0 - metric_from_weighted_sums(u, spec.kind, k, lists.rel_total[0], lists.ideal[0])

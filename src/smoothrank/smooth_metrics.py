@@ -26,6 +26,11 @@ SMOOTH_AP = "ap"
 SMOOTH_NDCG_AT_K = "ndcg@k"
 LOSS_KINDS = (SMOOTH_P_AT_K, SMOOTH_AP, SMOOTH_NDCG_AT_K)
 
+# gradient conventions: through the damping prefix products, or with them frozen
+FULL = "full"
+STOP_GRADIENT = "stop_gradient"
+GRAD_MODES = (FULL, STOP_GRADIENT)
+
 # AP walks every rank, so its cost is quadratic in list length; lists longer
 # than this are truncated to their top-scoring documents (LETOR lists are
 # typically well under this).
@@ -36,10 +41,11 @@ DEFAULT_AP_LIST_CAP = 128
 class LossSpec:
     """Which smooth metric to optimize, at which cutoff, with which params.
 
-    ``k`` is the metric cutoff; ``None`` means the full list length (used for
-    AP and for NDCG without cutoff). AP always walks every rank regardless of
-    ``k``. ``shift_margin`` is the minimum value raw scores are shifted to
-    before entering the smooth indicator.
+    ``k`` is the metric cutoff, ``None`` meaning the full list length; AP
+    walks every rank and takes none. ``params`` holds alpha and delta.
+    ``shift_margin`` is the minimum value raw scores are shifted to before
+    entering the smooth indicator. AP ranks at most ``ap_list_cap``
+    documents per list. ``grad_mode`` is one of ``GRAD_MODES``.
     """
 
     kind: str
@@ -47,24 +53,21 @@ class LossSpec:
     k: int | None = None
     shift_margin: float = 1.0
     ap_list_cap: int = DEFAULT_AP_LIST_CAP
+    grad_mode: str = STOP_GRADIENT
 
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"loss kind must be one of {LOSS_KINDS}, got {self.kind!r}")
         if self.k is not None and self.k < 1:
             raise ValueError(f"cutoff k must be >= 1, got {self.k}")
+        if self.kind == SMOOTH_AP and self.k is not None:
+            raise ValueError(f"smooth AP walks every rank and takes no cutoff k, got k={self.k}")
+        if self.grad_mode not in GRAD_MODES:
+            raise ValueError(f"grad_mode must be one of {GRAD_MODES}, got {self.grad_mode!r}")
         if self.shift_margin <= 0.0:
             raise ValueError(f"shift_margin must be positive, got {self.shift_margin}")
         if self.ap_list_cap < 1:
             raise ValueError(f"ap_list_cap must be >= 1, got {self.ap_list_cap}")
-
-    def resolve_k(self, n: int) -> int:
-        """Cutoff for an ``n``-document list; rejects cutoffs past the list end."""
-        if self.k is None:
-            return n
-        if self.k > n:
-            raise ValueError(f"cutoff k={self.k} exceeds list length {n}")
-        return self.k
 
     def kept_length(self, n):
         """How many documents of an ``n``-document list the metric ranks: AP
@@ -81,15 +84,15 @@ class LossSpec:
 
 def make_loss_spec(
     kind: str,
-    k: int | None = None,
+    k: int | None = LossSpec.k,
     alpha: float = 1.0,
-    delta: float = 0.1,
-    grad_mode: str = "stop_gradient",
-    shift_margin: float = 1.0,
+    delta: float = SmoothIParams.delta,
+    grad_mode: str = LossSpec.grad_mode,
+    shift_margin: float = LossSpec.shift_margin,
 ) -> LossSpec:
     """Convenience constructor building the indicator params alongside."""
-    params = SmoothIParams(alpha=alpha, delta=delta, grad_mode=grad_mode)
-    return LossSpec(kind=kind, params=params, k=k, shift_margin=shift_margin)
+    return LossSpec(kind=kind, params=SmoothIParams(alpha=alpha, delta=delta), k=k,
+                    shift_margin=shift_margin, grad_mode=grad_mode)
 
 
 def shift_scores(raw_scores, margin: float = 1.0) -> np.ndarray:
@@ -200,10 +203,10 @@ class _Lists:
 def _prepare(rel, scores, spec: LossSpec, mask=None) -> _Lists:
     """Validate one list or a padded batch and assemble what the metric needs.
 
-    One list keeps the strict cutoff check of ``LossSpec.resolve_k``. In a
-    batch, whose lists differ in length, each list's cutoff is ``min(k,
-    n_q)``, the cutoff ``evaluate`` scores a short list at. AP ranks at most
-    ``ap_list_cap`` documents of each list: its top-scoring ones.
+    One list must be at least as long as the cutoff. In a batch, whose lists
+    differ in length, each list's cutoff is ``min(k, n_q)``, the cutoff
+    ``evaluate`` scores a short list at. AP ranks at most ``ap_list_cap``
+    documents of each list: its top-scoring ones.
     """
     arr = np.asarray(scores, dtype=np.float64)
     single = arr.ndim == 1
@@ -232,12 +235,9 @@ def _prepare(rel, scores, spec: LossSpec, mask=None) -> _Lists:
     grades = as_relevance(grades.ravel(), grades.size, binary=spec.kind != SMOOTH_NDCG_AT_K)
     grades = grades.reshape(batch.shape)
 
-    if spec.kind == SMOOTH_AP:
-        k = spec.kept_length(n)
-    else:
-        if single:
-            spec.resolve_k(int(n[0]))
-        k = n if spec.k is None else np.minimum(n, spec.k)
+    if single and spec.k is not None and spec.k > n[0]:
+        raise ValueError(f"cutoff k={spec.k} exceeds list length {n[0]}")
+    k = spec.kept_length(n) if spec.k is None else np.minimum(n, spec.k)
     undefined = undefined_lists(grades, spec.kind)
     if undefined.any():
         where = "" if single else f" (lists {np.flatnonzero(undefined).tolist()})"
@@ -278,7 +278,7 @@ def _forward(lists: _Lists, spec: LossSpec) -> tuple[SmoothIndicatorMatrix, np.n
     """Indicator rows, weighted row sums ``u`` (0 past each list's cutoff)
     and metric value of each list."""
     k_max = int(lists.k.max())
-    mat = smooth_indicators(lists.scores, spec.params.with_k(k_max), lists.mask)
+    mat = smooth_indicators(lists.scores, spec.params, lists.mask, k=k_max)
     u = (mat.rows @ lists.rel[:, :, None])[:, :, 0]
     if lists.k.min() < k_max:
         u = np.where(_live_ranks(k_max, lists.k), u, 0.0)

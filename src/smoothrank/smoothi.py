@@ -20,50 +20,29 @@ training groups its lists into buckets of similar length before calling in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 
-FULL = "full"
-STOP_GRADIENT = "stop_gradient"
-GRAD_MODES = (FULL, STOP_GRADIENT)
-
-
 @dataclass(frozen=True)
 class SmoothIParams:
-    """Hyperparameters of the smooth rank indicator.
+    """The smooth rank indicator's two hyperparameters.
 
-    ``alpha``: inverse temperature (> 0); ``delta``: damping in (0, 0.5);
-    ``k``: number of rows to compute, ``None`` meaning the full list length;
-    ``grad_mode``: whether gradients flow through the damping prefix products
-    ("full") or treat them as constants ("stop_gradient", the production
-    default). The forward values are identical in both modes.
+    ``alpha``: inverse temperature (> 0); ``delta``: damping in (0, 0.5).
+    How many rows to compute is the ``k`` argument of
+    :func:`smooth_indicators`, and how gradients treat the damping prefix
+    products is the loss's ``LossSpec.grad_mode``.
     """
 
     alpha: float
     delta: float = 0.1
-    k: int | None = None
-    grad_mode: str = STOP_GRADIENT
 
     def __post_init__(self):
         if not self.alpha > 0.0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if not 0.0 < self.delta < 0.5:
             raise ValueError(f"delta must lie in the open interval (0, 0.5), got {self.delta}")
-        if self.k is not None and self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.grad_mode not in GRAD_MODES:
-            raise ValueError(f"grad_mode must be one of {GRAD_MODES}, got {self.grad_mode!r}")
-
-    def resolve_k(self, n: int) -> int:
-        k = n if self.k is None else self.k
-        if k > n:
-            raise ValueError(f"k={k} exceeds list length {n}")
-        return k
-
-    def with_k(self, k: int | None) -> "SmoothIParams":
-        return replace(self, k=k)
 
 
 @dataclass
@@ -84,14 +63,6 @@ class SmoothIndicatorMatrix:
     scores: np.ndarray
     params: SmoothIParams
 
-    @property
-    def k(self) -> int:
-        return self.rows.shape[-2]
-
-    @property
-    def n(self) -> int:
-        return self.rows.shape[-1]
-
 
 def stable_softmax(logits) -> np.ndarray:
     """Softmax computed with the max logit subtracted, so exponents stay <= 0."""
@@ -104,12 +75,12 @@ def stable_softmax(logits) -> np.ndarray:
     return exps / exps.sum()
 
 
-def smooth_indicators(scores, params: SmoothIParams, mask=None) -> SmoothIndicatorMatrix:
+def smooth_indicators(scores, params: SmoothIParams, mask=None, *, k: int | None = None) -> SmoothIndicatorMatrix:
     """Compute rows 1..k of the smooth rank indicator for one list or a batch.
 
     ``scores`` is one list ``(n,)`` or a padded batch ``(B, N)``; ``mask``
     (same shape, boolean) marks the valid entries of a batch, ``None``
-    meaning all. ``k`` is ``params.k``, or the (padded) length when that is
+    meaning all. ``k`` rows are computed, the (padded) length when ``k`` is
     ``None``; a list shorter than ``k`` gets finite rows past its length,
     which callers cut off. Valid scores must be strictly positive (the
     recursion relies on positivity to keep damped documents below undamped
@@ -132,7 +103,11 @@ def smooth_indicators(scores, params: SmoothIParams, mask=None) -> SmoothIndicat
         raise ValueError("scores contain NaN or Inf")
     if np.any(live <= 0.0):
         raise ValueError("smooth indicators require strictly positive scores; shift them first")
-    k = params.resolve_k(batch.shape[1])
+    k = batch.shape[1] if k is None else k
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if k > batch.shape[1]:
+        raise ValueError(f"k={k} exceeds list length {batch.shape[1]}")
     if valid is not None:
         batch = np.where(valid, batch, 1.0)
     # alpha * score once: row r's logits are (alpha * score) * prefix

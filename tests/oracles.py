@@ -38,8 +38,14 @@ from smoothrank.rank_core import (
     ideal_dcg_at_k,
     rank_permutation,
 )
-from smoothrank.smooth_metrics import LossSpec, _prepare, metric_from_weighted_sums, shift_scores
-from smoothrank.smoothi import STOP_GRADIENT, smooth_indicators, stable_softmax
+from smoothrank.smooth_metrics import (
+    STOP_GRADIENT,
+    LossSpec,
+    _prepare,
+    metric_from_weighted_sums,
+    shift_scores,
+)
+from smoothrank.smoothi import smooth_indicators, stable_softmax
 
 
 def descending_order(scores):
@@ -263,9 +269,8 @@ def finite_difference_loop(rel, raw_scores, spec: LossSpec, h: float = 1e-4) -> 
     base = shift_scores(raw, spec.shift_margin)
     lists = _prepare(rel, base, spec)
     k = int(lists.k[0])
-    params = spec.params.with_k(k)
-    if spec.params.grad_mode == STOP_GRADIENT:
-        frozen = smooth_indicators(lists.scores[0], params).prefix_products
+    if spec.grad_mode == STOP_GRADIENT:
+        frozen = smooth_indicators(lists.scores[0], spec.params, k=k).prefix_products
     else:
         frozen = None
 
@@ -276,7 +281,7 @@ def finite_difference_loop(rel, raw_scores, spec: LossSpec, h: float = 1e-4) -> 
             for r in range(k):
                 rows[r] = stable_softmax(spec.params.alpha * sub * frozen[r])
         else:
-            rows = smooth_indicators(sub, params).rows
+            rows = smooth_indicators(sub, spec.params, k=k).rows
         u = rows @ lists.rel[0]
         return 1.0 - metric_from_weighted_sums(u, spec.kind, k, lists.rel_total[0], lists.ideal[0])
 

@@ -44,9 +44,10 @@ def test_batch_matches_one_call_per_list(kind, mode):
         rel, raw, mask, lengths = random_batch(rng, kind)
         spec = LossSpec(
             kind=kind,
-            params=SmoothIParams(alpha=float(rng.uniform(0.5, 10.0)), delta=0.1, grad_mode=mode),
+            params=SmoothIParams(alpha=float(rng.uniform(0.5, 10.0)), delta=0.1),
             k=None if kind == "ap" else CUTOFF,
             ap_list_cap=AP_CAP,
+            grad_mode=mode,
         )
         undefined = np.array([undefined_lists(r[:n], kind) for r, n in zip(rel, lengths)])
         assert undefined[5] == (kind != "p@k")

@@ -77,6 +77,7 @@ CONFIG_FAILURES = [
     ("verify-bounds", {"max_docs": 1}, "max_docs"),
     ("sweep", {"alpha_grid": []}, "alpha_grid"),
     ("evaluate", {"cutoffs": [0]}, "cutoffs"),
+    ("train", {"loss_kind": "ap", "loss_k": 5}, "cutoff"),
 ]
 
 
@@ -186,17 +187,29 @@ class TestTrainCommand:
         cfg = write_config(tmp_path / "c.json", payload)
         assert cli.main(["train", "--config", cfg]) == 3
 
-    def test_non_utf8_data_file_is_data_error(self, tmp_path, out_root, capsys):
-        paths = {}
-        for split in ("train", "vali", "test"):
-            paths[f"{split}_path"] = tmp_path / f"{split}.txt"
-            paths[f"{split}_path"].write_text(f"1 qid:{split} 1:0.5\n0 qid:{split} 1:0.1\n")
-        paths["train_path"].write_bytes(b"1 qid:1 1:0.5\n\xff\xfe qid:1 1:0.1\n")
+    @staticmethod
+    def train_on_file(tmp_path, train_bytes: bytes) -> int:
+        """``smoothrank train`` on LETOR files whose train split is ``train_bytes``."""
         payload = {"dataset": "svmlight", "output_dir": "x", "epochs": 1}
-        payload.update({key: str(path) for key, path in paths.items()})
-        cfg = write_config(tmp_path / "c.json", payload)
-        assert cli.main(["train", "--config", cfg]) == 3
+        for split in ("train", "vali", "test"):
+            path = tmp_path / f"{split}.txt"
+            path.write_text(f"1 qid:{split} 1:0.5\n0 qid:{split} 1:0.1\n")
+            payload[f"{split}_path"] = str(path)
+        (tmp_path / "train.txt").write_bytes(train_bytes)
+        return cli.main(["train", "--config", write_config(tmp_path / "c.json", payload)])
+
+    def test_non_utf8_data_file_is_data_error(self, tmp_path, out_root, capsys):
+        assert self.train_on_file(tmp_path, b"1 qid:1 1:0.5\n\xff\xfe qid:1 1:0.1\n") == 3
         assert "train.txt: not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("index", ["99999999999999999999", "3000000000"])
+    def test_huge_feature_index_is_data_error(self, tmp_path, out_root, capsys, index):
+        """The index is refused before any feature matrix is built: one
+        column per index would pass numpy's dimension limit for the first
+        and ask for 44.7 GiB for the second."""
+        assert self.train_on_file(tmp_path, f"1 qid:1 1:0.5\n0 qid:1 {index}:0.1\n".encode()) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"data error: train.txt:2: feature index {index} exceeds the limit 65536"
 
     def test_loss_cutoff_is_cut_to_short_lists(self, tmp_path, out_root, monkeypatch):
         rng = np.random.default_rng(0)

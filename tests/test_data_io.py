@@ -103,7 +103,7 @@ def _dense_lines(seed, queries=("7", "9", "tr12"), per_query=3, dim=4):
 def _outcome(parse, path):
     try:
         return parse(path)
-    except ValueError as exc:  # ParseError, DatasetError, or numpy's on a huge index
+    except ValueError as exc:  # ParseError or DatasetError
         return exc
 
 
@@ -234,6 +234,18 @@ class TestDenseReader:
 
         monkeypatch.setattr(data_io, "_parse_line", per_line)
         assert_same_dataset(parse_svmlight(path), want)
+
+    @pytest.mark.parametrize("limit", [3, 4])
+    def test_index_limit_holds_for_dense_files(self, tmp_path, monkeypatch, limit):
+        """A dense file whose width passes the feature-index limit fails as
+        the per-line reader fails it, at its first line."""
+        path = tmp_path / "d.txt"
+        path.write_text("\n".join(_dense_lines(seed=12)) + "\n")
+        monkeypatch.setattr(data_io, "MAX_FEATURE_INDEX", limit)
+        assert_parses_as_per_line(path)
+        if limit == 3:
+            with pytest.raises(ParseError, match=r"d\.txt:1: feature index 4 exceeds the limit 3"):
+                parse_svmlight(path)
 
     @pytest.mark.parametrize("text", ["", "\n\n", " \n\t\n"])
     def test_empty_files_parse_as_per_line(self, tmp_path, text):

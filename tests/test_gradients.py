@@ -180,7 +180,7 @@ class TestAgainstTheLoopOracle:
         rng = np.random.default_rng(10)
         raw = rng.random(9)
         rel = np.array([1, 0, 1, 0, 1, 0, 0, 1, 0], dtype=float)
-        spec = LossSpec(kind="ap", params=SmoothIParams(alpha=3.0, grad_mode=mode), ap_list_cap=4)
+        spec = LossSpec(kind="ap", params=SmoothIParams(alpha=3.0), ap_list_cap=4, grad_mode=mode)
         self.assert_agrees(rel, raw, spec)
         dropped = np.argsort(-raw, kind="stable")[4:]
         np.testing.assert_array_equal(finite_difference_check(rel, raw, spec).numeric[dropped], 0.0)

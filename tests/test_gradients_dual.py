@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from smoothrank import make_loss_spec, metric_gradient, smooth_indicators
+from smoothrank import SmoothIParams, make_loss_spec, metric_gradient, smooth_indicators
 from oracles import random_ranking_instance
 
 LN2 = math.log(2.0)
@@ -125,7 +125,7 @@ def dual_gradient(rel, scores, kind, k, alpha, delta, mode):
         ideal = sum((2.0**g - 1.0) / math.log2(r + 2) for r, g in enumerate(top))
     if mode == "stop_gradient":
         frozen = smooth_indicators(
-            np.asarray(scores), make_loss_spec(kind, alpha=alpha, delta=delta).params.with_k(k)
+            np.asarray(scores), SmoothIParams(alpha=alpha, delta=delta), k=k
         ).prefix_products
     grad = np.empty(n)
     for j in range(n):

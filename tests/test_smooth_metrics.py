@@ -240,6 +240,20 @@ class TestRangeAndStructure:
             assert ndcg_at_k(rel, raw, k) == ndcg_at_k(rel, shifted, k)
 
 
+class TestLossSpec:
+    def test_bad_grad_mode(self):
+        with pytest.raises(ValueError, match="grad_mode"):
+            LossSpec(kind="p@k", params=SmoothIParams(alpha=1.0), grad_mode="both")
+
+    def test_ap_takes_no_cutoff(self):
+        """AP walks every rank, so a cutoff would be read by nothing."""
+        with pytest.raises(ValueError, match="no cutoff k, got k=5"):
+            LossSpec(kind="ap", params=SmoothIParams(alpha=1.0), k=5)
+        with pytest.raises(ValueError, match="no cutoff"):
+            make_loss_spec("ap", k=10)
+        assert make_loss_spec("ap").k is None
+
+
 class TestEdgeCases:
     def test_undefined_ap(self):
         with pytest.raises(UndefinedMetricError):
@@ -273,7 +287,7 @@ class TestEdgeCases:
         # same computation on the kept sublist, normalizer from the full list
         from smoothrank import smooth_indicators
 
-        rows = smooth_indicators(scores[keep], SmoothIParams(alpha=2.0, delta=0.1, k=4)).rows
+        rows = smooth_indicators(scores[keep], SmoothIParams(alpha=2.0, delta=0.1), k=4).rows
         u = rows @ rel[keep]
         prec = np.cumsum(u) / np.arange(1.0, 5.0)
         assert capped == pytest.approx(float((u * prec).sum() / rel.sum()), abs=1e-15)

@@ -24,13 +24,6 @@ class TestParams:
         with pytest.raises(ValueError, match="delta"):
             SmoothIParams(alpha=1.0, delta=delta)
 
-    def test_bad_grad_mode(self):
-        with pytest.raises(ValueError, match="grad_mode"):
-            SmoothIParams(alpha=1.0, grad_mode="both")
-
-    def test_k_exceeding_list_rejected_at_resolve(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            SmoothIParams(alpha=1.0, k=5).resolve_k(3)
 
 
 class TestStableSoftmax:
@@ -78,14 +71,14 @@ class TestForward:
         )
 
     def test_dominant_score_saturates(self):
-        mat = smooth_indicators([10.0, 1.0], SmoothIParams(alpha=100.0, delta=0.1, k=1))
+        mat = smooth_indicators([10.0, 1.0], SmoothIParams(alpha=100.0, delta=0.1), k=1)
         assert mat.rows[0, 0] == pytest.approx(1.0, abs=1e-9)
         assert mat.rows[0, 1] == pytest.approx(0.0, abs=1e-9)
 
     def test_top_row_is_exactly_the_softmax(self):
         rng = np.random.default_rng(1)
         scores = rng.uniform(0.5, 3.0, 7)
-        mat = smooth_indicators(scores, SmoothIParams(alpha=2.5, delta=0.1, k=1))
+        mat = smooth_indicators(scores, SmoothIParams(alpha=2.5, delta=0.1), k=1)
         np.testing.assert_array_equal(mat.rows[0], stable_softmax(2.5 * scores))
 
     def test_matches_naive_recursion(self):
@@ -96,7 +89,7 @@ class TestForward:
             alpha = float(rng.uniform(0.2, 5.0))
             delta = float(rng.uniform(0.05, 0.45))
             k = int(rng.integers(1, n + 1))
-            mat = smooth_indicators(scores, SmoothIParams(alpha=alpha, delta=delta, k=k))
+            mat = smooth_indicators(scores, SmoothIParams(alpha=alpha, delta=delta), k=k)
             np.testing.assert_allclose(
                 mat.rows, naive_smooth_rows(scores, alpha, delta, k), atol=1e-12
             )
@@ -109,16 +102,6 @@ class TestForward:
             alpha = float(np.exp(rng.uniform(np.log(0.1), np.log(100.0))))
             mat = smooth_indicators(scores, SmoothIParams(alpha=alpha, delta=0.1))
             np.testing.assert_allclose(mat.rows.sum(axis=1), 1.0, atol=1e-12)
-
-    def test_forward_identical_across_grad_modes(self):
-        rng = np.random.default_rng(4)
-        scores = rng.uniform(0.5, 2.0, 6)
-        a = smooth_indicators(scores, SmoothIParams(alpha=3.0, delta=0.1, grad_mode="full"))
-        b = smooth_indicators(
-            scores, SmoothIParams(alpha=3.0, delta=0.1, grad_mode="stop_gradient")
-        )
-        np.testing.assert_array_equal(a.rows, b.rows)
-        np.testing.assert_array_equal(a.prefix_products, b.prefix_products)
 
     def test_extended_precision_input_keeps_its_dtype(self):
         """Longdouble scores run the recursion in longdouble; integer scores
@@ -141,7 +124,7 @@ class TestForward:
 
     def test_k_larger_than_list_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
-            smooth_indicators([2.0, 1.0], SmoothIParams(alpha=1.0, k=3))
+            smooth_indicators([2.0, 1.0], SmoothIParams(alpha=1.0), k=3)
 
 
 def spaced_scores(rng, n, min_gap=0.15):
@@ -173,7 +156,7 @@ class TestLimitBehavior:
             hard = hard_indicator_matrix(scores, k)
             errs = []
             for alpha in (1.0, 10.0, 100.0, 1000.0):
-                mat = smooth_indicators(scores, SmoothIParams(alpha=alpha, delta=0.1, k=k))
+                mat = smooth_indicators(scores, SmoothIParams(alpha=alpha, delta=0.1), k=k)
                 errs.append(np.abs(mat.rows - hard).max())
             assert all(e1 >= e2 for e1, e2 in zip(errs, errs[1:]))
             assert errs[-1] < 1e-6
@@ -199,7 +182,7 @@ class TestLimitBehavior:
             k = int(rng.integers(2, min(5, n) + 1))
             cert = certificate(scores, k, 0.1)
             alpha = 1.1 * cert.alpha_threshold
-            mat = smooth_indicators(scores, SmoothIParams(alpha=alpha, delta=0.1, k=k))
+            mat = smooth_indicators(scores, SmoothIParams(alpha=alpha, delta=0.1), k=k)
             argmaxes = mat.rows.argmax(axis=1)
             assert len(set(argmaxes.tolist())) == k
             np.testing.assert_array_equal(argmaxes, rank_permutation(scores)[:k])

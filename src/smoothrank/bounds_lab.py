@@ -26,11 +26,11 @@ from .rank_core import (
     as_scores,
     average_precision,
     hard_indicator_matrix,
+    ideal_dcg_at_k,
     ndcg_at_k,
     precision_at_k,
-    rank_permutation,
 )
-from .smooth_metrics import SMOOTH_AP, SMOOTH_NDCG_AT_K, SMOOTH_P_AT_K, LossSpec, smooth_metric
+from .smooth_metrics import SMOOTH_AP, SMOOTH_NDCG_AT_K, SMOOTH_P_AT_K, metric_from_weighted_sums
 from .smoothi import SmoothIParams, smooth_indicators
 
 
@@ -186,12 +186,12 @@ def verify_indicator_bound(scores, k: int, alpha: float, delta: float = 0.1) -> 
     arr, cert, eps, hard, smooth = _certified_rows(scores, k, alpha, delta)
     err = np.abs(hard - smooth)
     max_err = float(err.max())
-    topk_cols = rank_permutation(arr)[:k]
     return BoundReport(
         alpha=alpha,
         epsilon_alpha=eps,
         max_indicator_err=max_err,
-        max_indicator_err_topk=float(err[:, topk_cols].max()),
+        # the hard rows' ones sit in the columns of the k top documents
+        max_indicator_err_topk=float(err[:, hard.argmax(axis=1)].max()),
         per_rank_err=err.max(axis=1),
         holds=max_err <= eps,
         certificate=cert,
@@ -204,7 +204,9 @@ def verify_metric_bounds(rel, scores, k: int, alpha: float, delta: float = 0.1) 
     P@K and NDCG@K use the error radius certified at K; AP walks every rank,
     so its radius is certified at K=N. The bounds are m*eps for P@K (m =
     number of relevant documents), 2N*(eps + eps^2) for AP, and N*eps for
-    NDCG@K. alpha must clear both certificate thresholds.
+    NDCG@K. One recursion at K=N serves all three: rows 1..K of it are the
+    K-row recursion's rows. alpha must clear N's certificate threshold, which
+    is larger than K's (the threshold grows strictly with K).
     """
     arr = as_scores(scores, strict=True)
     n = arr.size
@@ -212,30 +214,20 @@ def verify_metric_bounds(rel, scores, k: int, alpha: float, delta: float = 0.1) 
     if rel.sum() == 0.0:
         raise ValueError("metric bounds need at least one relevant document")
     cert_k = certificate(arr, k, delta)
-    cert_n = certificate(arr, n, delta)
-    needed = max(cert_k.alpha_threshold, cert_n.alpha_threshold)
-    if alpha <= needed:
-        raise ThresholdNotMetError(
-            f"alpha={alpha} does not exceed the certificate thresholds "
-            f"(K={k}: {cert_k.alpha_threshold:.6g}, N={n}: {cert_n.alpha_threshold:.6g})"
-        )
+    _, _, eps_n, _, rows = _certified_rows(arr, n, alpha, delta)
     eps_k = epsilon_alpha(cert_k, alpha)
-    eps_n = epsilon_alpha(cert_n, alpha)
-    params = SmoothIParams(alpha=alpha, delta=delta)
-
+    u = np.einsum("rj,j->r", rows, rel)
     p_diff = abs(
-        precision_at_k(rel, arr, k)
-        - smooth_metric(rel, arr, LossSpec(kind=SMOOTH_P_AT_K, params=params, k=k))
+        precision_at_k(rel, arr, k) - metric_from_weighted_sums(u[:k], SMOOTH_P_AT_K, k, None, None)
     )
     p_bound = float(rel.sum()) * eps_k
     ap_diff = abs(
-        average_precision(rel, arr)
-        - smooth_metric(rel, arr, LossSpec(kind=SMOOTH_AP, params=params, ap_list_cap=n))
+        average_precision(rel, arr) - metric_from_weighted_sums(u, SMOOTH_AP, n, rel.sum(), None)
     )
     ap_bound = 2.0 * n * (eps_n + eps_n**2)
     ndcg_diff = abs(
         ndcg_at_k(rel, arr, k)
-        - smooth_metric(rel, arr, LossSpec(kind=SMOOTH_NDCG_AT_K, params=params, k=k))
+        - metric_from_weighted_sums(u[:k], SMOOTH_NDCG_AT_K, k, None, ideal_dcg_at_k(rel, k))
     )
     ndcg_bound = n * eps_k
     return MetricBoundReport(

@@ -90,7 +90,6 @@ class _DatasetSettings(_Settings):
     """A synthetic set (the counts below) or LETOR files (all three paths)."""
 
     dataset: str = "synthetic"
-    n_queries: int | None = None  # None: train + validation + test queries
     docs_per_query: int = 20
     feature_dim: int = 10
     train_queries: int = 100
@@ -111,16 +110,13 @@ class _DatasetSettings(_Settings):
                    "svmlight dataset requires train_path, vali_path and test_path")
         _at_least(self, 1, "docs_per_query", "feature_dim", "train_queries")
         _at_least(self, 0, "validation_queries", "test_queries", "data_seed")
-        if self.n_queries is not None:
-            _at_least(self, self.train_queries + self.validation_queries + self.test_queries,
-                      "n_queries")
 
     def load(self) -> data_io.Dataset:
         if self.dataset == "svmlight":
             paths = {"train": self.train_path, "vali": self.vali_path, "test": self.test_path}
             return data_io.assemble_folds([paths])[0]
         counts = (self.train_queries, self.validation_queries, self.test_queries)
-        ds = data_io.synthesize(self.n_queries or sum(counts), self.docs_per_query,
+        ds = data_io.synthesize(sum(counts), self.docs_per_query,
                                 self.feature_dim, seed=self.data_seed, graded=self.graded)
         return ds.split_by_counts(*counts)
 

@@ -140,31 +140,29 @@ class Scorer:
         for name, arr in snap.items():
             getattr(self, name)[...] = arr
 
-    def forward(self, x, training: bool = False, want_cache: bool = False, update_running: bool = True):
+    def forward(self, x, training: bool = False):
+        """Eval mode returns the scores. Training mode normalizes by the batch
+        statistics, folds them into the running statistics, and returns
+        ``(scores, cache)`` for :meth:`backward`."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ValueError(f"features must have shape (n, {self.input_dim}), got {x.shape}")
         if not training:
-            if want_cache:
-                raise ValueError("backward needs a training-mode forward pass; eval mode keeps no cache")
             return self._eval_forward(x)
         xhat1 = x.copy()
         mu1, var1, _ = _standardize(xhat1, np.empty_like(x), self.bn_eps)
         xhat2 = (self.bn1_gamma * xhat1) @ self.w1
         h = np.empty_like(xhat2)
         mu2, var2, inv2 = _standardize(xhat2, h, self.bn_eps)
-        if update_running:
-            keep = self.bn_momentum
-            self.bn1_mean = keep * self.bn1_mean + (1 - keep) * mu1
-            self.bn1_var = keep * self.bn1_var + (1 - keep) * var1
-            self.bn2_mean = keep * self.bn2_mean + (1 - keep) * mu2
-            self.bn2_var = keep * self.bn2_var + (1 - keep) * var2
+        keep = self.bn_momentum
+        self.bn1_mean = keep * self.bn1_mean + (1 - keep) * mu1
+        self.bn1_var = keep * self.bn1_var + (1 - keep) * var1
+        self.bn2_mean = keep * self.bn2_mean + (1 - keep) * mu2
+        self.bn2_var = keep * self.bn2_var + (1 - keep) * var2
         np.multiply(xhat2, self.bn2_gamma, out=h)
         h += self.bn2_beta
         np.maximum(h, 0.0, out=h)
         scores = self._head(h)
-        if not want_cache:
-            return scores
         return scores, {"xhat1": xhat1, "xhat2": xhat2, "inv2": inv2, "h": h}
 
     def _head(self, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -238,11 +236,12 @@ class Scorer:
 class Adam:
     """Standard Adam with bias correction, state keyed by parameter name."""
 
-    def __init__(self, learning_rate: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, learning_rate: float):
         self.lr = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
@@ -253,11 +252,11 @@ class Adam:
             g = grads[name]
             m = self.m.setdefault(name, np.zeros_like(p))
             v = self.v.setdefault(name, np.zeros_like(p))
-            m[...] = self.beta1 * m + (1 - self.beta1) * g
-            v[...] = self.beta2 * v + (1 - self.beta2) * g * g
-            mhat = m / (1 - self.beta1**self.t)
-            vhat = v / (1 - self.beta2**self.t)
-            p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            m[...] = self.BETA1 * m + (1 - self.BETA1) * g
+            v[...] = self.BETA2 * v + (1 - self.BETA2) * g * g
+            mhat = m / (1 - self.BETA1**self.t)
+            vhat = v / (1 - self.BETA2**self.t)
+            p -= self.lr * mhat / (np.sqrt(vhat) + self.EPS)
 
 
 @dataclass
@@ -383,7 +382,7 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Scorer, TrainHistory]:
         for start in range(0, len(order), config.batch_size_queries):
             batch = order[start : start + config.batch_size_queries]
             x = np.vstack([groups[i].features for i in batch])
-            scores, cache = scorer.forward(x, training=True, want_cache=True)
+            scores, cache = scorer.forward(x, training=True)
             if not np.all(np.isfinite(scores)):
                 raise DivergenceError(epoch, f"non-finite scores at epoch {epoch}")
             live = np.flatnonzero(defined[batch])

@@ -20,7 +20,10 @@ loss evaluation per perturbation, rebuilding the softmax rows one by one on
 the package's own preparation, shift and metric; and
 ``svmlight_per_line``, the SVMlight reader as ``parse_svmlight`` was before
 it read dense files with ``np.loadtxt``: ``data_io._parse_line`` per line
-and a scatter per feature value.
+and a scatter per feature value; and ``metric_bounds_three_pass``, the
+metric-bound check as ``bounds_lab.verify_metric_bounds`` ran it before it
+shared one recursion at K=N: three ``smooth_metric`` calls, each with its own
+preparation and recursion, and both certificate thresholds checked.
 """
 
 import math
@@ -29,23 +32,37 @@ from pathlib import Path
 import numpy as np
 
 from smoothrank import data_io
+from smoothrank.bounds_lab import (
+    METRIC_ROUNDING_SLACK,
+    MetricBoundReport,
+    ThresholdNotMetError,
+    certificate,
+    epsilon_alpha,
+)
 from smoothrank.gradients import REL_ERR_FLOOR, GradientReport, loss_and_gradient
 from smoothrank.ltr_model import eval_slice_shape
 from smoothrank.rank_core import (
     UndefinedMetricError,
+    as_relevance,
     as_scores,
     average_precision,
     ideal_dcg_at_k,
+    ndcg_at_k,
+    precision_at_k,
     rank_permutation,
 )
 from smoothrank.smooth_metrics import (
+    SMOOTH_AP,
+    SMOOTH_NDCG_AT_K,
+    SMOOTH_P_AT_K,
     STOP_GRADIENT,
     LossSpec,
     _prepare,
     metric_from_weighted_sums,
     shift_scores,
+    smooth_metric,
 )
-from smoothrank.smoothi import smooth_indicators, stable_softmax
+from smoothrank.smoothi import SmoothIParams, smooth_indicators, stable_softmax
 
 
 def descending_order(scores):
@@ -299,6 +316,61 @@ def finite_difference_loop(rel, raw_scores, spec: LossSpec, h: float = 1e-4) -> 
         max_abs_err=max_abs_err,
         max_rel_err=max_abs_err / denom,
         step_h=h,
+    )
+
+
+def metric_bounds_three_pass(rel, scores, k: int, alpha: float, delta: float = 0.1) -> MetricBoundReport:
+    """Check the three metric-level bounds on one instance with binary grades.
+
+    P@K and NDCG@K use the error radius certified at K; AP walks every rank,
+    so its radius is certified at K=N. The bounds are m*eps for P@K (m =
+    number of relevant documents), 2N*(eps + eps^2) for AP, and N*eps for
+    NDCG@K. alpha must clear both certificate thresholds.
+    """
+    arr = as_scores(scores, strict=True)
+    n = arr.size
+    rel = as_relevance(rel, n, binary=True)
+    if rel.sum() == 0.0:
+        raise ValueError("metric bounds need at least one relevant document")
+    cert_k = certificate(arr, k, delta)
+    cert_n = certificate(arr, n, delta)
+    needed = max(cert_k.alpha_threshold, cert_n.alpha_threshold)
+    if alpha <= needed:
+        raise ThresholdNotMetError(
+            f"alpha={alpha} does not exceed the certificate thresholds "
+            f"(K={k}: {cert_k.alpha_threshold:.6g}, N={n}: {cert_n.alpha_threshold:.6g})"
+        )
+    eps_k = epsilon_alpha(cert_k, alpha)
+    eps_n = epsilon_alpha(cert_n, alpha)
+    params = SmoothIParams(alpha=alpha, delta=delta)
+
+    p_diff = abs(
+        precision_at_k(rel, arr, k)
+        - smooth_metric(rel, arr, LossSpec(kind=SMOOTH_P_AT_K, params=params, k=k))
+    )
+    p_bound = float(rel.sum()) * eps_k
+    ap_diff = abs(
+        average_precision(rel, arr)
+        - smooth_metric(rel, arr, LossSpec(kind=SMOOTH_AP, params=params, ap_list_cap=n))
+    )
+    ap_bound = 2.0 * n * (eps_n + eps_n**2)
+    ndcg_diff = abs(
+        ndcg_at_k(rel, arr, k)
+        - smooth_metric(rel, arr, LossSpec(kind=SMOOTH_NDCG_AT_K, params=params, k=k))
+    )
+    ndcg_bound = n * eps_k
+    return MetricBoundReport(
+        precision_diff=float(p_diff),
+        precision_bound=p_bound,
+        precision_holds=p_diff <= p_bound + METRIC_ROUNDING_SLACK,
+        ap_diff=float(ap_diff),
+        ap_bound=ap_bound,
+        ap_holds=ap_diff <= ap_bound + METRIC_ROUNDING_SLACK,
+        ndcg_diff=float(ndcg_diff),
+        ndcg_bound=ndcg_bound,
+        ndcg_holds=ndcg_diff <= ndcg_bound + METRIC_ROUNDING_SLACK,
+        epsilon_at_k=eps_k,
+        epsilon_at_n=eps_n,
     )
 
 

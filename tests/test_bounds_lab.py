@@ -1,5 +1,6 @@
 """Certificate arithmetic and the indicator/metric/composition error bounds."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +18,9 @@ from smoothrank import (
     verify_indicator_bound,
     verify_metric_bounds,
 )
+from smoothrank import bounds_lab, smooth_metrics
 from smoothrank.bounds_lab import bound_sweep, random_strict_scores
+from oracles import metric_bounds_three_pass
 
 
 class TestCertificate:
@@ -77,6 +80,17 @@ class TestCertificate:
             assert b.gamma == pytest.approx(a.gamma, abs=1e-12)
             assert b.s_min == pytest.approx(factor * a.s_min, rel=1e-12)
             assert b.alpha_threshold == pytest.approx(a.alpha_threshold / factor, rel=1e-12)
+
+    def test_threshold_rises_strictly_with_k(self):
+        """Near-tied gaps make gamma small; the threshold still grows with K,
+        so clearing it at K=N clears it at every K."""
+        rng = np.random.default_rng(17)
+        for _ in range(400):
+            n = int(rng.integers(3, 40))
+            scores = random_strict_scores(rng, n, gap_range=(1e-6, 1e-2))
+            delta = float(rng.choice([0.05, 0.1, 0.3, 0.45]))
+            thresholds = [certificate(scores, k, delta).alpha_threshold for k in range(2, n + 1)]
+            assert all(a < b for a, b in zip(thresholds, thresholds[1:]))
 
 
 class TestEpsilonAlpha:
@@ -188,6 +202,38 @@ class TestMetricBounds:
     def test_below_threshold_rejected(self):
         with pytest.raises(ThresholdNotMetError):
             verify_metric_bounds([1.0, 0.0, 1.0], [4.0, 2.0, 1.0], k=2, alpha=1.0, delta=0.1)
+
+    def test_equals_three_pass_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            n = int(rng.integers(3, 17))
+            k = int(rng.integers(2, n + 1))
+            scores = random_strict_scores(rng, n)
+            rel = (rng.random(n) < 0.5).astype(float)
+            if rel.sum() == 0:
+                rel[int(rng.integers(n))] = 1.0
+            alpha = float(rng.uniform(1.01, 5.0)) * certificate(scores, n, 0.1).alpha_threshold
+            got = dataclasses.astuple(verify_metric_bounds(rel, scores, k, alpha, 0.1))
+            assert got == dataclasses.astuple(metric_bounds_three_pass(rel, scores, k, alpha, 0.1))
+
+    def test_one_recursion_and_no_batch_preparation(self, monkeypatch):
+        calls = {"smooth_indicators": 0, "_prepare": 0}
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(bounds_lab, "smooth_indicators")
+        counted(smooth_metrics, "_prepare")
+        scores = [4.0, 2.0, 1.0, 3.0]
+        alpha = 1.5 * certificate(scores, 4, 0.1).alpha_threshold
+        verify_metric_bounds([1.0, 0.0, 1.0, 0.0], scores, k=2, alpha=alpha, delta=0.1)
+        assert calls == {"smooth_indicators": 1, "_prepare": 0}
 
     def test_rounding_gap_under_a_zero_bound_holds(self):
         # eps_K underflows to 0 here, so the NDCG bound is 0, while the exact

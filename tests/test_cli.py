@@ -78,6 +78,7 @@ CONFIG_FAILURES = [
     ("sweep", {"alpha_grid": []}, "alpha_grid"),
     ("evaluate", {"cutoffs": [0]}, "cutoffs"),
     ("train", {"loss_kind": "ap", "loss_k": 5}, "cutoff"),
+    ("train", {"n_queries": 40}, "n_queries"),
 ]
 
 

@@ -34,7 +34,7 @@ def test_fused_pass_matches_the_unfused_formulas(hidden, rows):
     want_scores, want_running, want_grads = scorer_training_pass(scorer, x, dscores)
     x_before = x.copy()
 
-    scores, cache = scorer.forward(x, training=True, want_cache=True)
+    scores, cache = scorer.forward(x, training=True)
     grads = scorer.backward(cache, dscores)
 
     np.testing.assert_array_equal(x, x_before)
@@ -56,7 +56,7 @@ def test_cache_holds_two_hidden_arrays_and_is_left_unchanged():
     scorer = random_scorer(33, seed=4)
     rng = np.random.default_rng(4)
     x = rng.normal(size=(25, DIM))
-    _, cache = scorer.forward(x, training=True, want_cache=True)
+    _, cache = scorer.forward(x, training=True)
     assert {k: v.shape for k, v in cache.items()} == {
         "xhat1": (25, DIM), "xhat2": (25, 33), "inv2": (33,), "h": (25, 33)}
     before = {k: v.copy() for k, v in cache.items()}
@@ -75,5 +75,7 @@ def test_equal_rows_get_equal_scores_at_any_position(hidden, training):
     x = rng.normal(size=(301, DIM))
     positions = [0, 1, 2, 3, 7, 63, 64, 65, 127, 128, 200, 255, 256, 300]
     x[positions] = rng.normal(size=DIM)
-    scores = scorer.forward(x, training=training, update_running=False)
+    scores = scorer.forward(x, training=training)
+    if training:
+        scores, _ = scores
     assert len(set(scores[positions].tolist())) == 1

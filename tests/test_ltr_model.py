@@ -58,7 +58,7 @@ class TestScorerForward:
         scorer = Scorer(4, hidden_dim=8, seed=1)
         row = np.random.default_rng(1).normal(size=4)
         x = np.tile(row, (5, 1))
-        scores = scorer.forward(x, training=True, update_running=False)
+        scores, _ = scorer.forward(x, training=True)
         assert np.all(scores == scores[0])
 
     def test_seeded_init_is_bit_reproducible(self):
@@ -103,11 +103,11 @@ class TestBackwardAgainstFiniteDifferences:
             offset += n
         x = np.vstack([f for f, _ in groups])
 
-        scores, cache = scorer.forward(x, training=True, want_cache=True, update_running=False)
+        scores, cache = scorer.forward(x, training=True)
         offsets = [1.0 - scores[span].min() for span in spans]
 
         def batch_loss():
-            s = scorer.forward(x, training=True, update_running=False)
+            s, _ = scorer.forward(x, training=True)
             return np.mean(
                 [
                     1.0 - smooth_metric(rel, s[span] + off, spec)
@@ -142,7 +142,7 @@ class TestAdam:
     def test_single_step_formula(self):
         params = {"w": np.array([1.0, 2.0])}
         grads = {"w": np.array([0.5, -1.0])}
-        opt = Adam(learning_rate=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
+        opt = Adam(learning_rate=0.1)
         opt.step(params, grads)
         g = np.array([0.5, -1.0])
         mhat = (0.1 * g) / (1 - 0.9)
@@ -183,7 +183,7 @@ class TestTrainLoop:
                 parts = []
                 for qid in ds.query_ids("train"):
                     g = ds.groups[qid]
-                    scores = scorer.forward(g.features, training=True, update_running=False)
+                    scores, _ = scorer.forward(g.features, training=True)
                     parts.append(training_loss(g.relevance, scores, spec))
                 return np.mean(parts)
 

@@ -148,7 +148,3 @@ class TestEvalForward:
         before = x.copy()
         scorer.forward(x)
         np.testing.assert_array_equal(x, before)
-
-    def test_eval_mode_keeps_no_cache(self):
-        with pytest.raises(ValueError, match="training-mode"):
-            random_scorer().forward(np.zeros((2, DIM)), want_cache=True)

@@ -161,9 +161,9 @@ def epsilon_alpha(cert: BoundCertificate, alpha: float) -> float:
 
 
 def _certified_rows(scores, k: int, alpha: float, delta: float):
-    """``(scores, certificate, eps_alpha, hard rows, smooth rows)`` of one
-    instance, rows 1..k; raises ThresholdNotMetError unless alpha exceeds the
-    certificate threshold."""
+    """``(scores, certificate, eps_alpha, smooth rows)`` of one instance, rows
+    1..k; raises ThresholdNotMetError unless alpha exceeds the certificate
+    threshold."""
     cert = certificate(scores, k, delta)
     if alpha <= cert.alpha_threshold:
         raise ThresholdNotMetError(
@@ -173,7 +173,7 @@ def _certified_rows(scores, k: int, alpha: float, delta: float):
     # certificate() has validated the scores strictly
     arr = np.asarray(scores, dtype=np.float64)
     smooth = smooth_indicators(arr, SmoothIParams(alpha=alpha, delta=delta), k=k).rows
-    return arr, cert, epsilon_alpha(cert, alpha), hard_indicator_matrix(arr, k), smooth
+    return arr, cert, epsilon_alpha(cert, alpha), smooth
 
 
 def verify_indicator_bound(scores, k: int, alpha: float, delta: float = 0.1) -> BoundReport:
@@ -183,7 +183,8 @@ def verify_indicator_bound(scores, k: int, alpha: float, delta: float = 0.1) -> 
     raises instead of reporting, naming the threshold. The top-k error is
     additionally reported over the columns of the k highest-scoring documents.
     """
-    arr, cert, eps, hard, smooth = _certified_rows(scores, k, alpha, delta)
+    arr, cert, eps, smooth = _certified_rows(scores, k, alpha, delta)
+    hard = hard_indicator_matrix(arr, k)
     err = np.abs(hard - smooth)
     max_err = float(err.max())
     return BoundReport(
@@ -214,7 +215,7 @@ def verify_metric_bounds(rel, scores, k: int, alpha: float, delta: float = 0.1) 
     if rel.sum() == 0.0:
         raise ValueError("metric bounds need at least one relevant document")
     cert_k = certificate(arr, k, delta)
-    _, _, eps_n, _, rows = _certified_rows(arr, n, alpha, delta)
+    _, _, eps_n, rows = _certified_rows(arr, n, alpha, delta)
     eps_k = epsilon_alpha(cert_k, alpha)
     u = np.einsum("rj,j->r", rows, rel)
     p_diff = abs(
@@ -271,7 +272,7 @@ def verify_corollary(
     b = np.asarray(b_weights, dtype=np.float64)
     if a.shape != (k,):
         raise ValueError(f"a_weights must have length k={k}, got shape {a.shape}")
-    arr, _, eps, hard, smooth = _certified_rows(scores, k, alpha, delta)
+    arr, _, eps, smooth = _certified_rows(scores, k, alpha, delta)
     if b.shape != (arr.size,):
         raise ValueError(f"b_weights must have length n={arr.size}, got shape {b.shape}")
     if g == "identity":
@@ -282,6 +283,7 @@ def verify_corollary(
         lip = 2.0**bound * LN2
         gain = lambda x: np.exp2(x) - 1.0
 
+    hard = hard_indicator_matrix(arr, k)
     lhs = abs(float(a @ gain(hard @ b)) - float(a @ gain(smooth @ b)))
     rhs = float(np.abs(a).sum() * np.abs(b).sum() * lip * eps)
     return CorollaryReport(

@@ -9,15 +9,16 @@ trained with Adam against any of the smooth ranking losses, on mini-batches
 of whole queries, and the weights of the best validation-NDCG epoch are the
 ones returned.
 
-A training-mode forward pass works in place in float64. For ``backward`` it
-caches the normalized input ``xhat1``, the normalized hidden pre-activations
-``xhat2`` with their ``1 / sqrt(var + eps)``, and ``h = relu(gamma2 * xhat2 +
-beta2)``, whose ``h > 0`` is the ReLU mask. Scores and running statistics are
-those of the unfused batch-norm formulas bit for bit, the gradients up to
-rounding. The head takes one dot product per row, so equal feature rows in
-one call get equal scores. Eval mode folds both batch norms into one affine
-map on fixed-height slices, and version 1 checkpoints load folded (see
-``Scorer._eval_forward`` and ``load_checkpoint``).
+A training-mode forward pass never normalizes a hidden-layer array: the
+hidden batch statistics follow from the input's d x d covariance, and the
+hidden batch norm folds into the first layer's weights and bias, as it does in
+eval mode. For ``backward`` it caches the normalized input ``xhat1``, the
+activations ``h``, whose ``h > 0`` is the ReLU mask, and hidden-width vectors.
+Scores, running statistics and gradients are those of the unfused batch-norm
+formulas up to rounding. The head takes one dot product per row, so equal
+feature rows in one call get equal scores. Eval mode folds both batch norms
+into one affine map on fixed-height slices, and version 1 checkpoints load
+folded (see ``Scorer._eval_forward`` and ``load_checkpoint``).
 """
 
 from __future__ import annotations
@@ -71,21 +72,19 @@ class NonFiniteScoresError(ValueError):
     """The scorer emitted NaN/Inf scores (typically a diverged checkpoint)."""
 
 
-def _standardize(a: np.ndarray, scratch: np.ndarray, eps: float):
+def _standardize(a: np.ndarray, eps: float):
     """Batch-normalize the columns of ``a`` in place with its own batch
-    statistics; returns the mean, the variance and ``1 / sqrt(var + eps)``.
+    statistics; returns the mean and the variance.
 
     The steps and their rounding are those of ``a.mean(axis=0)``,
-    ``a.var(axis=0)`` and ``(a - mean) * inv_std``, but the variance comes
-    from the centered array instead of a second mean. ``scratch``, of
-    ``a``'s shape, receives the squared deviations.
+    ``a.var(axis=0)`` and ``(a - mean) * (1 / sqrt(var + eps))``, but the
+    variance comes from the centered array instead of a second mean.
     """
     mean = a.mean(axis=0)
     a -= mean
-    var = np.square(a, out=scratch).sum(axis=0) / a.shape[0]
-    inv_std = 1.0 / np.sqrt(var + eps)
-    a *= inv_std
-    return mean, var, inv_std
+    var = np.square(a).sum(axis=0) / a.shape[0]
+    a *= 1.0 / np.sqrt(var + eps)
+    return mean, var
 
 
 class Scorer:
@@ -142,28 +141,38 @@ class Scorer:
 
     def forward(self, x, training: bool = False):
         """Eval mode returns the scores. Training mode normalizes by the batch
-        statistics, folds them into the running statistics, and returns
-        ``(scores, cache)`` for :meth:`backward`."""
+        statistics, the hidden ones folded into the first layer, folds them
+        into the running statistics, and returns ``(scores, cache)`` for
+        :meth:`backward`."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ValueError(f"features must have shape (n, {self.input_dim}), got {x.shape}")
         if not training:
             return self._eval_forward(x)
         xhat1 = x.copy()
-        mu1, var1, _ = _standardize(xhat1, np.empty_like(x), self.bn_eps)
-        xhat2 = (self.bn1_gamma * xhat1) @ self.w1
-        h = np.empty_like(xhat2)
-        mu2, var2, inv2 = _standardize(xhat2, h, self.bn_eps)
+        mu1, var1 = _standardize(xhat1, self.bn_eps)
+        # the hidden pre-activations are a @ w1: their batch mean is abar @ w1
+        # and their batch variance the diagonal of w1' C w1, C the covariance
+        # of a. A form that is 0 in exact arithmetic can round below 0.
+        a = self.bn1_gamma * xhat1
+        abar = a.mean(axis=0)
+        centered = a - abar
+        cov = centered.T @ centered / len(x)
+        mu2 = abar @ self.w1
+        var2 = np.maximum(np.einsum("kj,kj->j", self.w1, cov @ self.w1), 0.0)
+        inv2 = 1.0 / np.sqrt(var2 + self.bn_eps)
+        col = self.bn2_gamma * inv2
         keep = self.bn_momentum
         self.bn1_mean = keep * self.bn1_mean + (1 - keep) * mu1
         self.bn1_var = keep * self.bn1_var + (1 - keep) * var1
         self.bn2_mean = keep * self.bn2_mean + (1 - keep) * mu2
         self.bn2_var = keep * self.bn2_var + (1 - keep) * var2
-        np.multiply(xhat2, self.bn2_gamma, out=h)
-        h += self.bn2_beta
+        # the bias enters as a row of the folded weights, met by a column of ones
+        folded = np.vstack([self.w1 * col, self.bn2_beta - mu2 * col])
+        h = np.hstack([a, np.ones((len(x), 1))]) @ folded
         np.maximum(h, 0.0, out=h)
         scores = self._head(h)
-        return scores, {"xhat1": xhat1, "xhat2": xhat2, "inv2": inv2, "h": h}
+        return scores, {"xhat1": xhat1, "h": h, "abar": abar, "mu2": mu2, "inv2": inv2}
 
     def _head(self, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Scores of the hidden activations ``h``. Each row is its own dot
@@ -200,34 +209,39 @@ class Scorer:
         """Gradients of a scalar loss wrt all trainable parameters.
 
         ``dscores`` is dL/d(score) per document for the cached forward pass,
-        which must have run in training mode (batch statistics). With
-        ``P = 1[h > 0] * dscores[:, None]``, ``dbeta2 = w2 * colsum(P)`` and
-        ``dgamma2 = w2 * colsum(P * xhat2)``, the gradient at the hidden
-        pre-activations is ``inv2 * gamma2 * (w2 * P - (dbeta2 + xhat2 *
-        dgamma2) / m)``. The bracket is built in place in ``P``; its column
-        factor ``inv2 * gamma2`` is applied to the small products instead,
-        which saves a pass and keeps the bracket of a one-row batch, and so
-        every gradient before it, exactly 0. The input batch norm's input
-        gradient is not needed.
+        which must have run in training mode (batch statistics). The hidden
+        batch norm's backward reads ``P = 1[h > 0] * dscores[:, None]`` only
+        through ``gx = xhat1' P`` and ``colsum(P)``: one product of the ReLU
+        mask, the one hidden-layer temporary, with ``xhat1 * dscores`` and a
+        ``dscores`` column. The rest works on d x H arrays. With ``s = gamma2
+        * inv2``, ``dbeta2 = w2 * colsum(P)`` and ``dgamma2 = w2 * inv2 *
+        (colsum(w1 * gamma1[:, None] * gx) - colsum(P) * mu2)``, the
+        pre-activations' gradient ``dZ = s * (w2 * P - (dbeta2 + xhat2 *
+        dgamma2) / m)`` enters only as ``Y = xhat1' dZ = s * (w2 * gx -
+        outer(mean(xhat1), dbeta2) - (D @ w1) * inv2 * dgamma2)``, where ``D =
+        xhat1' (a - abar) / m`` makes ``(D @ w1) * inv2 = xhat1' xhat2 / m``.
+        Then ``dw1 = gamma1[:, None] * Y``, which is ``a' dZ``, and the input
+        batch norm's ``dgamma1 = rowsum(w1 * Y)``. A one-row batch has ``xhat1
+        = 0`` and ``abar = 0``, so ``dw1``, ``dgamma1`` and ``dgamma2`` are
+        exactly 0. The input batch norm's input gradient is not needed.
         """
-        xhat1, xhat2, inv2, h = cache["xhat1"], cache["xhat2"], cache["inv2"], cache["h"]
+        xhat1, h, abar, mu2, inv2 = (cache[key] for key in ("xhat1", "h", "abar", "mu2", "inv2"))
         m = h.shape[0]
         dw2 = h.T @ dscores
-        db2 = np.array([dscores.sum()])
-        p = (h > 0.0) * dscores[:, None]
-        dbt2 = self.w2 * p.sum(axis=0)
-        dg2 = self.w2 * np.einsum("ij,ij->j", p, xhat2)
-        p *= self.w2
-        p -= dbt2 / m
-        p -= xhat2 * (dg2 / m)
-        col = inv2 * self.bn2_gamma
-        dw1 = ((self.bn1_gamma * xhat1).T @ p) * col
-        da1 = p @ (self.w1 * col).T
+        mask = (h > 0.0).astype(np.float64)
+        gxc = np.hstack([xhat1 * dscores[:, None], dscores[:, None]]).T @ mask
+        gx, cs = gxc[:-1], gxc[-1]
+        gamma1 = self.bn1_gamma
+        dbt2 = self.w2 * cs
+        dg2 = self.w2 * inv2 * (np.einsum("kj,kj->j", self.w1, gamma1[:, None] * gx) - cs * mu2)
+        cross = xhat1.T @ (gamma1 * xhat1 - abar) / m
+        y = (self.bn2_gamma * inv2) * (
+            gx * self.w2 - np.outer(xhat1.mean(axis=0), dbt2) - (cross @ self.w1) * inv2 * dg2)
         return {
-            "w1": dw1,
+            "w1": gamma1[:, None] * y,
             "w2": dw2,
-            "b2": db2,
-            "bn1_gamma": np.einsum("ij,ij->j", da1, xhat1),
+            "b2": np.array([dscores.sum()]),
+            "bn1_gamma": np.einsum("kj,kj->k", y, self.w1),
             "bn2_gamma": dg2,
             "bn2_beta": dbt2,
         }

@@ -10,10 +10,12 @@ The exceptions are ``query_metrics``, the one-query metric path that
 ``rank_core``'s one-list functions and is the oracle the split evaluation
 must equal bit for bit; ``scorer_training_pass``, the scorer's
 training-mode forward and backward written with the unfused batch-norm
-formulas ``bn_forward`` and ``bn_backward``, whose score head is the
-scorer's own per-row ``einsum`` so that the scores can be compared bit for
-bit; ``folded_eval_scores``, the eval forward's folded formula on the
-scorer's own slice height, which eval-mode scores must equal bit for bit;
+formulas ``bn_forward`` and ``bn_backward``, which the scorer meets to a
+stated bound; ``scorer_covariance_pass``, the same pass with the hidden batch
+statistics taken from the input covariance, step by step, whose scores and
+running statistics the scorer must equal bit for bit (both oracles score with
+the scorer's own per-row ``einsum`` head); ``folded_eval_scores``, the eval
+forward's folded formula on the scorer's own slice height, which eval-mode scores must equal bit for bit;
 ``finite_difference_loop``, the float64 finite-difference check as
 ``gradients.finite_difference_check`` ran it before it was batched: one
 loss evaluation per perturbation, rebuilding the softmax rows one by one on
@@ -271,6 +273,58 @@ def scorer_training_pass(scorer, x, dscores):
         "w2": h.T @ dscores,
         "b2": np.array([dscores.sum()]),
         "bn1_gamma": dg1,
+        "bn2_gamma": dg2,
+        "bn2_beta": dbt2,
+    }
+    return scores, running, grads
+
+
+def scorer_covariance_pass(scorer, x, dscores):
+    """``scorer_training_pass`` with the hidden batch norm folded into the
+    first layer. With ``a = gamma1 * xhat1``, its mean ``abar`` and covariance
+    ``C``, the pre-activations ``a @ w1`` have mean ``abar @ w1`` and variance
+    ``diag(w1' C w1)``, clamped at 0; ``h = relu(a @ (w1 * s) + beta2 - mu2 *
+    s)`` with ``s = gamma2 / sqrt(var2 + eps)``. Backward builds ``P = 1[h >
+    0] * dscores``, ``gx = xhat1' P``, ``G = gamma1 * gx`` (``a' P``) and
+    ``colsum(P)``; every later step is a d x H formula, using ``a' xhat2 = m
+    C w1 inv2`` for ``w1`` and ``xhat1' xhat2 = xhat1' (a - abar) w1 inv2``
+    for ``gamma1``. Same returns as ``scorer_training_pass``."""
+    s, keep, m = scorer, scorer.bn_momentum, len(x)
+    mu1, var1 = x.mean(axis=0), x.var(axis=0)
+    xhat1 = (x - mu1) * (1.0 / np.sqrt(var1 + s.bn_eps))
+    a = s.bn1_gamma * xhat1
+    abar = a.mean(axis=0)
+    centered = a - abar
+    cov = centered.T @ centered / m
+    cov_w1 = cov @ s.w1
+    mu2 = abar @ s.w1
+    var2 = np.maximum(np.einsum("kj,kj->j", s.w1, cov_w1), 0.0)
+    inv2 = 1.0 / np.sqrt(var2 + s.bn_eps)
+    col = s.bn2_gamma * inv2
+    # the bias enters the product as a row of the weights, met by a column of ones
+    folded = np.vstack([s.w1 * col, s.bn2_beta - mu2 * col])
+    h = np.maximum(np.hstack([a, np.ones((m, 1))]) @ folded, 0.0)
+    scores = score_head(h, s)
+    running = {
+        "bn1_mean": keep * s.bn1_mean + (1 - keep) * mu1,
+        "bn1_var": keep * s.bn1_var + (1 - keep) * var1,
+        "bn2_mean": keep * s.bn2_mean + (1 - keep) * mu2,
+        "bn2_var": keep * s.bn2_var + (1 - keep) * var2,
+    }
+    p = (h > 0.0) * dscores[:, None]
+    gx = xhat1.T @ p
+    big_g = s.bn1_gamma[:, None] * gx
+    cs = p.sum(axis=0)
+    dbt2 = s.w2 * cs
+    dg2 = s.w2 * inv2 * ((s.w1 * big_g).sum(axis=0) - cs * mu2)
+    dw1 = col * (big_g * s.w2 - np.outer(abar, dbt2) - cov_w1 * inv2 * dg2)
+    xhat1_xhat2 = (xhat1.T @ centered) @ s.w1 * inv2
+    dz_xhat1 = col * (gx * s.w2 - np.outer(xhat1.sum(axis=0), dbt2) / m - xhat1_xhat2 * dg2 / m)
+    grads = {
+        "w1": dw1,
+        "w2": h.T @ dscores,
+        "b2": np.array([dscores.sum()]),
+        "bn1_gamma": (s.w1 * dz_xhat1).sum(axis=1),
         "bn2_gamma": dg2,
         "bn2_beta": dbt2,
     }

@@ -217,7 +217,7 @@ class TestMetricBounds:
             assert got == dataclasses.astuple(metric_bounds_three_pass(rel, scores, k, alpha, 0.1))
 
     def test_one_recursion_and_no_batch_preparation(self, monkeypatch):
-        calls = {"smooth_indicators": 0, "_prepare": 0}
+        calls = {"smooth_indicators": 0, "_prepare": 0, "hard_indicator_matrix": 0}
 
         def counted(owner, name):
             original = getattr(owner, name)
@@ -230,10 +230,12 @@ class TestMetricBounds:
 
         counted(bounds_lab, "smooth_indicators")
         counted(smooth_metrics, "_prepare")
+        # the metric check reads no hard indicator rows
+        counted(bounds_lab, "hard_indicator_matrix")
         scores = [4.0, 2.0, 1.0, 3.0]
         alpha = 1.5 * certificate(scores, 4, 0.1).alpha_threshold
         verify_metric_bounds([1.0, 0.0, 1.0, 0.0], scores, k=2, alpha=alpha, delta=0.1)
-        assert calls == {"smooth_indicators": 1, "_prepare": 0}
+        assert calls == {"smooth_indicators": 1, "_prepare": 0, "hard_indicator_matrix": 0}
 
     def test_rounding_gap_under_a_zero_bound_holds(self):
         # eps_K underflows to 0 here, so the NDCG bound is 0, while the exact

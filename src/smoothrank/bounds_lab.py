@@ -25,7 +25,6 @@ from .rank_core import (
     as_relevance,
     as_scores,
     average_precision,
-    hard_indicator_matrix,
     ideal_dcg_at_k,
     ndcg_at_k,
     precision_at_k,
@@ -41,6 +40,10 @@ LN2 = float(np.log(2.0))
 # so even when the bound is 0 (eps_K underflows at large alpha) their gap
 # can be a few ulps of 1, the metrics' scale.
 METRIC_ROUNDING_SLACK = 4 * float(np.finfo(np.float64).eps)
+
+# bound_sweep splits a (n, K) group so that one recursion holds at most this
+# many row elements (8 MiB per float64 array)
+SWEEP_CHUNK_ELEMENTS = 2**20
 
 
 class CertificateError(ValueError):
@@ -121,26 +124,38 @@ class CorollaryReport:
     lipschitz: float
 
 
-def certificate(scores, k: int, delta: float) -> BoundCertificate:
-    """Certificate for one instance; requires distinct positive scores, K >= 2.
+def _strict_descending(scores, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The scores of a certificate as float64, and their descending sort.
 
-    K=1 is refused: the exponent 1/(K-1) is undefined there, and the top row
-    is a plain softmax whose convergence needs no certificate.
+    Checks delta first, then that the scores are strictly positive and
+    pairwise distinct: ties are equal neighbours in the sort, which the
+    certificate needs anyway.
     """
     if not 0.0 < delta < 0.5:
         raise ValueError(f"delta must lie in (0, 0.5), got {delta}")
     try:
-        arr = as_scores(scores, strict=True)
+        arr = as_scores(scores)
     except ValueError as exc:
         raise CertificateError(f"certificate undefined: {exc}") from exc
+    if np.any(arr <= 0.0):
+        raise CertificateError("certificate undefined: strict mode requires strictly positive scores")
+    ordered = np.sort(arr)[::-1]
+    if np.any(ordered[1:] == ordered[:-1]):
+        raise CertificateError(
+            "certificate undefined: strict mode requires pairwise distinct scores (ties present)"
+        )
+    return arr, ordered
+
+
+def _certificate(ordered: np.ndarray, k: int, delta: float) -> BoundCertificate:
+    """Certificate at K from the descending sort of validated scores."""
     if k == 1:
         raise CertificateError("certificate undefined for K=1 (exponent 1/(K-1))")
-    if not 2 <= k <= arr.size:
-        raise CertificateError(f"k={k} out of range [2, {arr.size}]")
-    ordered = np.sort(arr)[::-1]
+    if not 2 <= k <= ordered.size:
+        raise CertificateError(f"k={k} out of range [2, {ordered.size}]")
     # adjacent ratios in sorted order attain the pairwise minimum
     beta = float((ordered[:-1] / ordered[1:]).min())
-    s_min = float(arr.min())
+    s_min = float(ordered[-1])
     c = ((beta + 1.0) / 2.0) ** (1.0 / (k - 1))
     gamma = min(delta, 0.5 - delta, (1.0 - delta) * (c - 1.0) / (c + 1.0))
     threshold = (
@@ -153,6 +168,15 @@ def certificate(scores, k: int, delta: float) -> BoundCertificate:
     )
 
 
+def certificate(scores, k: int, delta: float) -> BoundCertificate:
+    """Certificate for one instance; requires distinct positive scores, K >= 2.
+
+    K=1 is refused: the exponent 1/(K-1) is undefined there, and the top row
+    is a plain softmax whose convergence needs no certificate.
+    """
+    return _certificate(_strict_descending(scores, delta)[1], k, delta)
+
+
 def epsilon_alpha(cert: BoundCertificate, alpha: float) -> float:
     """Certified error radius (K-1) * exp(-alpha * decay_rate)."""
     if alpha <= 0.0:
@@ -160,20 +184,41 @@ def epsilon_alpha(cert: BoundCertificate, alpha: float) -> float:
     return (cert.k - 1) * math.exp(-alpha * cert.decay_rate)
 
 
-def _certified_rows(scores, k: int, alpha: float, delta: float):
-    """``(scores, certificate, eps_alpha, smooth rows)`` of one instance, rows
-    1..k; raises ThresholdNotMetError unless alpha exceeds the certificate
-    threshold."""
-    cert = certificate(scores, k, delta)
+def _certified_epsilon(cert: BoundCertificate, alpha: float) -> float:
+    """eps_alpha at ``alpha``; raises ThresholdNotMetError unless alpha
+    exceeds the certificate threshold."""
     if alpha <= cert.alpha_threshold:
         raise ThresholdNotMetError(
             f"alpha={alpha} does not exceed the certificate threshold "
             f"{cert.alpha_threshold:.6g}; the bound is not certified there"
         )
-    # certificate() has validated the scores strictly
-    arr = np.asarray(scores, dtype=np.float64)
-    smooth = smooth_indicators(arr, SmoothIParams(alpha=alpha, delta=delta), k=k).rows
-    return arr, cert, epsilon_alpha(cert, alpha), smooth
+    return epsilon_alpha(cert, alpha)
+
+
+def _indicator_rows(scores: np.ndarray, alphas: np.ndarray, k: int, delta: float):
+    """Hard and smooth indicator rows 1..k, each ``(B, k, n)``, of a ``(B, n)``
+    batch of validated scores, list b at sharpness ``alphas[b]``.
+
+    One recursion serves the batch: each list's alpha is folded into its
+    scores and the recursion runs at alpha = 1. It reads only alpha * score,
+    and 1.0 * x == x, so every row has the bits of a one-list call at that
+    list's alpha.
+    """
+    smooth = smooth_indicators(alphas[:, None] * scores, SmoothIParams(alpha=1.0, delta=delta), k=k).rows
+    top = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+    hard = np.zeros_like(smooth)
+    hard[np.arange(len(scores))[:, None], np.arange(k), top] = 1.0
+    return hard, smooth
+
+
+def _one_list_rows(scores, k: int, alpha: float, delta: float):
+    """``(scores, certificate, eps_alpha, hard rows, smooth rows)`` of one
+    instance, rows 1..k, above its certificate threshold."""
+    arr, ordered = _strict_descending(scores, delta)
+    cert = _certificate(ordered, k, delta)
+    eps = _certified_epsilon(cert, alpha)
+    hard, smooth = _indicator_rows(arr[None], np.array([alpha], dtype=np.float64), k, delta)
+    return arr, cert, eps, hard[0], smooth[0]
 
 
 def verify_indicator_bound(scores, k: int, alpha: float, delta: float = 0.1) -> BoundReport:
@@ -183,8 +228,7 @@ def verify_indicator_bound(scores, k: int, alpha: float, delta: float = 0.1) -> 
     raises instead of reporting, naming the threshold. The top-k error is
     additionally reported over the columns of the k highest-scoring documents.
     """
-    arr, cert, eps, smooth = _certified_rows(scores, k, alpha, delta)
-    hard = hard_indicator_matrix(arr, k)
+    _, cert, eps, hard, smooth = _one_list_rows(scores, k, alpha, delta)
     err = np.abs(hard - smooth)
     max_err = float(err.max())
     return BoundReport(
@@ -209,14 +253,15 @@ def verify_metric_bounds(rel, scores, k: int, alpha: float, delta: float = 0.1) 
     K-row recursion's rows. alpha must clear N's certificate threshold, which
     is larger than K's (the threshold grows strictly with K).
     """
-    arr = as_scores(scores, strict=True)
+    arr, ordered = _strict_descending(scores, delta)
     n = arr.size
     rel = as_relevance(rel, n, binary=True)
     if rel.sum() == 0.0:
         raise ValueError("metric bounds need at least one relevant document")
-    cert_k = certificate(arr, k, delta)
-    _, _, eps_n, rows = _certified_rows(arr, n, alpha, delta)
+    cert_k = _certificate(ordered, k, delta)
+    eps_n = _certified_epsilon(_certificate(ordered, n, delta), alpha)
     eps_k = epsilon_alpha(cert_k, alpha)
+    rows = smooth_indicators(arr, SmoothIParams(alpha=alpha, delta=delta), k=n).rows
     u = np.einsum("rj,j->r", rows, rel)
     p_diff = abs(
         precision_at_k(rel, arr, k) - metric_from_weighted_sums(u[:k], SMOOTH_P_AT_K, k, None, None)
@@ -272,7 +317,7 @@ def verify_corollary(
     b = np.asarray(b_weights, dtype=np.float64)
     if a.shape != (k,):
         raise ValueError(f"a_weights must have length k={k}, got shape {a.shape}")
-    arr, _, eps, smooth = _certified_rows(scores, k, alpha, delta)
+    arr, _, eps, hard, smooth = _one_list_rows(scores, k, alpha, delta)
     if b.shape != (arr.size,):
         raise ValueError(f"b_weights must have length n={arr.size}, got shape {b.shape}")
     if g == "identity":
@@ -283,7 +328,6 @@ def verify_corollary(
         lip = 2.0**bound * LN2
         gain = lambda x: np.exp2(x) - 1.0
 
-    hard = hard_indicator_matrix(arr, k)
     lhs = abs(float(a @ gain(hard @ b)) - float(a @ gain(smooth @ b)))
     rhs = float(np.abs(a).sum() * np.abs(b).sum() * lip * eps)
     return CorollaryReport(
@@ -319,19 +363,25 @@ def bound_sweep(
     With explicit ``alphas``, sub-threshold values are kept as rows marked
     ``skipped_below_threshold`` (the bound is not claimed there); otherwise
     each instance is probed at ``alpha_factors`` times its own threshold.
-    Returns (rows, summary) where summary carries the fraction of checked
-    rows on which the bound held.
+    Every instance is drawn first and certified once; the rows to check are
+    then grouped by (n, K) and each group runs one recursion (of at most
+    ``SWEEP_CHUNK_ELEMENTS`` row elements), with the same bits as one check
+    per row. Rows come back in instance order. Returns (rows, summary) where
+    summary carries the fraction of checked rows on which the bound held.
     """
     rng = np.random.default_rng(seed)
-    rows = []
-    checked = held = skipped = 0
-    for idx in range(instances):
+    drawn = []
+    for _ in range(instances):
         n = int(rng.integers(n_range[0], n_range[1] + 1))
         k_choices = [k for k in k_values if 2 <= k <= n]
         if not k_choices:
             raise ValueError(f"no usable k in {k_values} for n={n}")
         k = int(k_choices[int(rng.integers(len(k_choices)))])
-        scores = random_strict_scores(rng, n)
+        drawn.append((n, k, random_strict_scores(rng, n)))
+    rows = []
+    # rows above their threshold, by (n, K): (row, scores, alpha)
+    pending: dict[tuple[int, int], list] = {}
+    for idx, (n, k, scores) in enumerate(drawn):
         cert = certificate(scores, k, delta)
         alpha_list = list(alphas) if alphas is not None else [
             f * cert.alpha_threshold for f in alpha_factors
@@ -350,17 +400,27 @@ def bound_sweep(
             }
             if alpha <= cert.alpha_threshold:
                 row.update(max_err="", holds="", status="skipped_below_threshold")
-                skipped += 1
             else:
-                report = verify_indicator_bound(scores, k, alpha, delta)
-                row.update(
-                    max_err=report.max_indicator_err,
-                    holds=report.holds,
-                    status="checked",
-                )
-                checked += 1
-                held += int(report.holds)
+                pending.setdefault((n, k), []).append((row, scores, alpha))
             rows.append(row)
+    checked = held = 0
+    for (n, k), group in pending.items():
+        per_call = max(1, SWEEP_CHUNK_ELEMENTS // (k * n))
+        for start in range(0, len(group), per_call):
+            part = group[start:start + per_call]
+            hard, smooth = _indicator_rows(
+                np.stack([scores for _, scores, _ in part]),
+                np.array([alpha for _, _, alpha in part], dtype=np.float64),
+                k,
+                delta,
+            )
+            max_errs = np.abs(hard - smooth).max(axis=(1, 2)).tolist()
+            for (row, _, _), max_err in zip(part, max_errs):
+                holds = max_err <= row["epsilon_alpha"]
+                row.update(max_err=max_err, holds=holds, status="checked")
+                held += holds
+            checked += len(part)
+    skipped = len(rows) - checked
     return rows, {
         "instances": instances,
         "rows": len(rows),

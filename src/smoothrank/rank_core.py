@@ -16,23 +16,17 @@ class UndefinedMetricError(ValueError):
     """The metric has no defined value for this query (zero relevance)."""
 
 
-def as_scores(scores, strict: bool = False) -> np.ndarray:
+def as_scores(scores) -> np.ndarray:
     """Validate a score vector and return it as a float64 array.
 
-    With ``strict=True`` the scores must additionally be strictly positive
-    and pairwise distinct, which is what the smooth-indicator error bounds
-    assume.
+    The smooth-indicator error bounds further need strictly positive,
+    pairwise distinct scores; ``bounds_lab`` checks that.
     """
     arr = np.asarray(scores, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"scores must be a non-empty 1-d vector, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("scores contain NaN or Inf")
-    if strict:
-        if np.any(arr <= 0.0):
-            raise ValueError("strict mode requires strictly positive scores")
-        if np.unique(arr).size != arr.size:
-            raise ValueError("strict mode requires pairwise distinct scores (ties present)")
     return arr
 
 

@@ -88,6 +88,11 @@ def smooth_indicators(scores, params: SmoothIParams, mask=None, *, k: int | None
     :func:`smoothrank.smooth_metrics.shift_scores` first. Float scores keep
     their dtype (``np.longdouble`` runs the recursion in extended precision);
     any other input is converted to float64.
+
+    The recursion reads the scores only as ``alpha * score``, so lists of
+    one batch can each have their own alpha: pass ``alphas[:, None] *
+    scores`` with ``alpha=1.0``. Since ``1.0 * x == x``, each list's rows
+    then have the bits of a one-list call at its own alpha.
     """
     arr = np.asarray(scores)
     if arr.dtype.kind != "f":

@@ -25,7 +25,10 @@ it read dense files with ``np.loadtxt``: ``data_io._parse_line`` per line
 and a scatter per feature value; and ``metric_bounds_three_pass``, the
 metric-bound check as ``bounds_lab.verify_metric_bounds`` ran it before it
 shared one recursion at K=N: three ``smooth_metric`` calls, each with its own
-preparation and recursion, and both certificate thresholds checked.
+preparation and recursion, and both certificate thresholds checked; and
+``bound_sweep_per_list``, the verify-bounds sweep as ``bounds_lab.bound_sweep``
+ran it before it grouped its rows by (n, K): one ``certificate`` per instance
+and one ``verify_indicator_bound`` per checked row, in instance order.
 """
 
 import math
@@ -40,6 +43,8 @@ from smoothrank.bounds_lab import (
     ThresholdNotMetError,
     certificate,
     epsilon_alpha,
+    random_strict_scores,
+    verify_indicator_bound,
 )
 from smoothrank.gradients import REL_ERR_FLOOR, GradientReport, loss_and_gradient
 from smoothrank.ltr_model import eval_slice_shape
@@ -381,7 +386,7 @@ def metric_bounds_three_pass(rel, scores, k: int, alpha: float, delta: float = 0
     number of relevant documents), 2N*(eps + eps^2) for AP, and N*eps for
     NDCG@K. alpha must clear both certificate thresholds.
     """
-    arr = as_scores(scores, strict=True)
+    arr = as_scores(scores)  # certificate() below rejects ties and non-positive scores
     n = arr.size
     rel = as_relevance(rel, n, binary=True)
     if rel.sum() == 0.0:
@@ -426,6 +431,66 @@ def metric_bounds_three_pass(rel, scores, k: int, alpha: float, delta: float = 0
         epsilon_at_k=eps_k,
         epsilon_at_n=eps_n,
     )
+
+
+def bound_sweep_per_list(
+    instances: int,
+    n_range: tuple[int, int],
+    k_values,
+    delta: float,
+    seed: int,
+    alphas=None,
+    alpha_factors=(1.05, 1.5, 3.0),
+) -> tuple[list[dict], dict]:
+    """Indicator-bound rows over random instances, one row per (instance, alpha),
+    each checked row through its own ``verify_indicator_bound`` call."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    checked = held = skipped = 0
+    for idx in range(instances):
+        n = int(rng.integers(n_range[0], n_range[1] + 1))
+        k_choices = [k for k in k_values if 2 <= k <= n]
+        if not k_choices:
+            raise ValueError(f"no usable k in {k_values} for n={n}")
+        k = int(k_choices[int(rng.integers(len(k_choices)))])
+        scores = random_strict_scores(rng, n)
+        cert = certificate(scores, k, delta)
+        alpha_list = list(alphas) if alphas is not None else [
+            f * cert.alpha_threshold for f in alpha_factors
+        ]
+        for alpha in alpha_list:
+            row = {
+                "instance": idx,
+                "n": n,
+                "k": k,
+                "alpha": float(alpha),
+                "delta": delta,
+                "beta": cert.beta,
+                "gamma": cert.gamma,
+                "alpha_threshold": cert.alpha_threshold,
+                "epsilon_alpha": epsilon_alpha(cert, alpha),
+            }
+            if alpha <= cert.alpha_threshold:
+                row.update(max_err="", holds="", status="skipped_below_threshold")
+                skipped += 1
+            else:
+                report = verify_indicator_bound(scores, k, alpha, delta)
+                row.update(
+                    max_err=report.max_indicator_err,
+                    holds=report.holds,
+                    status="checked",
+                )
+                checked += 1
+                held += int(report.holds)
+            rows.append(row)
+    return rows, {
+        "instances": instances,
+        "rows": len(rows),
+        "checked": checked,
+        "skipped": skipped,
+        "violations": checked - held,
+        "fraction_holding": (held / checked) if checked else 1.0,
+    }
 
 
 def svmlight_per_line(path) -> data_io.Dataset:

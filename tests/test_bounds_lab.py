@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,26 @@ from smoothrank import (
 )
 from smoothrank import bounds_lab, smooth_metrics
 from smoothrank.bounds_lab import bound_sweep, random_strict_scores
-from oracles import metric_bounds_three_pass
+from oracles import bound_sweep_per_list, metric_bounds_three_pass
+
+
+def count_calls(monkeypatch, *targets) -> dict:
+    """Count the calls of each (module, name) through a wrapper set on the
+    module, where its callers look the name up."""
+    calls = {name: 0 for _, name in targets}
+    for owner, name in targets:
+        def wrapper(*args, _original=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def sweep_text(rows, summary):
+    """A sweep's rows and summary with every value as its repr."""
+    return ([[(key, repr(value)) for key, value in row.items()] for row in rows],
+            [(key, repr(value)) for key, value in summary.items()])
 
 
 class TestCertificate:
@@ -37,8 +57,24 @@ class TestCertificate:
         assert cert.gamma == pytest.approx(0.15, abs=1e-12)
 
     def test_ties_rejected(self):
-        with pytest.raises(CertificateError, match="distinct"):
-            certificate([1.0, 1.0, 2.0], k=2, delta=0.1)
+        message = "certificate undefined: strict mode requires pairwise distinct scores (ties present)"
+        for scores in ([1.0, 1.0, 2.0], [3.0, 1.0, 2.0, 1.0], [2.0, 5.0, 5.0]):
+            with pytest.raises(CertificateError, match=re.escape(message) + "$"):
+                certificate(scores, k=2, delta=0.1)
+
+    def test_error_order(self):
+        """A bad delta before the scores, the scores before K, K before the
+        threshold."""
+        with pytest.raises(ValueError, match="delta"):
+            certificate([1.0, 1.0], k=3, delta=0.5)
+        with pytest.raises(CertificateError, match="positive"):
+            verify_indicator_bound([2.0, 0.0, 2.0], k=5, alpha=1e-9, delta=0.1)
+        with pytest.raises(CertificateError, match="ties"):
+            verify_indicator_bound([2.0, 1.0, 2.0], k=5, alpha=1e-9, delta=0.1)
+        with pytest.raises(CertificateError, match="out of range"):
+            verify_indicator_bound([2.0, 1.0, 3.0], k=5, alpha=1e-9, delta=0.1)
+        with pytest.raises(CertificateError, match="ties"):
+            verify_metric_bounds([1.0, 0.0], [2.0, 2.0], k=2, alpha=1e-9, delta=0.1)
 
     def test_nonpositive_rejected(self):
         with pytest.raises(CertificateError, match="positive"):
@@ -217,25 +253,22 @@ class TestMetricBounds:
             assert got == dataclasses.astuple(metric_bounds_three_pass(rel, scores, k, alpha, 0.1))
 
     def test_one_recursion_and_no_batch_preparation(self, monkeypatch):
-        calls = {"smooth_indicators": 0, "_prepare": 0, "hard_indicator_matrix": 0}
-
-        def counted(owner, name):
-            original = getattr(owner, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(owner, name, wrapper)
-
-        counted(bounds_lab, "smooth_indicators")
-        counted(smooth_metrics, "_prepare")
-        # the metric check reads no hard indicator rows
-        counted(bounds_lab, "hard_indicator_matrix")
+        calls = count_calls(monkeypatch, (bounds_lab, "smooth_indicators"),
+                            (smooth_metrics, "_prepare"),
+                            # the metric check reads no hard indicator rows
+                            (bounds_lab, "_indicator_rows"))
         scores = [4.0, 2.0, 1.0, 3.0]
         alpha = 1.5 * certificate(scores, 4, 0.1).alpha_threshold
         verify_metric_bounds([1.0, 0.0, 1.0, 0.0], scores, k=2, alpha=alpha, delta=0.1)
-        assert calls == {"smooth_indicators": 1, "_prepare": 0, "hard_indicator_matrix": 0}
+        assert calls == {"smooth_indicators": 1, "_prepare": 0, "_indicator_rows": 0}
+
+    def test_one_strict_validation(self, monkeypatch):
+        """Both thresholds (K and N) come from one validated array."""
+        scores = [4.0, 2.0, 1.0, 3.0]
+        alpha = 1.5 * certificate(scores, 4, 0.1).alpha_threshold
+        calls = count_calls(monkeypatch, (bounds_lab, "as_scores"))
+        verify_metric_bounds([1.0, 0.0, 1.0, 0.0], scores, k=2, alpha=alpha, delta=0.1)
+        assert calls == {"as_scores": 1}
 
     def test_rounding_gap_under_a_zero_bound_holds(self):
         # eps_K underflows to 0 here, so the NDCG bound is 0, while the exact
@@ -327,3 +360,63 @@ class TestBoundSweep:
         assert len(skipped) == 10  # alpha=0.5 is always below threshold here
         assert all(r["holds"] for r in checked)
         assert summary["skipped"] == len(skipped)
+
+    # (instances, n_range, k_values, seed, alphas): certify's config on
+    # several seeds, explicit alphas that skip some rows of an instance and
+    # check others, one K value only, no instance at all
+    SWEEP_CASES = [
+        (600, (4, 10), (2, 3, 5), 1, None),
+        (200, (4, 10), (2, 3, 5), 2, None),
+        (200, (4, 10), (2, 3, 5), 3, None),
+        (200, (4, 10), (2, 3, 5), 7, None),
+        (200, (4, 10), (2, 3, 5), 1, (0.5, 5.0, 50.0, 500.0)),
+        (150, (2, 30), (2, 3, 5, 10), 5, (50.0, 2.0, 1e4)),
+        (100, (3, 12), (3,), 4, None),
+        (0, (4, 10), (2, 3, 5), 1, None),
+    ]
+
+    @pytest.mark.parametrize("instances, n_range, k_values, seed, alphas", SWEEP_CASES)
+    def test_grouped_sweep_equals_per_list_oracle(self, instances, n_range, k_values, seed, alphas):
+        """Every row and the summary equal the per-list sweep's, each value by
+        repr (so a numpy scalar in place of a float or bool shows too)."""
+        got = bound_sweep(instances, n_range, k_values, 0.1, seed, alphas)
+        want = bound_sweep_per_list(instances, n_range, k_values, 0.1, seed, alphas)
+        assert sweep_text(*got) == sweep_text(*want)
+        if alphas is not None:
+            statuses = {}
+            for row in got[0]:
+                statuses.setdefault(row["instance"], set()).add(row["status"])
+            assert {"checked", "skipped_below_threshold"} in statuses.values()
+
+    def test_groups_split_into_chunks_equal_the_oracle(self, monkeypatch):
+        # at most 60 row elements per recursion, so groups split into chunks
+        monkeypatch.setattr(bounds_lab, "SWEEP_CHUNK_ELEMENTS", 60)
+        calls = count_calls(monkeypatch, (bounds_lab, "smooth_indicators"))
+        args = (200, (4, 10), (2, 3, 5), 0.1, 6, (0.5, 50.0, 500.0))
+        got = bound_sweep(*args)
+        assert calls["smooth_indicators"] > len({(row["n"], row["k"]) for row in got[0]})
+        assert sweep_text(*got) == sweep_text(*bound_sweep_per_list(*args))
+
+    def test_no_usable_k_raises_before_any_row(self, monkeypatch):
+        # n = 2 has no K in [2, n] among (3,); the per-list sweep raises at the
+        # first such instance, after checking the ones before it
+        args = (40, (2, 6), (3,), 0.1, 9)
+        with pytest.raises(ValueError) as want:
+            bound_sweep_per_list(*args)
+        calls = count_calls(monkeypatch, (bounds_lab, "certificate"), (bounds_lab, "smooth_indicators"))
+        with pytest.raises(ValueError) as got:
+            bound_sweep(*args)
+        assert str(got.value) == str(want.value) == "no usable k in (3,) for n=2"
+        assert calls == {"certificate": 0, "smooth_indicators": 0}
+
+    def test_one_recursion_per_group(self, monkeypatch):
+        """Certify's config, with explicit alphas that skip some rows: one
+        certificate per instance, one recursion per (n, K) group with a
+        checked row, no per-list bound check."""
+        calls = count_calls(monkeypatch, (bounds_lab, "certificate"), (bounds_lab, "smooth_indicators"),
+                            (bounds_lab, "verify_indicator_bound"))
+        rows, summary = bound_sweep(600, (4, 10), (2, 3, 5), 0.1, 1, (0.5, 5.0, 50.0, 500.0))
+        groups = {(row["n"], row["k"]) for row in rows if row["status"] == "checked"}
+        assert 0 < summary["skipped"] and 0 < summary["checked"]
+        assert calls == {"certificate": 600, "smooth_indicators": len(groups),
+                         "verify_indicator_bound": 0}

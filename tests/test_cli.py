@@ -75,6 +75,8 @@ CONFIG_FAILURES = [
     ("train", {"select_cutoff": 0}, "select_cutoff"),
     ("train", {"dataset": "svmlight", "train_path": "train.txt"}, "vali_path"),
     ("verify-bounds", {"max_docs": 1}, "max_docs"),
+    # n = 2 has no K in [2, n] among [3]; raised before any row is checked
+    ("verify-bounds", {"instances": 40, "min_docs": 2, "max_docs": 6, "k_values": [3]}, "no usable k"),
     ("sweep", {"alpha_grid": []}, "alpha_grid"),
     ("evaluate", {"cutoffs": [0]}, "cutoffs"),
     ("train", {"loss_kind": "ap", "loss_k": 5}, "cutoff"),

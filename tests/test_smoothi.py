@@ -172,6 +172,20 @@ class TestLimitBehavior:
             b = smooth_indicators(scores, SmoothIParams(alpha=c * alpha, delta=0.1))
             np.testing.assert_allclose(a.rows, b.rows, atol=1e-12)
 
+    def test_alpha_folded_into_scores_keeps_every_bit(self):
+        """A batch with each list's alpha folded into its scores, run at
+        alpha = 1, equals one call per list at its own alpha bit for bit."""
+        rng = np.random.default_rng(8)
+        for n in (2, 3, 7, 8, 9, 17, 120):
+            k = min(n, 10)
+            scores = rng.uniform(0.3, 2.0, (9, n))
+            alphas = np.exp(rng.uniform(-2.0, 8.0, 9))
+            batch = smooth_indicators(alphas[:, None] * scores, SmoothIParams(alpha=1.0, delta=0.1), k=k)
+            for b in range(9):
+                one = smooth_indicators(scores[b], SmoothIParams(alpha=float(alphas[b]), delta=0.1), k=k)
+                assert batch.rows[b].tobytes() == one.rows.tobytes()
+                assert batch.prefix_products[b].tobytes() == one.prefix_products.tobytes()
+
     def test_unimodal_structure_above_threshold(self):
         """Above the certificate threshold, row argmaxes walk the descending
         score order without repeats."""

@@ -308,11 +308,12 @@ def _log(path: Path, lines: list[str]) -> None:
 
 def _history_rows(history: ltr_model.TrainHistory) -> tuple[list[str], list[dict]]:
     metric_keys = sorted(history.records[0].val_metrics) if history.records else []
-    header = ["epoch", "train_loss", "skipped_queries"] + [f"val_{k}" for k in metric_keys]
+    header = ["epoch", "train_loss", "skipped_queries", "val_skipped_queries"] + [
+        f"val_{k}" for k in metric_keys]
     rows = []
     for rec in history.records:
         row = {"epoch": rec.epoch, "train_loss": rec.train_loss,
-               "skipped_queries": rec.skipped_queries}
+               "skipped_queries": rec.skipped_queries, "val_skipped_queries": rec.val_skipped_queries}
         row.update({f"val_{k}": rec.val_metrics[k] for k in metric_keys})
         rows.append(row)
     return header, rows
@@ -340,7 +341,8 @@ def cmd_train(settings: TrainSettings, strict: bool) -> int:
     _write_csv(out / "history.csv", header, rows)
     data_io.write_stats_json(dataset, out / "dataset_stats.json")
     _log(out / "train.log", [f"epoch {r.epoch}: {r.seconds:.3f}s, {r.skipped_queries} training queries "
-                             "skipped (undefined loss)" for r in history.records]
+                             f"skipped (undefined loss), {r.val_skipped_queries} validation queries "
+                             "skipped (no relevant document)" for r in history.records]
          + [f"best epoch {history.best_epoch} by validation {history.select_metric}"])
     print(f"trained {train_cfg.loss.label()}: best epoch {history.best_epoch}, "
           f"validation {history.select_metric}="

@@ -34,8 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rank_core import as_scores
-from .smoothi import SmoothIndicatorMatrix, smooth_indicators
+from .smoothi import SmoothIndicatorMatrix, rank_steps, smooth_indicators
 from .smooth_metrics import (
     SMOOTH_AP,
     SMOOTH_NDCG_AT_K,
@@ -44,7 +43,6 @@ from .smooth_metrics import (
     LossSpec,
     _Lists,
     _forward,
-    _live_ranks,
     _prepare,
     _shift,
     metric_from_weighted_sums,
@@ -82,8 +80,8 @@ def _upstream_coeffs(u: np.ndarray, kind: str, k, rel_total, ideal) -> np.ndarra
     Along the last axis, as ``metric_from_weighted_sums`` (``u`` is 0 past
     each list's cutoff ``k``); ranks past the cutoff get 0.
     """
-    live = _live_ranks(u.shape[-1], k)
     ranks = np.arange(1.0, u.shape[-1] + 1.0)
+    live = ranks <= np.asarray(k)[..., None]
     if kind == SMOOTH_P_AT_K:
         coeffs = live / np.asarray(k)[..., None]
     elif kind == SMOOTH_AP:
@@ -107,25 +105,33 @@ def _softmax_rows_backward_stop(mat: SmoothIndicatorMatrix, upstream: np.ndarray
     return mat.params.alpha * (mat.prefix_products * dz).sum(axis=-2)
 
 
-def _softmax_rows_backward_full(mat: SmoothIndicatorMatrix, upstream: np.ndarray) -> np.ndarray:
+def _softmax_rows_backward_full(mat: SmoothIndicatorMatrix, upstream: np.ndarray, k) -> np.ndarray:
     """dL/dS through the complete recursion, accumulated from the last rank up.
 
     ``q`` carries dL/d(prefix of rank r+1); each step routes it into the
     current row (prefixes multiply the row's logits) and into the next-lower
     prefix (prefixes chain by the factor ``1 - row - delta``). Arrays are
-    ``(B, K, N)``; padded entries have zero rows and so get 0.
+    ``(B, K, N)``; padded entries have zero rows and so get 0. ``k`` is the
+    forward pass's cutoff, one for all lists or one per list, longest first:
+    rank step r works only on the lists whose cutoff exceeds r, the forward
+    staircase walked down (a list's upstream is 0 past its cutoff, so the
+    lists left out would only add zeros).
     """
     rows, prefixes = mat.rows, mat.prefix_products
     alpha, delta = mat.params.alpha, mat.params.delta
     scores = mat.scores
     ds = np.zeros(scores.shape)
-    q = np.zeros(scores.shape)
-    for r in range(rows.shape[1] - 1, -1, -1):
-        row, prefix = rows[:, r], prefixes[:, r]
-        a = upstream[:, r] - q * prefix
-        dz = row * (a - (a * row).sum(axis=1, keepdims=True))
-        ds += alpha * prefix * dz
-        q = alpha * scores * dz + q * (1.0 - row - delta)
+    q = np.zeros((0, scores.shape[1]))
+    for start, stop, count in reversed(rank_steps(k, *scores.shape)):
+        # the lists that join at this step have carried nothing yet
+        q = np.concatenate([q, np.zeros((count - len(q), q.shape[1]))])
+        out, scaled = ds[:count], alpha * scores[:count]
+        for r in range(stop - 1, start - 1, -1):
+            row, prefix = rows[:count, r], prefixes[:count, r]
+            a = upstream[:count, r] - q * prefix
+            dz = row * (a - (a * row).sum(axis=1, keepdims=True))
+            out += alpha * prefix * dz
+            q = scaled * dz + q * (1.0 - row - delta)
     return ds
 
 
@@ -137,7 +143,7 @@ def _gradient(lists: _Lists, mat: SmoothIndicatorMatrix, u: np.ndarray, spec: Lo
     if spec.grad_mode == STOP_GRADIENT:
         grad = _softmax_rows_backward_stop(mat, upstream)
     else:
-        grad = _softmax_rows_backward_full(mat, upstream)
+        grad = _softmax_rows_backward_full(mat, upstream, lists.cutoff)
     return lists.restore(grad)
 
 
@@ -231,10 +237,10 @@ def finite_difference_check(rel, raw_scores, spec: LossSpec, h: float = 1e-4) ->
     stop-gradient mode and one batched recursion over the 2N perturbed lists
     in full mode.
     """
-    raw = as_scores(raw_scores)
+    shifted = shift_scores(raw_scores, spec.shift_margin)
     if not 1e-6 <= h <= 1e-2:
         warnings.warn(f"step h={h} outside [1e-6, 1e-2]; truncation or cancellation may dominate")
-    lists = _prepare(rel, shift_scores(raw, spec.shift_margin), spec)
+    lists = _prepare(rel, shifted, spec)
     mat, u, _ = _forward(lists, spec)
     analytic = -_gradient(lists, mat, u, spec)
     numeric = lists.restore(_differenced_loss(lists, mat, spec, h).astype(np.float64)[None])

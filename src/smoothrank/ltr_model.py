@@ -40,11 +40,18 @@ CHECKPOINT_FORMAT = "smoothrank-scorer"
 CHECKPOINT_VERSION = 2
 
 # train() pads a batch's lists only to the longest list of their bucket, and a
-# bucket's longest list is at most this factor times its shortest. On
-# letor-varlen's training lengths (8-120 docs, AP with K = N), padding each
-# 128-query batch to its longest list does 13.6x the K*N work of one call per
-# list; 1.25x buckets do 1.19x that work in about 9 calls instead of about 118.
-BUCKET_SPREAD = 1.25
+# bucket's longest list is at most this factor times its shortest. A rank step
+# costs 15-20 us on small arrays whatever their size, and the staircase
+# recursion works only on the lists that still have ranks left, so a wider
+# bucket pays in padded columns, not in rows. On letor-varlen's training
+# lengths (8-120 docs, AP with K = N, 128-query batches), 2x buckets take 3.5
+# calls and 161 rank steps per batch for 1.34x the K*N work of one call per
+# list, against 9 calls, 317 steps and 1.09x at 1.25x; one bucket per batch
+# would take 80 steps for 3.0x. One BLAS thread, loss+grad per batch: 7.7 ms
+# at 1.25x, 6.0 at 2x, 5.2 at 3x; evaluate on two splits 14.9, 12.6 and 12.2
+# ms. 2x and 3x tied on letor-varlen's epoch_s (2 of 4 bench pairs each), and
+# 2x pads less.
+BUCKET_SPREAD = 2.0
 
 # Eval-mode slices hold about this many hidden activations (512 KiB), which
 # stay in the 2 MiB per-core L2 cache. One eval forward, one BLAS thread: 11 ms
@@ -308,13 +315,16 @@ class TrainConfig:
 @dataclass
 class EpochRecord:
     """One epoch; ``skipped_queries`` counts the training queries left out
-    because their loss is undefined (no relevant document)."""
+    because their loss is undefined (no relevant document), and
+    ``val_skipped_queries`` the validation queries ``evaluate`` left out
+    because they have no relevant document."""
 
     epoch: int
     train_loss: float
     val_metrics: dict[str, float]
     seconds: float
     skipped_queries: int
+    val_skipped_queries: int
 
 
 @dataclass
@@ -367,10 +377,12 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Scorer, TrainHistory]:
     and score gradients are averaged, and the mean gradient is backpropagated
     through the scorer. The losses come from one ``loss_and_gradient`` call
     per bucket of similar-length lists (see ``length_buckets``), each list
-    padded to its bucket's longest; a list shorter than the loss cutoff is
-    scored at its own length. Queries whose loss is undefined (zero
-    relevance) are skipped and counted. Raises DivergenceError when a batch
-    loss goes non-finite.
+    padded to its bucket's longest and the bucket handed over longest first,
+    the order the staircase recursion works in; a list shorter than the loss
+    cutoff is scored at its own length. Queries whose loss is undefined (zero
+    relevance) are skipped and counted, and so are the validation queries
+    ``evaluate`` leaves out. Raises DivergenceError when a batch loss goes
+    non-finite.
     """
     for split in ("train", "validation"):
         if not dataset.splits.get(split):
@@ -409,6 +421,8 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Scorer, TrainHistory]:
             losses = np.empty(live.size)
             dscores = np.zeros_like(scores)
             for bucket in length_buckets(config.loss.kept_length(sizes[live])):
+                # longest first, the order the staircase recursion takes
+                bucket = bucket[::-1]
                 lists = live[bucket]
                 docs, mask = padded_lists(offsets[lists], sizes[lists])
                 values, grads = loss_and_gradient(rel[docs], scores[docs], config.loss, mask)
@@ -438,6 +452,7 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Scorer, TrainHistory]:
             val_metrics=dict(val.summary),
             seconds=time.perf_counter() - tic,
             skipped_queries=skipped,
+            val_skipped_queries=val.skipped_queries,
         )
         history.records.append(record)
         selected = val.summary[select_key]

@@ -106,7 +106,8 @@ def shift_scores(raw_scores, margin: float = 1.0) -> np.ndarray:
     if margin <= 0.0:
         raise ValueError(f"margin must be positive, got {margin}")
     out = _shift(arr, margin)
-    if np.unique(out).size != out.size:
+    ordered = np.sort(out)
+    if np.any(ordered[1:] == ordered[:-1]):
         warnings.warn("shifted scores contain ties; strict-mode consumers will reject them")
     return out
 
@@ -132,11 +133,6 @@ def undefined_lists(rel, kind: str) -> np.ndarray:
     if kind == SMOOTH_NDCG_AT_K:
         return np.exp2(rel.max(axis=-1)) - 1.0 == 0.0
     return np.zeros(rel.shape[:-1], dtype=bool)
-
-
-def _live_ranks(width: int, k) -> np.ndarray:
-    """Ranks 1..``width`` at or above each list's cutoff ``k`` (int or array)."""
-    return np.arange(1, width + 1) <= np.asarray(k)[..., None]
 
 
 def metric_from_weighted_sums(u, kind: str, k, rel_total, ideal):
@@ -171,9 +167,12 @@ class _Lists:
 
     ``rel``, ``scores`` and ``mask`` are ``(B, N)``; padded grades are 0 and
     ``mask`` is ``None`` when no entry is padded. ``k``, ``rel_total`` and
-    ``ideal`` hold each list's cutoff and normalizers. When AP truncates
-    long lists, ``keep`` holds the ``(B, cap)`` input positions the three
-    arrays were gathered from, and ``width`` the input's width.
+    ``ideal`` hold each list's cutoff and normalizers. The lists are sorted
+    by cutoff, longest first, for the staircase recursion; ``order`` holds
+    the input positions they came from, ``None`` when the input was sorted
+    already. When AP truncates long lists, ``keep`` holds the ``(B, cap)``
+    input positions the three arrays were gathered from, and ``width`` the
+    input's width.
     """
 
     rel: np.ndarray
@@ -183,8 +182,15 @@ class _Lists:
     rel_total: np.ndarray
     ideal: np.ndarray
     keep: np.ndarray | None
+    order: np.ndarray | None
     width: int
     single: bool
+
+    @property
+    def cutoff(self):
+        """``k`` as the recursion takes it: one int when every list shares
+        it, which keeps one-list and fixed-length calls off the staircase."""
+        return int(self.k[0]) if self.k[0] == self.k[-1] else self.k
 
     def restore(self, per_doc: np.ndarray) -> np.ndarray:
         """Per-document ``(B, N)`` values back in the caller's layout; the
@@ -193,11 +199,18 @@ class _Lists:
             full = np.zeros((per_doc.shape[0], self.width))
             np.put_along_axis(full, self.keep, per_doc, axis=1)
             per_doc = full
-        return per_doc[0] if self.single else per_doc
+        return per_doc[0] if self.single else self._unsorted(per_doc)
 
     def values(self, per_list: np.ndarray):
         """Per-list values in the caller's layout: a float for one list."""
-        return float(per_list[0]) if self.single else per_list
+        return float(per_list[0]) if self.single else self._unsorted(per_list)
+
+    def _unsorted(self, per_list: np.ndarray) -> np.ndarray:
+        if self.order is None:
+            return per_list
+        out = np.empty_like(per_list)
+        out[self.order] = per_list
+        return out
 
 
 def _prepare(rel, scores, spec: LossSpec, mask=None) -> _Lists:
@@ -206,7 +219,9 @@ def _prepare(rel, scores, spec: LossSpec, mask=None) -> _Lists:
     One list must be at least as long as the cutoff. In a batch, whose lists
     differ in length, each list's cutoff is ``min(k, n_q)``, the cutoff
     ``evaluate`` scores a short list at. AP ranks at most ``ap_list_cap``
-    documents of each list: its top-scoring ones.
+    documents of each list: its top-scoring ones. The lists come back
+    sorted by cutoff, longest first (stably), as the staircase recursion
+    needs them.
     """
     arr = np.asarray(scores, dtype=np.float64)
     single = arr.ndim == 1
@@ -244,6 +259,11 @@ def _prepare(rel, scores, spec: LossSpec, mask=None) -> _Lists:
         if spec.kind == SMOOTH_AP:
             raise UndefinedMetricError(f"smooth AP is undefined{where}: no relevant document")
         raise UndefinedMetricError(f"smooth NDCG is undefined{where}: all relevance grades are zero")
+    order = None
+    if np.any(k[1:] > k[:-1]):
+        order = np.argsort(-k, kind="stable")
+        batch, grades, n, k = batch[order], grades[order], n[order], k[order]
+        valid = None if valid is None else valid[order]
     rel_total = grades.sum(axis=1)
     if spec.kind == SMOOTH_NDCG_AT_K:
         ideal = ideal_dcg(grades, k[:, None])[:, 0]
@@ -269,19 +289,17 @@ def _prepare(rel, scores, spec: LossSpec, mask=None) -> _Lists:
         rel_total=rel_total,
         ideal=ideal,
         keep=keep,
+        order=order,
         width=arr.shape[-1],
         single=single,
     )
 
 
 def _forward(lists: _Lists, spec: LossSpec) -> tuple[SmoothIndicatorMatrix, np.ndarray, np.ndarray]:
-    """Indicator rows, weighted row sums ``u`` (0 past each list's cutoff)
-    and metric value of each list."""
-    k_max = int(lists.k.max())
-    mat = smooth_indicators(lists.scores, spec.params, lists.mask, k=k_max)
+    """Indicator rows, weighted row sums ``u`` (0 past each list's cutoff,
+    where the staircase leaves the rows 0) and metric value of each list."""
+    mat = smooth_indicators(lists.scores, spec.params, lists.mask, k=lists.cutoff)
     u = (mat.rows @ lists.rel[:, :, None])[:, :, 0]
-    if lists.k.min() < k_max:
-        u = np.where(_live_ranks(k_max, lists.k), u, 0.0)
     return mat, u, metric_from_weighted_sums(u, spec.kind, lists.k, lists.rel_total, lists.ideal)
 
 

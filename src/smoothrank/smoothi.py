@@ -16,6 +16,13 @@ padded, and a validity mask gives the padded entries ``-inf`` logits, so they
 take no indicator mass in any row. One list is the ``B = 1`` case. Each rank
 step is then one set of array operations over the whole batch, which is why
 training groups its lists into buckets of similar length before calling in.
+
+The batch's row count can also differ per list: with cutoffs ``k`` sorted
+longest first, the lists that still need rank r form a leading slice of the
+batch, and rank step r works on that slice only. The work is then a
+staircase, the sum of the lists' own ``k * N`` instead of ``B * max(k) * N``,
+and each list's rows keep the bits of a rectangular call at the same padded
+width (every rank step is row by row). The rows past a list's cutoff are 0.
 """
 
 from __future__ import annotations
@@ -75,14 +82,43 @@ def stable_softmax(logits) -> np.ndarray:
     return exps / exps.sum()
 
 
-def smooth_indicators(scores, params: SmoothIParams, mask=None, *, k: int | None = None) -> SmoothIndicatorMatrix:
+def rank_steps(k, count: int, width: int) -> list[tuple[int, int, int]]:
+    """The staircase of a recursion over ``count`` lists of padded ``width``:
+    ``(start, stop, lists)`` triples, one per distinct cutoff, each saying
+    that rank steps ``start`` to ``stop - 1`` work on the leading ``lists``
+    lists. ``k`` is one cutoff for all lists, or one non-increasing cutoff
+    per list; each lies in [1, width]. Raises ValueError otherwise."""
+    cutoffs = np.asarray(k)
+    if cutoffs.ndim == 0:
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        if k > width:
+            raise ValueError(f"k={k} exceeds list length {width}")
+        return [(0, int(k), count)]
+    if cutoffs.shape != (count,) or cutoffs.dtype.kind not in "iu":
+        raise ValueError(f"k must be an int or {count} integer cutoffs, got shape {cutoffs.shape}")
+    if np.any(cutoffs[1:] > cutoffs[:-1]):
+        raise ValueError("per-list k must be non-increasing (longest list first)")
+    if cutoffs[-1] < 1 or cutoffs[0] > width:
+        raise ValueError(f"every k must lie in [1, {width}], got {cutoffs[-1]} to {cutoffs[0]}")
+    # the last list of each run of equal cutoffs ends a step of the staircase
+    ends = np.append(np.flatnonzero(cutoffs[1:] != cutoffs[:-1]), count - 1)[::-1]
+    stops = cutoffs[ends].tolist()
+    return list(zip([0] + stops[:-1], stops, (ends + 1).tolist()))
+
+
+def smooth_indicators(scores, params: SmoothIParams, mask=None, *,
+                      k: int | np.ndarray | None = None) -> SmoothIndicatorMatrix:
     """Compute rows 1..k of the smooth rank indicator for one list or a batch.
 
     ``scores`` is one list ``(n,)`` or a padded batch ``(B, N)``; ``mask``
     (same shape, boolean) marks the valid entries of a batch, ``None``
     meaning all. ``k`` rows are computed, the (padded) length when ``k`` is
     ``None``; a list shorter than ``k`` gets finite rows past its length,
-    which callers cut off. Valid scores must be strictly positive (the
+    which callers cut off. ``k`` can also be one integer cutoff per list,
+    non-increasing (longest first): the arrays then have ``max(k)`` rows,
+    and list b's rows and prefix products past its ``k[b]`` are 0 (see
+    ``rank_steps``). Valid scores must be strictly positive (the
     recursion relies on positivity to keep damped documents below undamped
     ones); shift raw model outputs with
     :func:`smoothrank.smooth_metrics.shift_scores` first. Float scores keep
@@ -108,28 +144,30 @@ def smooth_indicators(scores, params: SmoothIParams, mask=None, *, k: int | None
         raise ValueError("scores contain NaN or Inf")
     if np.any(live <= 0.0):
         raise ValueError("smooth indicators require strictly positive scores; shift them first")
-    k = batch.shape[1] if k is None else k
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if k > batch.shape[1]:
-        raise ValueError(f"k={k} exceeds list length {batch.shape[1]}")
+    steps = rank_steps(batch.shape[1] if k is None else k, *batch.shape)
     if valid is not None:
         batch = np.where(valid, batch, 1.0)
     # alpha * score once: row r's logits are (alpha * score) * prefix
     scaled = params.alpha * batch
     pad = None if valid is None else np.where(valid, 0.0, -np.inf)
-    rows = np.empty((batch.shape[0], k, batch.shape[1]), dtype=batch.dtype)
-    prefixes = np.empty_like(rows)
+    shape = (batch.shape[0], steps[-1][1], batch.shape[1])
+    # a staircase leaves the rows past each list's cutoff unwritten
+    alloc = np.empty if len(steps) == 1 else np.zeros
+    rows = alloc(shape, dtype=batch.dtype)
+    prefixes = alloc(shape, dtype=batch.dtype)
     prefix = np.ones(batch.shape, dtype=batch.dtype)
-    for r in range(k):
-        prefixes[:, r] = prefix
-        logits = scaled * prefix
-        if pad is not None:
-            logits += pad
-        exps = np.exp(logits - logits.max(axis=1, keepdims=True))
-        row = rows[:, r]
-        np.divide(exps, exps.sum(axis=1, keepdims=True), out=row)
-        prefix = prefix * (1.0 - row - params.delta)
+    for start, stop, count in steps:
+        prefix, scaled = prefix[:count], scaled[:count]
+        pad = None if pad is None else pad[:count]
+        for r in range(start, stop):
+            prefixes[:count, r] = prefix
+            logits = scaled * prefix
+            if pad is not None:
+                logits += pad
+            exps = np.exp(logits - logits.max(axis=1, keepdims=True))
+            row = rows[:count, r]
+            np.divide(exps, exps.sum(axis=1, keepdims=True), out=row)
+            prefix = prefix * (1.0 - row - params.delta)
     if arr.ndim == 1:
         rows, prefixes = rows[0], prefixes[0]
     return SmoothIndicatorMatrix(

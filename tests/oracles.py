@@ -28,7 +28,13 @@ shared one recursion at K=N: three ``smooth_metric`` calls, each with its own
 preparation and recursion, and both certificate thresholds checked; and
 ``bound_sweep_per_list``, the verify-bounds sweep as ``bounds_lab.bound_sweep``
 ran it before it grouped its rows by (n, K): one ``certificate`` per instance
-and one ``verify_indicator_bound`` per checked row, in instance order.
+and one ``verify_indicator_bound`` per checked row, in instance order; and
+``rectangular_smooth_indicators`` and ``rectangular_loss_and_gradient``, the
+recursion and the batched loss as they ran before the staircase: every rank
+step over the whole batch, up to its longest cutoff, and the full-mode
+backward over every rank of every list. The loss oracle takes a batch one
+list at a time, each a one-list batch at the batch's padded width, through
+the package's preparation, shift, metric and upstream coefficients.
 """
 
 import math
@@ -46,7 +52,7 @@ from smoothrank.bounds_lab import (
     random_strict_scores,
     verify_indicator_bound,
 )
-from smoothrank.gradients import REL_ERR_FLOOR, GradientReport, loss_and_gradient
+from smoothrank.gradients import REL_ERR_FLOOR, GradientReport, _upstream_coeffs, loss_and_gradient
 from smoothrank.ltr_model import eval_slice_shape
 from smoothrank.rank_core import (
     UndefinedMetricError,
@@ -65,11 +71,12 @@ from smoothrank.smooth_metrics import (
     STOP_GRADIENT,
     LossSpec,
     _prepare,
+    _shift,
     metric_from_weighted_sums,
     shift_scores,
     smooth_metric,
 )
-from smoothrank.smoothi import SmoothIParams, smooth_indicators, stable_softmax
+from smoothrank.smoothi import SmoothIndicatorMatrix, SmoothIParams, smooth_indicators, stable_softmax
 
 
 def descending_order(scores):
@@ -522,3 +529,77 @@ def svmlight_per_line(path) -> data_io.Dataset:
             doc_ids.append(comment if comment else f"{qid}_{j}")
         groups[qid] = data_io.QueryGroup(qid, doc_ids, features, relevance)
     return data_io.Dataset(groups=groups, feature_dim=max_idx)
+
+
+def rectangular_smooth_indicators(scores, params: SmoothIParams, mask=None, k: int | None = None):
+    """Rows 1..k of a batch, every rank step over every list: the recursion
+    of ``smooth_indicators`` before the staircase, for an int ``k``."""
+    arr = np.asarray(scores)
+    if arr.dtype.kind != "f":
+        arr = arr.astype(np.float64)
+    batch = arr.reshape(-1, arr.shape[-1])
+    valid = None if mask is None else np.asarray(mask, dtype=bool).reshape(batch.shape)
+    k = batch.shape[1] if k is None else k
+    if valid is not None:
+        batch = np.where(valid, batch, 1.0)
+    scaled = params.alpha * batch
+    pad = None if valid is None else np.where(valid, 0.0, -np.inf)
+    rows = np.empty((batch.shape[0], k, batch.shape[1]), dtype=batch.dtype)
+    prefixes = np.empty_like(rows)
+    prefix = np.ones(batch.shape, dtype=batch.dtype)
+    for r in range(k):
+        prefixes[:, r] = prefix
+        logits = scaled * prefix
+        if pad is not None:
+            logits += pad
+        exps = np.exp(logits - logits.max(axis=1, keepdims=True))
+        row = rows[:, r]
+        np.divide(exps, exps.sum(axis=1, keepdims=True), out=row)
+        prefix = prefix * (1.0 - row - params.delta)
+    if arr.ndim == 1:
+        rows, prefixes = rows[0], prefixes[0]
+    return SmoothIndicatorMatrix(
+        rows=rows, prefix_products=prefixes, scores=batch.reshape(arr.shape), params=params
+    )
+
+
+def _rectangular_backward(mat: SmoothIndicatorMatrix, upstream: np.ndarray, grad_mode: str) -> np.ndarray:
+    rows, prefixes = mat.rows, mat.prefix_products
+    alpha, delta = mat.params.alpha, mat.params.delta
+    if grad_mode == STOP_GRADIENT:
+        inner = (upstream * rows).sum(axis=-1, keepdims=True)
+        dz = rows * (upstream - inner)
+        return alpha * (prefixes * dz).sum(axis=-2)
+    scores = mat.scores
+    ds = np.zeros(scores.shape)
+    q = np.zeros(scores.shape)
+    for r in range(rows.shape[1] - 1, -1, -1):
+        row, prefix = rows[:, r], prefixes[:, r]
+        a = upstream[:, r] - q * prefix
+        dz = row * (a - (a * row).sum(axis=1, keepdims=True))
+        ds += alpha * prefix * dz
+        q = alpha * scores * dz + q * (1.0 - row - delta)
+    return ds
+
+
+def rectangular_loss_and_gradient(rel, raw_scores, spec: LossSpec, mask):
+    """``loss_and_gradient`` of a padded ``(B, N)`` batch as it ran before
+    the staircase, one list at a time at the batch's padded width: every list
+    recursed up to the batch's longest cutoff, its weighted sums then set to
+    0 past its own."""
+    prepared = [
+        _prepare(rel[b:b + 1], _shift(raw_scores[b:b + 1], spec.shift_margin, mask[b:b + 1]), spec, mask[b:b + 1])
+        for b in range(len(raw_scores))
+    ]
+    k_max = max(int(lists.k[0]) for lists in prepared)
+    values, grads = [], []
+    for lists in prepared:
+        mat = rectangular_smooth_indicators(lists.scores, spec.params, lists.mask, k=k_max)
+        u = (mat.rows @ lists.rel[:, :, None])[:, :, 0]
+        u = np.where(np.arange(1, k_max + 1) <= lists.k[:, None], u, 0.0)
+        value = metric_from_weighted_sums(u, spec.kind, lists.k, lists.rel_total, lists.ideal)
+        coeffs = _upstream_coeffs(u, spec.kind, lists.k, lists.rel_total, lists.ideal)
+        upstream = coeffs[:, :, None] * lists.rel[:, None, :]
+        values.append(1.0 - lists.values(value)[0])
+        grads.append(-lists.restore(_rectangular_backward(mat, upstream, spec.grad_mode))[0])
+    return np.array(values), np.array(grads)

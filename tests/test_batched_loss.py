@@ -10,6 +10,8 @@ from smoothrank import LossSpec, SmoothIParams, UndefinedMetricError, loss_and_g
 from smoothrank.ltr_model import BUCKET_SPREAD, length_buckets
 from smoothrank.smooth_metrics import undefined_lists
 
+from oracles import rectangular_loss_and_gradient
+
 AP_CAP = 64
 CUTOFF = 10
 
@@ -66,6 +68,31 @@ def test_batch_matches_one_call_per_list(kind, mode):
             assert values[b] == pytest.approx(value, rel=0, abs=1e-12)
             np.testing.assert_allclose(grads[b, :n], grad, rtol=0, atol=1e-12)
             np.testing.assert_array_equal(grads[b, n:], 0.0)
+
+
+@pytest.mark.parametrize("mode", ["stop_gradient", "full"])
+@pytest.mark.parametrize("kind", ["p@k", "ap", "ndcg@k"])
+def test_staircase_keeps_every_bit_of_the_rectangular_path(kind, mode):
+    """Shuffled lists of mixed lengths: the staircase batch gives each list
+    the value and gradient bits of the rectangular path at the same padded
+    width, in the caller's order."""
+    rng = np.random.default_rng(13)
+    for _ in range(3):
+        rel, raw, mask, lengths = random_batch(rng, kind)
+        keep = ~np.array([undefined_lists(r[:n], kind) for r, n in zip(rel, lengths)])
+        shuffle = rng.permutation(np.flatnonzero(keep))
+        rel, raw, mask = rel[shuffle], raw[shuffle], mask[shuffle]
+        spec = LossSpec(
+            kind=kind,
+            params=SmoothIParams(alpha=float(rng.uniform(0.5, 10.0)), delta=0.1),
+            k=None if kind == "ap" else CUTOFF,
+            ap_list_cap=AP_CAP,
+            grad_mode=mode,
+        )
+        values, grads = loss_and_gradient(rel, raw, spec, mask)
+        want_values, want_grads = rectangular_loss_and_gradient(rel, raw, spec, mask)
+        np.testing.assert_array_equal(values, want_values)
+        np.testing.assert_array_equal(grads, want_grads)
 
 
 def test_undefined_lists_match_the_single_list_error():

@@ -159,6 +159,29 @@ class TestTrainCommand:
         column = history[0].split(",").index("skipped_queries")
         assert [row.split(",")[column] for row in history[1:]] == ["2", "2"]
 
+    def test_history_counts_skipped_validation_queries(self, tmp_path, out_root):
+        rng = np.random.default_rng(4)
+        paths = {}
+        for split, grades in (("train", [1, 1, 1]), ("vali", [1, 0, 1, 0, 0]), ("test", [1])):
+            lines = []
+            for q, top in enumerate(grades):
+                for j in range(4):
+                    feats = " ".join(f"{i + 1}:{rng.random():.6f}" for i in range(3))
+                    lines.append(f"{top if j == 0 else 0} qid:{split}{q} {feats}")
+            paths[f"{split}_path"] = str(tmp_path / f"{split}.txt")
+            Path(paths[f"{split}_path"]).write_text("\n".join(lines) + "\n")
+        payload = tiny_train_config("val-skips", dataset="svmlight", **paths)
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert cli.main(["train", "--config", cfg]) == 0
+        out = out_root / "val-skips"
+        history = (out / "history.csv").read_text().splitlines()
+        header = history[0].split(",")
+        assert header[:4] == ["epoch", "train_loss", "skipped_queries", "val_skipped_queries"]
+        assert [row.split(",")[2:4] for row in history[1:]] == [["0", "3"], ["0", "3"]]
+        log = (out / "train.log").read_text()
+        assert log.count("0 training queries skipped (undefined loss), "
+                         "3 validation queries skipped (no relevant document)") == 2
+
     def test_byte_identical_reruns(self, tmp_path, out_root):
         cfg1 = write_config(tmp_path / "c1.json", tiny_train_config("runA"))
         cfg2 = write_config(tmp_path / "c2.json", tiny_train_config("runB"))

@@ -11,7 +11,7 @@ from smoothrank import (
     smooth_indicators,
     stable_softmax,
 )
-from oracles import naive_smooth_rows
+from oracles import naive_smooth_rows, rectangular_smooth_indicators
 
 
 class TestParams:
@@ -125,6 +125,57 @@ class TestForward:
     def test_k_larger_than_list_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
             smooth_indicators([2.0, 1.0], SmoothIParams(alpha=1.0), k=3)
+
+
+def padded_batch(rng, lists, width):
+    """Scores of ``lists`` lists of 1-``width`` documents padded to ``width``,
+    junk in the padding, the longest list at a random position."""
+    lengths = rng.integers(1, width + 1, size=lists)
+    lengths[rng.integers(lists)] = width
+    mask = np.arange(width) < lengths[:, None]
+    scores = np.where(mask, rng.uniform(0.3, 3.0, (lists, width)), np.nan)
+    return scores, mask, lengths
+
+
+class TestStaircase:
+    """Per-list cutoffs: each list's rows are the rectangular recursion's
+    bit for bit, and 0 past its cutoff."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_each_list_equals_the_rectangular_recursion(self, dtype):
+        rng = np.random.default_rng(21)
+        for width in (1, 2, 7, 16, 33, 120):
+            scores, mask, lengths = padded_batch(rng, 9, width)
+            scores = scores.astype(dtype)
+            params = SmoothIParams(alpha=float(np.exp(rng.uniform(-1.0, 4.0))), delta=0.1)
+            # shuffled per-list cutoffs, some past a list's own length
+            k = rng.integers(1, width + 1, size=9)
+            k[rng.integers(9)] = width
+            oracle = rectangular_smooth_indicators(scores, params, mask, k=width)
+            order = np.argsort(-k, kind="stable")
+            stair = smooth_indicators(scores[order], params, mask[order], k=k[order])
+            assert stair.rows.shape == (9, width, width) and stair.rows.dtype == dtype
+            for pos, b in enumerate(order):
+                np.testing.assert_array_equal(stair.rows[pos, :k[b]], oracle.rows[b, :k[b]])
+                np.testing.assert_array_equal(stair.prefix_products[pos, :k[b]], oracle.prefix_products[b, :k[b]])
+                assert not stair.rows[pos, k[b]:].any()
+                assert not stair.prefix_products[pos, k[b]:].any()
+
+    def test_one_cutoff_equals_the_rectangular_recursion(self):
+        rng = np.random.default_rng(22)
+        for width, k in ((1, 1), (5, 3), (40, 40), (64, 10)):
+            scores, mask, _ = padded_batch(rng, 6, width)
+            params = SmoothIParams(alpha=3.0, delta=0.2)
+            for cutoff in (k, np.full(6, k)):
+                got = smooth_indicators(scores, params, mask, k=cutoff)
+                want = rectangular_smooth_indicators(scores, params, mask, k=k)
+                np.testing.assert_array_equal(got.rows, want.rows)
+                np.testing.assert_array_equal(got.prefix_products, want.prefix_products)
+
+    @pytest.mark.parametrize("k", [[3, 0], [4, 3], [2, -1], [3, 2, 1], [1, 2], [2.0, 1.0], [[2, 1]]])
+    def test_bad_cutoffs_rejected(self, k):
+        with pytest.raises(ValueError):
+            smooth_indicators(np.ones((2, 3)) + np.arange(3), SmoothIParams(alpha=1.0), k=np.array(k))
 
 
 def spaced_scores(rng, n, min_gap=0.15):

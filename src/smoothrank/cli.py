@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds_lab, data_io, ltr_model
-from .gradients import finite_difference_check
+from .gradients import STEP_H, finite_difference_check
 from .smooth_metrics import GRAD_MODES, LOSS_KINDS, SMOOTH_AP, STOP_GRADIENT, make_loss_spec
 
 EXIT_OK = 0
@@ -211,15 +211,15 @@ class GradcheckSettings(_InstanceSettings):
     alpha_max: float = 10.0
     grad_modes: tuple[str, ...] = GRAD_MODES
     loss_kinds: tuple[str, ...] = LOSS_KINDS
-    step_h: float = 1e-4
+    step_h: float = STEP_H
     tolerance: float = 1e-4
     output_dir: str = "runs/gradcheck"
 
     def __post_init__(self):
         super().__post_init__()
         _at_least(self, 1, "min_docs", "max_cutoff")
-        _check(self.alpha_max > 0.0 and self.step_h > 0.0,
-               f"alpha_max and step_h must be positive, got {self.alpha_max} and {self.step_h}")
+        _check(self.alpha_max >= 0.1, f"alpha_max must be >= 0.1, got {self.alpha_max}")
+        _check(self.step_h > 0.0, f"step_h must be positive, got {self.step_h}")
         with _as_config_error():
             for kind in self.loss_kinds:
                 for mode in self.grad_modes:

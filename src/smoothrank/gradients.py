@@ -18,13 +18,13 @@ subtracted minimum is piecewise constant in the scores, so it is treated as
 a constant (its almost-everywhere derivative) and frozen at the base point
 during differencing.
 
-The check differences in ``np.longdouble`` (80-bit, eps 1.1e-19, on x86-64
-Linux; float64 resolution where the platform's longdouble is float64), so
-rounding stays far below its gate even on trained lists whose gradients
-float64 differences at h=1e-4 cannot resolve. In stop-gradient mode a check
-is a few passes over ``(K, N)`` arrays, since moving one score changes one
-logit per frozen-prefix row; in full mode it is one recursion over the 2N
-perturbed lists as a batch.
+The check takes complex-step derivatives, ``Im f(s + i h e_j) / h``
+(Squire & Trapp, SIAM Review 40(1), 1998): nothing is subtracted, so a tiny
+step has neither cancellation nor truncation error, on every platform and in
+both modes. In stop-gradient mode a check is a few passes over complex
+``(K, N)`` arrays, since moving one score changes one logit per
+frozen-prefix row; in full mode it is one recursion over the N perturbed
+lists as a batch.
 """
 
 from __future__ import annotations
@@ -52,14 +52,16 @@ from .smooth_metrics import (
 LN2 = float(np.log(2.0))
 
 # max_rel_err normalizes by max(|analytic|, |numeric|, this floor), the
-# magnitudes of the two gradient vectors. Per-component normalization is not
-# meaningful at finite h: a component whose true derivative is below roughly
-# ulp(loss)/(2h) ~ 1e-12 cannot be resolved by differencing at all.
+# magnitudes of the two gradient vectors: both round on the scale of their
+# largest component, so a tiny component cannot be judged on its own.
 REL_ERR_FLOOR = 1e-8
 
-# The full-mode oracle runs its 2N perturbed lists through the recursion in
-# chunks of at most this many indicator-row elements (16 MB per array in
-# longdouble); unchunked, a 128-document list would hold 134 MB.
+# The default complex step: its truncation error, about h^2 f''', vanishes.
+STEP_H = 1e-20
+
+# The full-mode oracle runs its N perturbed lists through the recursion in
+# chunks of at most this many indicator-row elements (16 MB per complex128
+# array); unchunked, a 128-document list would hold 34 MB per array.
 FD_CHUNK_ELEMENTS = 2**20
 
 
@@ -176,52 +178,45 @@ def loss_and_gradient(rel, raw_scores, spec: LossSpec, mask=None):
 
 
 def _differenced_loss(lists: _Lists, mat: SmoothIndicatorMatrix, spec: LossSpec, h: float) -> np.ndarray:
-    """Central differences of the mode-consistent loss of one prepared list,
-    one per kept document, evaluated in ``np.longdouble``.
+    """Complex-step derivatives of the mode-consistent loss of one prepared
+    list, ``Im loss(s + i h e_j) / h``, one per kept document.
 
-    Stop-gradient mode: moving score j by ``h`` changes exactly one logit of
-    each frozen-prefix row, by ``alpha * h * prefix[r, j]``. So with the base
-    rows' exponentials ``e`` (shifted by each row's max), their sums ``S``
-    and grade-weighted sums ``U``, the perturbed weighted sum is the rank-one
-    update ``(U_r + g_j c_rj) / (S_r + c_rj)``, where
-    ``c_rj = e_rj * expm1(+-alpha * h * prefix[r, j])``: all 2N perturbed
-    ``u`` vectors come from ``(K, N)`` arrays. Full mode runs the 2N
-    perturbed lists through the recursion as batches of at most
+    Stop-gradient mode: moving score j by ``i h`` changes exactly one logit
+    of each frozen-prefix row, by ``i * alpha * h * prefix[r, j]``. So with
+    the base rows' exponentials ``e`` (shifted by each row's max), their sums
+    ``S`` and grade-weighted sums ``U``, the perturbed weighted sum is the
+    rank-one update ``(U_r + g_j c_rj) / (S_r + c_rj)``, where
+    ``c_rj = e_rj * expm1(i * alpha * h * prefix[r, j])``: all N perturbed
+    ``u`` vectors come from ``(K, N)`` arrays. Full mode runs the N
+    perturbed lists through ``smooth_indicators`` as batches of at most
     ``FD_CHUNK_ELEMENTS`` row elements.
     """
     k = int(lists.k[0])
-    scores = lists.scores[0].astype(np.longdouble)
-    rel = lists.rel[0].astype(np.longdouble)
+    scores, rel = lists.scores[0], lists.rel[0]
     n = scores.size
     if spec.grad_mode == STOP_GRADIENT:
-        prefix = mat.prefix_products[0].astype(np.longdouble)
+        prefix = mat.prefix_products[0]
         logits = spec.params.alpha * scores * prefix
         exps = np.exp(logits - logits.max(axis=1, keepdims=True))
         total = exps.sum(axis=1, keepdims=True)
         weighted = (exps * rel).sum(axis=1, keepdims=True)
-        moved = h * (spec.params.alpha * prefix)
-        # (2N, K): row j moves score j up by h, row N + j moves it down
-        u = np.concatenate([
-            ((weighted + rel * change) / (total + change)).T
-            for change in (exps * np.expm1(moved), exps * np.expm1(-moved))
-        ])
+        change = exps * np.expm1(1j * h * (spec.params.alpha * prefix))
+        # (N, K): row j moves score j by i h
+        u = ((weighted + rel * change) / (total + change)).T
     else:
-        perturbed = np.tile(scores, (2 * n, 1))
-        docs = np.arange(n)
-        perturbed[docs, docs] += h
-        perturbed[n + docs, docs] -= h
+        perturbed = scores + 1j * h * np.eye(n)
         chunk = max(1, FD_CHUNK_ELEMENTS // (k * n))
         u = np.concatenate([
             smooth_indicators(perturbed[i:i + chunk], spec.params, k=k).rows @ rel
-            for i in range(0, 2 * n, chunk)
+            for i in range(0, n, chunk)
         ])
     loss = 1.0 - metric_from_weighted_sums(u, spec.kind, k, lists.rel_total[0], lists.ideal[0])
-    return (loss[:n] - loss[n:]) / (2.0 * h)
+    return loss.imag / h
 
 
-def finite_difference_check(rel, raw_scores, spec: LossSpec, h: float = 1e-4) -> GradientReport:
-    """Central differences of the mode-consistent loss versus the analytic
-    gradient.
+def finite_difference_check(rel, raw_scores, spec: LossSpec, h: float = STEP_H) -> GradientReport:
+    """Complex-step derivatives of the mode-consistent loss versus the
+    analytic gradient.
 
     For stop-gradient mode the compared function recomputes every softmax row
     from perturbed scores but keeps the prefix products (and the shift's
@@ -229,21 +224,19 @@ def finite_difference_check(rel, raw_scores, spec: LossSpec, h: float = 1e-4) ->
     documents AP drops get numeric 0. The analytic gradient and the frozen
     prefixes come from one forward pass on the shifted base point.
 
-    The differences are taken in ``np.longdouble``, which is 80-bit with eps
-    1.1e-19 on x86-64 Linux, so rounding in the loss (about eps / (2h)) stays
-    far below the relative-error gate even where a trained list's gradient
-    is tiny. Where ``np.longdouble`` is float64, as on some other platforms,
-    the oracle has float64 resolution. A check costs O(K N) array work in
-    stop-gradient mode and one batched recursion over the 2N perturbed lists
-    in full mode.
+    The step ``h`` is imaginary, so no two losses are subtracted and a tiny
+    step (the default) has no cancellation; its error is truncation, about
+    ``h**2`` times the loss's third derivative, which a larger ``h`` shows.
+    A check costs O(K N) array work in stop-gradient mode and one batched
+    recursion over the N perturbed lists in full mode.
     """
     shifted = shift_scores(raw_scores, spec.shift_margin)
-    if not 1e-6 <= h <= 1e-2:
-        warnings.warn(f"step h={h} outside [1e-6, 1e-2]; truncation or cancellation may dominate")
+    if h > 1e-2:
+        warnings.warn(f"step h={h} above 1e-2; truncation may dominate")
     lists = _prepare(rel, shifted, spec)
     mat, u, _ = _forward(lists, spec)
     analytic = -_gradient(lists, mat, u, spec)
-    numeric = lists.restore(_differenced_loss(lists, mat, spec, h).astype(np.float64)[None])
+    numeric = lists.restore(_differenced_loss(lists, mat, spec, h)[None])
 
     max_abs_err = float(np.abs(analytic - numeric).max())
     denom = max(float(np.abs(analytic).max()), float(np.abs(numeric).max()), REL_ERR_FLOOR)

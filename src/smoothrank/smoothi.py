@@ -23,6 +23,10 @@ batch, and rank step r works on that slice only. The work is then a
 staircase, the sum of the lists' own ``k * N`` instead of ``B * max(k) * N``,
 and each list's rows keep the bits of a rectangular call at the same padded
 width (every rank step is row by row). The rows past a list's cutoff are 0.
+
+Real scores run in float64. Complex scores run in complex128, which is how
+the gradient check takes complex-step derivatives through this one
+recursion: validation and each row's max read the real part only.
 """
 
 from __future__ import annotations
@@ -121,9 +125,8 @@ def smooth_indicators(scores, params: SmoothIParams, mask=None, *,
     ``rank_steps``). Valid scores must be strictly positive (the
     recursion relies on positivity to keep damped documents below undamped
     ones); shift raw model outputs with
-    :func:`smoothrank.smooth_metrics.shift_scores` first. Float scores keep
-    their dtype (``np.longdouble`` runs the recursion in extended precision);
-    any other input is converted to float64.
+    :func:`smoothrank.smooth_metrics.shift_scores` first. Real scores run in
+    float64 and complex ones in complex128, validated on their real part.
 
     The recursion reads the scores only as ``alpha * score``, so lists of
     one batch can each have their own alpha: pass ``alphas[:, None] *
@@ -131,8 +134,7 @@ def smooth_indicators(scores, params: SmoothIParams, mask=None, *,
     then have the bits of a one-list call at its own alpha.
     """
     arr = np.asarray(scores)
-    if arr.dtype.kind != "f":
-        arr = arr.astype(np.float64)
+    arr = arr.astype(np.complex128 if arr.dtype.kind == "c" else np.float64, copy=False)
     if arr.ndim not in (1, 2) or arr.shape[-1] == 0:
         raise ValueError(f"scores must be a non-empty (n,) or (B, n) array, got shape {arr.shape}")
     batch = arr.reshape(-1, arr.shape[-1])
@@ -142,7 +144,7 @@ def smooth_indicators(scores, params: SmoothIParams, mask=None, *,
     live = batch if valid is None else batch[valid]
     if not np.all(np.isfinite(live)):
         raise ValueError("scores contain NaN or Inf")
-    if np.any(live <= 0.0):
+    if np.any(live.real <= 0.0):
         raise ValueError("smooth indicators require strictly positive scores; shift them first")
     steps = rank_steps(batch.shape[1] if k is None else k, *batch.shape)
     if valid is not None:
@@ -164,7 +166,7 @@ def smooth_indicators(scores, params: SmoothIParams, mask=None, *,
             logits = scaled * prefix
             if pad is not None:
                 logits += pad
-            exps = np.exp(logits - logits.max(axis=1, keepdims=True))
+            exps = np.exp(logits - logits.real.max(axis=1, keepdims=True))
             row = rows[:count, r]
             np.divide(exps, exps.sum(axis=1, keepdims=True), out=row)
             prefix = prefix * (1.0 - row - params.delta)

@@ -19,7 +19,11 @@ forward's folded formula on the scorer's own slice height, which eval-mode score
 ``finite_difference_loop``, the float64 finite-difference check as
 ``gradients.finite_difference_check`` ran it before it was batched: one
 loss evaluation per perturbation, rebuilding the softmax rows one by one on
-the package's own preparation, shift and metric; and
+the package's own preparation, shift and metric. Its analytic gradient must
+equal the batched check's bit for bit; its central differences, which the
+complex-step check no longer uses, are an independent estimate of the
+numeric gradient where the exact dual-number oracle of
+``test_gradients_dual`` does not reach (AP's list cap, long lists); and
 ``svmlight_per_line``, the SVMlight reader as ``parse_svmlight`` was before
 it read dense files with ``np.loadtxt``: ``data_io._parse_line`` per line
 and a scatter per feature value; and ``metric_bounds_three_pass``, the
@@ -533,10 +537,10 @@ def svmlight_per_line(path) -> data_io.Dataset:
 
 def rectangular_smooth_indicators(scores, params: SmoothIParams, mask=None, k: int | None = None):
     """Rows 1..k of a batch, every rank step over every list: the recursion
-    of ``smooth_indicators`` before the staircase, for an int ``k``."""
+    of ``smooth_indicators`` before the staircase, for an int ``k``. Complex
+    scores run in complex128, each row shifted by the max of its real part."""
     arr = np.asarray(scores)
-    if arr.dtype.kind != "f":
-        arr = arr.astype(np.float64)
+    arr = arr.astype(np.complex128 if arr.dtype.kind == "c" else np.float64)
     batch = arr.reshape(-1, arr.shape[-1])
     valid = None if mask is None else np.asarray(mask, dtype=bool).reshape(batch.shape)
     k = batch.shape[1] if k is None else k
@@ -552,7 +556,7 @@ def rectangular_smooth_indicators(scores, params: SmoothIParams, mask=None, k: i
         logits = scaled * prefix
         if pad is not None:
             logits += pad
-        exps = np.exp(logits - logits.max(axis=1, keepdims=True))
+        exps = np.exp(logits - logits.real.max(axis=1, keepdims=True))
         row = rows[:, r]
         np.divide(exps, exps.sum(axis=1, keepdims=True), out=row)
         prefix = prefix * (1.0 - row - params.delta)

@@ -81,6 +81,8 @@ CONFIG_FAILURES = [
     ("evaluate", {"cutoffs": [0]}, "cutoffs"),
     ("train", {"loss_kind": "ap", "loss_k": 5}, "cutoff"),
     ("train", {"n_queries": 40}, "n_queries"),
+    # alphas are drawn log-uniformly from [0.1, alpha_max]
+    ("gradcheck", {"alpha_max": 0.05}, "alpha_max"),
 ]
 
 
@@ -460,9 +462,17 @@ class TestGradcheckCommand:
         assert all(line.endswith("true") for line in rows[1:])
 
     def test_unreachable_tolerance_exits_five(self, tmp_path, out_root):
-        payload = {"instances": 5, "seed": 0, "tolerance": 1e-13, "output_dir": "gc2"}
+        # a step of 1e-3 truncates at about 1e-6 times the third derivative
+        payload = {"instances": 5, "seed": 0, "tolerance": 1e-13, "step_h": 1e-3, "output_dir": "gc2"}
         cfg = write_config(tmp_path / "g.json", payload)
         assert cli.main(["gradcheck", "--config", cfg]) == 5
+
+    def test_huge_step_fails_the_check_without_a_traceback(self, tmp_path, out_root, capsys):
+        payload = {"instances": 5, "seed": 1, "step_h": 1e300, "output_dir": "gc4"}
+        cfg = write_config(tmp_path / "g.json", payload)
+        with pytest.warns(UserWarning, match="h="):
+            assert cli.main(["gradcheck", "--config", cfg]) == 5
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_deterministic_output(self, tmp_path, out_root):
         payload = {"instances": 10, "seed": 3, "output_dir": "gc3"}

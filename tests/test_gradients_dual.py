@@ -2,8 +2,9 @@
 
 Finite differences carry truncation error; dual numbers propagate exact
 derivatives through a literal re-implementation of the recursion and the
-metrics, so the analytic reverse-mode gradients can be checked to machine
-precision, one input coordinate at a time.
+metrics, so the analytic reverse-mode gradients and the gradient check's
+complex-step ones can be checked to machine precision, one input coordinate
+at a time.
 """
 
 import math
@@ -11,7 +12,9 @@ import math
 import numpy as np
 import pytest
 
-from smoothrank import SmoothIParams, make_loss_spec, metric_gradient, smooth_indicators
+from smoothrank import (
+    SmoothIParams, finite_difference_check, make_loss_spec, metric_gradient, smooth_indicators,
+)
 from oracles import random_ranking_instance
 
 LN2 = math.log(2.0)
@@ -155,3 +158,6 @@ class TestDualNumberOracle:
                 rel.tolist(), scores.tolist(), kind, rows_k, alpha, 0.1, mode
             )
             np.testing.assert_allclose(analytic, exact, rtol=1e-12, atol=1e-14)
+            # the check's complex-step gradient of the loss, 1 - metric
+            numeric = finite_difference_check(rel, raw, spec).numeric
+            np.testing.assert_allclose(-numeric, exact, rtol=1e-12, atol=1e-14)

@@ -103,18 +103,35 @@ class TestForward:
             mat = smooth_indicators(scores, SmoothIParams(alpha=alpha, delta=0.1))
             np.testing.assert_allclose(mat.rows.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_extended_precision_input_keeps_its_dtype(self):
-        """Longdouble scores run the recursion in longdouble; integer scores
-        are converted to float64 like lists of floats."""
-        rng = np.random.default_rng(5)
-        scores = rng.uniform(0.5, 2.0, (3, 7))
+    def test_real_input_runs_in_float64(self):
+        """Integer, float32 and extended-precision scores run the recursion in
+        float64, with the rows of float64 input."""
+        scores = np.array([3.0, 1.0, 2.0, 4.0])
         params = SmoothIParams(alpha=4.0, delta=0.1)
-        wide = smooth_indicators(scores.astype(np.longdouble), params)
-        assert wide.rows.dtype == wide.prefix_products.dtype == np.longdouble
-        np.testing.assert_allclose(
-            wide.rows.astype(np.float64), smooth_indicators(scores, params).rows, atol=1e-14
-        )
-        assert smooth_indicators(np.array([3, 1, 2]), params).rows.dtype == np.float64
+        want = smooth_indicators(scores, params)
+        for dtype in (np.int64, np.float32, np.longdouble):
+            got = smooth_indicators(scores.astype(dtype), params)
+            assert got.rows.dtype == got.prefix_products.dtype == np.float64
+            np.testing.assert_array_equal(got.rows, want.rows)
+
+    def test_complex_step_gives_the_rows_derivative(self):
+        """Complex scores run in complex128, validated and max-shifted on their
+        real part: an imaginary step h along score j leaves the real part at
+        the real rows and carries h times their derivative wrt score j."""
+        rng = np.random.default_rng(5)
+        scores = rng.uniform(0.5, 2.0, 6)
+        params = SmoothIParams(alpha=4.0, delta=0.1)
+        real = smooth_indicators(scores, params)
+        step, h = np.zeros(6), 1e-6
+        step[2] = h
+        stepped = smooth_indicators(scores + 1j * step, params)
+        assert stepped.rows.dtype == stepped.prefix_products.dtype == np.complex128
+        np.testing.assert_allclose(stepped.rows.real, real.rows, rtol=0.0, atol=1e-11)
+        central = (smooth_indicators(scores + step, params).rows
+                   - smooth_indicators(scores - step, params).rows) / (2.0 * h)
+        np.testing.assert_allclose(stepped.rows.imag / h, central, rtol=0.0, atol=1e-7)
+        with pytest.raises(ValueError, match="positive"):
+            smooth_indicators(np.array([1.0, -0.5 + 2j]), params)
 
     def test_requires_positive_scores(self):
         with pytest.raises(ValueError, match="positive"):
@@ -141,12 +158,13 @@ class TestStaircase:
     """Per-list cutoffs: each list's rows are the rectangular recursion's
     bit for bit, and 0 past its cutoff."""
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_each_list_equals_the_rectangular_recursion(self, dtype):
         rng = np.random.default_rng(21)
         for width in (1, 2, 7, 16, 33, 120):
             scores, mask, lengths = padded_batch(rng, 9, width)
-            scores = scores.astype(dtype)
+            if dtype is np.complex128:
+                scores = scores + 1j * rng.uniform(-1e-3, 1e-3, scores.shape)
             params = SmoothIParams(alpha=float(np.exp(rng.uniform(-1.0, 4.0))), delta=0.1)
             # shuffled per-list cutoffs, some past a list's own length
             k = rng.integers(1, width + 1, size=9)

@@ -45,6 +45,9 @@ METRIC_ROUNDING_SLACK = 4 * float(np.finfo(np.float64).eps)
 # many row elements (8 MiB per float64 array)
 SWEEP_CHUNK_ELEMENTS = 2**20
 
+# bound_sweep's default multiples of each instance's certificate threshold
+ALPHA_FACTORS = (1.05, 1.5, 3.0)
+
 
 class CertificateError(ValueError):
     """No certificate exists for this instance (ties, non-positive scores, K=1)."""
@@ -356,7 +359,7 @@ def bound_sweep(
     delta: float,
     seed: int,
     alphas=None,
-    alpha_factors=(1.05, 1.5, 3.0),
+    alpha_factors=ALPHA_FACTORS,
 ) -> tuple[list[dict], dict]:
     """Indicator-bound rows over random instances, one row per (instance, alpha).
 

@@ -35,7 +35,8 @@ import numpy as np
 
 from . import bounds_lab, data_io, ltr_model
 from .gradients import STEP_H, finite_difference_check
-from .smooth_metrics import GRAD_MODES, LOSS_KINDS, SMOOTH_AP, STOP_GRADIENT, make_loss_spec
+from .smooth_metrics import GRAD_MODES, LOSS_KINDS, SMOOTH_AP, LossSpec, make_loss_spec
+from .smoothi import SmoothIParams
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -124,14 +125,14 @@ class _DatasetSettings(_Settings):
 @dataclass(frozen=True)
 class _TrainingSettings(_DatasetSettings):
     loss_kind: str = "ndcg@k"
-    loss_k: int | None = None  # None: the full list; cut to each list's length
-    grad_mode: str = STOP_GRADIENT
-    shift_margin: float = 1.0
-    learning_rate: float = 1e-3
-    epochs: int = 50
-    batch_size_queries: int = 128
-    hidden_dim: int = 1024
-    select_cutoff: int | None = None  # validation NDCG cutoff; None: full list
+    loss_k: int | None = LossSpec.k  # None: the full list; cut to each list's length
+    grad_mode: str = LossSpec.grad_mode
+    shift_margin: float = LossSpec.shift_margin
+    learning_rate: float = ltr_model.TrainConfig.learning_rate
+    epochs: int = ltr_model.TrainConfig.epochs
+    batch_size_queries: int = ltr_model.TrainConfig.batch_size_queries
+    hidden_dim: int = ltr_model.TrainConfig.hidden_dim
+    select_cutoff: int | None = ltr_model.TrainConfig.select_cutoff  # validation NDCG cutoff; None: full list
 
     def train_config(self, alpha: float, delta: float, strict: bool) -> ltr_model.TrainConfig:
         if strict:
@@ -158,7 +159,7 @@ class _TrainingSettings(_DatasetSettings):
 @dataclass(frozen=True)
 class TrainSettings(_TrainingSettings):
     alpha: float = 1.0
-    delta: float = 0.1
+    delta: float = SmoothIParams.delta
     output_dir: str = "runs/train"
 
 
@@ -177,7 +178,7 @@ class SweepSettings(_TrainingSettings):
 class EvaluateSettings(_DatasetSettings):
     checkpoint: str | None = None
     split: str = "test"
-    cutoffs: tuple[int, ...] = (1, 5, 10)
+    cutoffs: tuple[int, ...] = ltr_model.EVAL_CUTOFFS
     run_tag: str = "smoothrank"
     output_dir: str = "runs/evaluate"
 
@@ -197,7 +198,7 @@ class _InstanceSettings(_Settings):
     instances: int = 100
     min_docs: int = 2
     max_docs: int = 10
-    delta: float = 0.1
+    delta: float = SmoothIParams.delta
 
     def __post_init__(self):
         super().__post_init__()
@@ -231,7 +232,7 @@ class VerifyBoundsSettings(_InstanceSettings):
     min_docs: int = 4
     k_values: tuple[int, ...] = (2, 3, 5)
     alphas: tuple[float, ...] | None = None  # None: alpha_factors x each threshold
-    alpha_factors: tuple[float, ...] = (1.05, 1.5, 3.0)
+    alpha_factors: tuple[float, ...] = bounds_lab.ALPHA_FACTORS
     output_dir: str = "runs/verify-bounds"
 
     def __post_init__(self):

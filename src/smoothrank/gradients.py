@@ -145,7 +145,7 @@ def _gradient(lists: _Lists, mat: SmoothIndicatorMatrix, u: np.ndarray, spec: Lo
     if spec.grad_mode == STOP_GRADIENT:
         grad = _softmax_rows_backward_stop(mat, upstream)
     else:
-        grad = _softmax_rows_backward_full(mat, upstream, lists.cutoff)
+        grad = _softmax_rows_backward_full(mat, upstream, lists.k)
     return lists.restore(grad)
 
 
@@ -227,9 +227,12 @@ def finite_difference_check(rel, raw_scores, spec: LossSpec, h: float = STEP_H) 
     The step ``h`` is imaginary, so no two losses are subtracted and a tiny
     step (the default) has no cancellation; its error is truncation, about
     ``h**2`` times the loss's third derivative, which a larger ``h`` shows.
+    Raises ValueError unless ``0 < h < inf``.
     A check costs O(K N) array work in stop-gradient mode and one batched
     recursion over the N perturbed lists in full mode.
     """
+    if not 0.0 < h < np.inf:
+        raise ValueError(f"step h must be positive and finite, got {h}")
     shifted = shift_scores(raw_scores, spec.shift_margin)
     if h > 1e-2:
         warnings.warn(f"step h={h} above 1e-2; truncation may dominate")

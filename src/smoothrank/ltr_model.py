@@ -59,6 +59,9 @@ BUCKET_SPREAD = 2.0
 # ms on 3,000 x 46 rows at 128 units.
 EVAL_SLICE_ELEMENTS = 2**16
 
+# the metric cutoffs evaluate() reports by default, and train() validates at
+EVAL_CUTOFFS = (1, 5, 10)
+
 
 def eval_slice_shape(hidden_dim: int) -> tuple[int, int]:
     """Rows and columns of every eval-mode product: the hidden width rounded
@@ -377,9 +380,8 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Scorer, TrainHistory]:
     and score gradients are averaged, and the mean gradient is backpropagated
     through the scorer. The losses come from one ``loss_and_gradient`` call
     per bucket of similar-length lists (see ``length_buckets``), each list
-    padded to its bucket's longest and the bucket handed over longest first,
-    the order the staircase recursion works in; a list shorter than the loss
-    cutoff is scored at its own length. Queries whose loss is undefined (zero
+    padded to its bucket's longest; a list shorter than the loss cutoff is
+    scored at its own length. Queries whose loss is undefined (zero
     relevance) are skipped and counted, and so are the validation queries
     ``evaluate`` leaves out. Raises DivergenceError when a batch loss goes
     non-finite.
@@ -396,6 +398,8 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Scorer, TrainHistory]:
     lengths = np.array([len(g) for g in groups])
     defined = np.array([not undefined_lists(rel, config.loss.kind) for rel in rels])
     select_key = "ndcg" if config.select_cutoff is None else f"ndcg@{config.select_cutoff}"
+    cutoffs = EVAL_CUTOFFS if config.select_cutoff is None else (
+        tuple(sorted({*EVAL_CUTOFFS, config.select_cutoff})))
     history = TrainHistory(select_metric=select_key)
     best_value = -np.inf
     best_snap = scorer.snapshot()
@@ -421,8 +425,6 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Scorer, TrainHistory]:
             losses = np.empty(live.size)
             dscores = np.zeros_like(scores)
             for bucket in length_buckets(config.loss.kept_length(sizes[live])):
-                # longest first, the order the staircase recursion takes
-                bucket = bucket[::-1]
                 lists = live[bucket]
                 docs, mask = padded_lists(offsets[lists], sizes[lists])
                 values, grads = loss_and_gradient(rel[docs], scores[docs], config.loss, mask)
@@ -437,9 +439,6 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Scorer, TrainHistory]:
 
         if not all(np.all(np.isfinite(p)) for p in scorer.parameters().values()):
             raise DivergenceError(epoch, f"non-finite parameters at epoch {epoch}")
-        cutoffs = (1, 5, 10) if config.select_cutoff in (None, 1, 5, 10) else (
-            tuple(sorted({1, 5, 10, config.select_cutoff}))
-        )
         try:
             val = evaluate(scorer, dataset, "validation", cutoffs=cutoffs)
         except NonFiniteScoresError as exc:
@@ -504,7 +503,7 @@ def score_queries(scorer: Scorer, groups) -> dict[str, np.ndarray]:
     return dict(zip([g.query_id for g in groups], np.split(flat, np.cumsum(sizes)[:-1])))
 
 
-def evaluate(scorer: Scorer, dataset: Dataset, split: str, cutoffs=(1, 5, 10)) -> EvaluationResult:
+def evaluate(scorer: Scorer, dataset: Dataset, split: str, cutoffs=EVAL_CUTOFFS) -> EvaluationResult:
     """Exact metrics of the scorer on a split, averaged over queries.
 
     Queries with all-zero relevance have no defined NDCG or AP and are

@@ -132,10 +132,11 @@ def exact_metrics(rel, scores, lengths, cutoffs) -> dict[str, np.ndarray]:
     list without a relevant document has AP 0; one with ideal DCG@c 0 has
     NDCG@c 0.
 
-    Each value equals the one-list computation bit for bit: 0/1 sums are
-    exact, each DCG is a ``sum`` over exactly the list's first ``k`` terms
-    (numpy's summation order for a length-``k`` vector), and ideal DCG and
-    AP are ``math.fsum`` sums.
+    No value depends on the batch or the padding. P@c and AP equal
+    ``precision_at_k`` and ``average_precision`` bit for bit (0/1 sums are
+    exact, AP is a ``math.fsum``). Each DCG is a numpy ``sum`` of the list's
+    first ``k`` terms where ``ndcg_at_k`` takes a ``math.fsum``, so NDCG can
+    differ from it by a few ulps (at most 3 on 20,000 random lists).
     """
     rel = np.asarray(rel, dtype=np.float64)
     lengths = np.asarray(lengths)

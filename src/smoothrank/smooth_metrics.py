@@ -33,8 +33,8 @@ GRAD_MODES = (FULL, STOP_GRADIENT)
 
 # AP walks every rank, so its cost is quadratic in list length; lists longer
 # than this are truncated to their top-scoring documents (LETOR lists are
-# typically well under this).
-DEFAULT_AP_LIST_CAP = 128
+# typically well under this). Read at call time, so a test can lower it.
+AP_LIST_CAP = 128
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class LossSpec:
     ``k`` is the metric cutoff, ``None`` meaning the full list length; AP
     walks every rank and takes none. ``params`` holds alpha and delta.
     ``shift_margin`` is the minimum value raw scores are shifted to before
-    entering the smooth indicator. AP ranks at most ``ap_list_cap``
+    entering the smooth indicator. AP ranks at most ``AP_LIST_CAP``
     documents per list. ``grad_mode`` is one of ``GRAD_MODES``.
     """
 
@@ -52,7 +52,6 @@ class LossSpec:
     params: SmoothIParams
     k: int | None = None
     shift_margin: float = 1.0
-    ap_list_cap: int = DEFAULT_AP_LIST_CAP
     grad_mode: str = STOP_GRADIENT
 
     def __post_init__(self):
@@ -66,13 +65,11 @@ class LossSpec:
             raise ValueError(f"grad_mode must be one of {GRAD_MODES}, got {self.grad_mode!r}")
         if self.shift_margin <= 0.0:
             raise ValueError(f"shift_margin must be positive, got {self.shift_margin}")
-        if self.ap_list_cap < 1:
-            raise ValueError(f"ap_list_cap must be >= 1, got {self.ap_list_cap}")
 
     def kept_length(self, n):
         """How many documents of an ``n``-document list the metric ranks: AP
-        keeps the top ``ap_list_cap``, the others keep every document."""
-        return np.minimum(n, self.ap_list_cap) if self.kind == SMOOTH_AP else n
+        keeps the top ``AP_LIST_CAP``, the others keep every document."""
+        return np.minimum(n, AP_LIST_CAP) if self.kind == SMOOTH_AP else n
 
     def label(self) -> str:
         if self.kind == SMOOTH_AP:
@@ -169,10 +166,9 @@ class _Lists:
     ``mask`` is ``None`` when no entry is padded. ``k``, ``rel_total`` and
     ``ideal`` hold each list's cutoff and normalizers. The lists are sorted
     by cutoff, longest first, for the staircase recursion; ``order`` holds
-    the input positions they came from, ``None`` when the input was sorted
-    already. When AP truncates long lists, ``keep`` holds the ``(B, cap)``
-    input positions the three arrays were gathered from, and ``width`` the
-    input's width.
+    the input positions they came from. When AP truncates long lists,
+    ``keep`` holds the ``(B, cap)`` input positions the three arrays were
+    gathered from, and ``width`` the input's width.
     """
 
     rel: np.ndarray
@@ -182,15 +178,9 @@ class _Lists:
     rel_total: np.ndarray
     ideal: np.ndarray
     keep: np.ndarray | None
-    order: np.ndarray | None
+    order: np.ndarray
     width: int
     single: bool
-
-    @property
-    def cutoff(self):
-        """``k`` as the recursion takes it: one int when every list shares
-        it, which keeps one-list and fixed-length calls off the staircase."""
-        return int(self.k[0]) if self.k[0] == self.k[-1] else self.k
 
     def restore(self, per_doc: np.ndarray) -> np.ndarray:
         """Per-document ``(B, N)`` values back in the caller's layout; the
@@ -206,8 +196,6 @@ class _Lists:
         return float(per_list[0]) if self.single else self._unsorted(per_list)
 
     def _unsorted(self, per_list: np.ndarray) -> np.ndarray:
-        if self.order is None:
-            return per_list
         out = np.empty_like(per_list)
         out[self.order] = per_list
         return out
@@ -218,7 +206,7 @@ def _prepare(rel, scores, spec: LossSpec, mask=None) -> _Lists:
 
     One list must be at least as long as the cutoff. In a batch, whose lists
     differ in length, each list's cutoff is ``min(k, n_q)``, the cutoff
-    ``evaluate`` scores a short list at. AP ranks at most ``ap_list_cap``
+    ``evaluate`` scores a short list at. AP ranks at most ``AP_LIST_CAP``
     documents of each list: its top-scoring ones. The lists come back
     sorted by cutoff, longest first (stably), as the staircase recursion
     needs them.
@@ -259,11 +247,9 @@ def _prepare(rel, scores, spec: LossSpec, mask=None) -> _Lists:
         if spec.kind == SMOOTH_AP:
             raise UndefinedMetricError(f"smooth AP is undefined{where}: no relevant document")
         raise UndefinedMetricError(f"smooth NDCG is undefined{where}: all relevance grades are zero")
-    order = None
-    if np.any(k[1:] > k[:-1]):
-        order = np.argsort(-k, kind="stable")
-        batch, grades, n, k = batch[order], grades[order], n[order], k[order]
-        valid = None if valid is None else valid[order]
+    order = np.argsort(-k, kind="stable")
+    batch, grades, n, k = batch[order], grades[order], n[order], k[order]
+    valid = None if valid is None else valid[order]
     rel_total = grades.sum(axis=1)
     if spec.kind == SMOOTH_NDCG_AT_K:
         ideal = ideal_dcg(grades, k[:, None])[:, 0]
@@ -271,7 +257,7 @@ def _prepare(rel, scores, spec: LossSpec, mask=None) -> _Lists:
         ideal = np.ones(len(grades))
 
     keep = None
-    cap = spec.ap_list_cap
+    cap = AP_LIST_CAP
     if spec.kind == SMOOTH_AP and batch.shape[1] > cap:
         # a list longer than the cap keeps its top documents in descending
         # score order (stable); a shorter one keeps its documents in place
@@ -298,7 +284,7 @@ def _prepare(rel, scores, spec: LossSpec, mask=None) -> _Lists:
 def _forward(lists: _Lists, spec: LossSpec) -> tuple[SmoothIndicatorMatrix, np.ndarray, np.ndarray]:
     """Indicator rows, weighted row sums ``u`` (0 past each list's cutoff,
     where the staircase leaves the rows 0) and metric value of each list."""
-    mat = smooth_indicators(lists.scores, spec.params, lists.mask, k=lists.cutoff)
+    mat = smooth_indicators(lists.scores, spec.params, lists.mask, k=lists.k)
     u = (mat.rows @ lists.rel[:, :, None])[:, :, 0]
     return mat, u, metric_from_weighted_sums(u, spec.kind, lists.k, lists.rel_total, lists.ideal)
 
@@ -322,8 +308,8 @@ def smooth_precision_at_k(rel, scores, spec: LossSpec) -> float:
     return smooth_metric(rel, scores, spec)
 
 
-def smooth_ap(rel, scores, params: SmoothIParams, ap_list_cap: int = DEFAULT_AP_LIST_CAP) -> float:
-    return smooth_metric(rel, scores, LossSpec(kind=SMOOTH_AP, params=params, ap_list_cap=ap_list_cap))
+def smooth_ap(rel, scores, params: SmoothIParams) -> float:
+    return smooth_metric(rel, scores, LossSpec(kind=SMOOTH_AP, params=params))
 
 
 def smooth_ndcg_at_k(rel, scores, spec: LossSpec) -> float:

@@ -101,14 +101,15 @@ def rank_steps(k, count: int, width: int) -> list[tuple[int, int, int]]:
         return [(0, int(k), count)]
     if cutoffs.shape != (count,) or cutoffs.dtype.kind not in "iu":
         raise ValueError(f"k must be an int or {count} integer cutoffs, got shape {cutoffs.shape}")
-    if np.any(cutoffs[1:] > cutoffs[:-1]):
+    ks = cutoffs.tolist()  # Python ints: numpy's per-call cost would dominate a one-list call
+    if ks != sorted(ks, reverse=True):
         raise ValueError("per-list k must be non-increasing (longest list first)")
-    if cutoffs[-1] < 1 or cutoffs[0] > width:
-        raise ValueError(f"every k must lie in [1, {width}], got {cutoffs[-1]} to {cutoffs[0]}")
+    if ks[-1] < 1 or ks[0] > width:
+        raise ValueError(f"every k must lie in [1, {width}], got {ks[-1]} to {ks[0]}")
     # the last list of each run of equal cutoffs ends a step of the staircase
-    ends = np.append(np.flatnonzero(cutoffs[1:] != cutoffs[:-1]), count - 1)[::-1]
-    stops = cutoffs[ends].tolist()
-    return list(zip([0] + stops[:-1], stops, (ends + 1).tolist()))
+    lists = {stop: i + 1 for i, stop in enumerate(ks)}
+    stops = sorted(lists)
+    return [(start, stop, lists[stop]) for start, stop in zip([0] + stops[:-1], stops)]
 
 
 def smooth_indicators(scores, params: SmoothIParams, mask=None, *,

@@ -421,7 +421,7 @@ def metric_bounds_three_pass(rel, scores, k: int, alpha: float, delta: float = 0
     p_bound = float(rel.sum()) * eps_k
     ap_diff = abs(
         average_precision(rel, arr)
-        - smooth_metric(rel, arr, LossSpec(kind=SMOOTH_AP, params=params, ap_list_cap=n))
+        - smooth_metric(rel, arr, LossSpec(kind=SMOOTH_AP, params=params))
     )
     ap_bound = 2.0 * n * (eps_n + eps_n**2)
     ndcg_diff = abs(

@@ -8,12 +8,19 @@ import pytest
 
 from smoothrank import LossSpec, SmoothIParams, UndefinedMetricError, loss_and_gradient
 from smoothrank.ltr_model import BUCKET_SPREAD, length_buckets
+from smoothrank import smooth_metrics
 from smoothrank.smooth_metrics import undefined_lists
 
 from oracles import rectangular_loss_and_gradient
 
 AP_CAP = 64
 CUTOFF = 10
+
+
+@pytest.fixture
+def ap_cap(monkeypatch):
+    """AP ranks at most ``AP_CAP`` documents, so some lists pass the cap."""
+    monkeypatch.setattr(smooth_metrics, "AP_LIST_CAP", AP_CAP)
 
 
 def random_batch(rng, kind):
@@ -40,7 +47,7 @@ def random_batch(rng, kind):
 
 @pytest.mark.parametrize("mode", ["stop_gradient", "full"])
 @pytest.mark.parametrize("kind", ["p@k", "ap", "ndcg@k"])
-def test_batch_matches_one_call_per_list(kind, mode):
+def test_batch_matches_one_call_per_list(kind, mode, ap_cap):
     rng = np.random.default_rng(11)
     for _ in range(3):
         rel, raw, mask, lengths = random_batch(rng, kind)
@@ -48,7 +55,6 @@ def test_batch_matches_one_call_per_list(kind, mode):
             kind=kind,
             params=SmoothIParams(alpha=float(rng.uniform(0.5, 10.0)), delta=0.1),
             k=None if kind == "ap" else CUTOFF,
-            ap_list_cap=AP_CAP,
             grad_mode=mode,
         )
         undefined = np.array([undefined_lists(r[:n], kind) for r, n in zip(rel, lengths)])
@@ -72,7 +78,7 @@ def test_batch_matches_one_call_per_list(kind, mode):
 
 @pytest.mark.parametrize("mode", ["stop_gradient", "full"])
 @pytest.mark.parametrize("kind", ["p@k", "ap", "ndcg@k"])
-def test_staircase_keeps_every_bit_of_the_rectangular_path(kind, mode):
+def test_staircase_keeps_every_bit_of_the_rectangular_path(kind, mode, ap_cap):
     """Shuffled lists of mixed lengths: the staircase batch gives each list
     the value and gradient bits of the rectangular path at the same padded
     width, in the caller's order."""
@@ -86,7 +92,6 @@ def test_staircase_keeps_every_bit_of_the_rectangular_path(kind, mode):
             kind=kind,
             params=SmoothIParams(alpha=float(rng.uniform(0.5, 10.0)), delta=0.1),
             k=None if kind == "ap" else CUTOFF,
-            ap_list_cap=AP_CAP,
             grad_mode=mode,
         )
         values, grads = loss_and_gradient(rel, raw, spec, mask)

@@ -1,13 +1,26 @@
 """CLI commands: artifacts, determinism, exit codes, output formats."""
 
 import dataclasses
+import inspect
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from smoothrank import Scorer, cli, data_io, ltr_model, make_loss_spec, save_checkpoint, training_loss
+from smoothrank import (
+    LossSpec,
+    Scorer,
+    SmoothIParams,
+    bounds_lab,
+    cli,
+    data_io,
+    finite_difference_check,
+    ltr_model,
+    make_loss_spec,
+    save_checkpoint,
+    training_loss,
+)
 
 from oracles import query_metrics
 
@@ -128,6 +141,30 @@ def test_readme_documents_every_key():
     for settings_cls, _ in cli.COMMANDS.values():
         for field in dataclasses.fields(settings_cls):
             assert f"`{field.name}`" in readme, field.name
+
+
+def test_cli_defaults_are_the_library_defaults():
+    """Every default a command shares with the library is the library's."""
+    def defaults(cls):
+        return {f.name: f.default for f in dataclasses.fields(cls)}
+
+    def default_argument(function, name):
+        return inspect.signature(function).parameters[name].default
+
+    config, loss = defaults(ltr_model.TrainConfig), defaults(LossSpec)
+    for settings_cls in (cli.TrainSettings, cli.SweepSettings):
+        settings = defaults(settings_cls)
+        for key in ("learning_rate", "epochs", "batch_size_queries", "hidden_dim", "select_cutoff"):
+            assert settings[key] == config[key], key
+        assert settings["loss_k"] == loss["k"]
+        assert settings["grad_mode"] == loss["grad_mode"]
+        assert settings["shift_margin"] == loss["shift_margin"]
+    for settings_cls in (cli.TrainSettings, cli.GradcheckSettings, cli.VerifyBoundsSettings):
+        assert defaults(settings_cls)["delta"] == defaults(SmoothIParams)["delta"]
+    assert defaults(cli.EvaluateSettings)["cutoffs"] == default_argument(ltr_model.evaluate, "cutoffs")
+    assert defaults(cli.VerifyBoundsSettings)["alpha_factors"] == default_argument(
+        bounds_lab.bound_sweep, "alpha_factors")
+    assert defaults(cli.GradcheckSettings)["step_h"] == default_argument(finite_difference_check, "h")
 
 
 class TestTrainCommand:

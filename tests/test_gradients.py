@@ -14,7 +14,7 @@ from smoothrank import (
     metric_gradient,
     stable_softmax,
 )
-from smoothrank import gradients, shift_scores
+from smoothrank import gradients, shift_scores, smooth_metrics
 from oracles import finite_difference_loop, random_ranking_instance
 from test_gradients_dual import dual_gradient
 
@@ -150,13 +150,14 @@ class TestFiniteDifferenceAgreement:
             raw_fd[j] = (up - dn) / (2 * h)
         assert np.abs(raw_fd - report.analytic).max() > 1e-4
 
-    def test_truncated_ap_gradient_is_zero_outside_the_kept_list(self):
+    def test_truncated_ap_gradient_is_zero_outside_the_kept_list(self, monkeypatch):
         from smoothrank import LossSpec, SmoothIParams
 
+        monkeypatch.setattr(smooth_metrics, "AP_LIST_CAP", 4)
         rng = np.random.default_rng(7)
         raw = rng.random(6)
         rel = np.array([1, 0, 1, 0, 1, 0], dtype=float)
-        spec = LossSpec(kind="ap", params=SmoothIParams(alpha=2.0, delta=0.1), ap_list_cap=4)
+        spec = LossSpec(kind="ap", params=SmoothIParams(alpha=2.0, delta=0.1))
         grad = loss_and_gradient(rel, raw, spec)[1]
         dropped = np.argsort(-raw, kind="stable")[4:]
         np.testing.assert_array_equal(grad[dropped], 0.0)
@@ -199,11 +200,12 @@ class TestAgainstTheLoopOracle:
             self.assert_agrees(rel, raw, spec)
 
     @pytest.mark.parametrize("mode", ["stop_gradient", "full"])
-    def test_list_longer_than_the_ap_cap(self, mode):
+    def test_list_longer_than_the_ap_cap(self, mode, monkeypatch):
+        monkeypatch.setattr(smooth_metrics, "AP_LIST_CAP", 4)
         rng = np.random.default_rng(10)
         raw = rng.random(9)
         rel = np.array([1, 0, 1, 0, 1, 0, 0, 1, 0], dtype=float)
-        spec = LossSpec(kind="ap", params=SmoothIParams(alpha=3.0), ap_list_cap=4, grad_mode=mode)
+        spec = LossSpec(kind="ap", params=SmoothIParams(alpha=3.0), grad_mode=mode)
         self.assert_agrees_with_the_loop(rel, raw, spec)
         dropped = np.argsort(-raw, kind="stable")[4:]
         np.testing.assert_array_equal(finite_difference_check(rel, raw, spec).numeric[dropped], 0.0)
@@ -333,3 +335,11 @@ class TestReportAndErrors:
         with pytest.warns(UserWarning, match="h="):
             report = finite_difference_check([1, 0], [2.0, 1.0], spec, h=0.1)
         assert np.all(np.isfinite(report.numeric))
+
+    @pytest.mark.parametrize("h", [0.0, float("nan"), float("inf"), -1e-3])
+    def test_a_step_outside_zero_to_inf_is_rejected(self, h):
+        """A zero, NaN or infinite step would give an all-NaN numeric
+        gradient, and a negative one a check of nothing it was asked for."""
+        spec = make_loss_spec("p@k", k=1, alpha=1.0)
+        with pytest.raises(ValueError, match="step h"):
+            finite_difference_check([1, 0], [2.0, 1.0], spec, h=h)

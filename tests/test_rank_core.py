@@ -12,6 +12,7 @@ from smoothrank import (
     precision_at_k,
     rank_permutation,
 )
+from smoothrank.rank_core import exact_metrics
 from oracles import brute_average_precision, brute_ndcg_at_k, brute_precision_at_k
 
 
@@ -162,3 +163,27 @@ class TestBruteForceEquivalence:
                     )
             if rel.sum() > 0:
                 assert average_precision(rel, scores) == brute_average_precision(rel, scores)
+
+
+def test_padded_batch_metrics_against_the_one_list_metrics():
+    """``exact_metrics`` of padded batches with tied scores: P@c and AP equal
+    the one-list metrics bit for bit, and NDCG@c, whose DCG numpy sums where
+    ``ndcg_at_k`` takes a ``math.fsum``, lies within 4 ulps of it."""
+    rng = np.random.default_rng(8)
+    cutoffs = (1, 3, 10)
+    for _ in range(10):
+        lengths = rng.integers(2, 30, size=100)
+        mask = np.arange(lengths.max()) < lengths[:, None]
+        rel = np.where(mask, rng.integers(0, 5, size=mask.shape), 0).astype(float)
+        rel[:, 0] = np.maximum(rel[:, 0], 1.0)  # a zero-relevance list has no full NDCG
+        scores = np.where(mask, np.round(rng.normal(size=mask.shape), 1), -np.inf)
+        got = exact_metrics(rel, scores, lengths, cutoffs)
+        for b, n in enumerate(lengths.tolist()):
+            grades, ranked = rel[b, :n], scores[b, :n]
+            binary = (grades >= 1.0).astype(float)
+            for c in cutoffs:
+                if c <= n:
+                    assert got[f"p@{c}"][b] == precision_at_k(binary, ranked, c)
+                want = ndcg_at_k(grades, ranked, min(c, n))
+                assert abs(got[f"ndcg@{c}"][b] - want) <= 4 * np.spacing(want)
+            assert got["map"][b] == average_precision(binary, ranked)

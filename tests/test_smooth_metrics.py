@@ -21,6 +21,7 @@ from smoothrank import (
     smooth_precision_at_k,
     training_loss,
 )
+from smoothrank import smooth_metrics
 from oracles import naive_smooth_metric
 
 
@@ -277,12 +278,13 @@ class TestEdgeCases:
         with pytest.raises(ValueError, match="binary"):
             smooth_ap([2, 0], [2, 1], SmoothIParams(alpha=1.0))
 
-    def test_ap_list_cap_truncates_to_top_documents(self):
+    def test_ap_list_cap_truncates_to_top_documents(self, monkeypatch):
+        monkeypatch.setattr(smooth_metrics, "AP_LIST_CAP", 4)
         rng = np.random.default_rng(7)
         scores = rng.uniform(0.5, 3.0, 8)
         rel = np.array([1, 0, 1, 0, 1, 0, 0, 1], dtype=float)
         params = SmoothIParams(alpha=2.0, delta=0.1)
-        capped = smooth_ap(rel, scores, params, ap_list_cap=4)
+        capped = smooth_ap(rel, scores, params)
         keep = np.argsort(-scores, kind="stable")[:4]
         # same computation on the kept sublist, normalizer from the full list
         from smoothrank import smooth_indicators

@@ -127,38 +127,88 @@ class CorollaryReport:
     lipschitz: float
 
 
-def _strict_descending(scores, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """The scores of a certificate as float64, and their descending sort.
-
-    Checks delta first, then that the scores are strictly positive and
-    pairwise distinct: ties are equal neighbours in the sort, which the
-    certificate needs anyway.
-    """
+def _check_delta(delta: float) -> None:
     if not 0.0 < delta < 0.5:
         raise ValueError(f"delta must lie in (0, 0.5), got {delta}")
+
+
+def _score_error(values: np.ndarray) -> CertificateError:
+    """The error ``certificate`` raises for scores that fail its checks: not
+    a non-empty, finite 1-d vector, then not strictly positive, then tied."""
+    try:
+        as_scores(values)
+    except ValueError as exc:
+        return CertificateError(f"certificate undefined: {exc}")
+    if np.any(values <= 0.0):
+        return CertificateError("certificate undefined: strict mode requires strictly positive scores")
+    return CertificateError(
+        "certificate undefined: strict mode requires pairwise distinct scores (ties present)"
+    )
+
+
+def _list_stats(arr: np.ndarray, mask: np.ndarray | None) -> list[tuple[int, float, float] | None]:
+    """``(n, s_min, beta)`` of each row of a ``(B, N)`` float64 batch, over
+    the cells ``mask`` marks (every cell for None), from one sort; None for
+    a row that fails ``certificate``'s score checks.
+
+    ``beta`` is the smallest ratio of adjacent sorted scores, which attains
+    the pairwise minimum (inf for one score). Each value is one entry or one
+    division of two, so its bits do not depend on the batch or the padding.
+    A row passes exactly when ``n > 0``, ``s_min > 0``, its largest score is
+    below inf and ``beta > 1``: NaN sorts last, and the ratio of two distinct
+    positive floats rounds above 1.
+    """
+    if arr.shape[1] == 0:
+        return [None] * len(arr)
+    if mask is None:
+        lengths = [arr.shape[1]] * len(arr)
+        ordered = np.sort(arr, axis=1)
+        last = ordered[:, -1]
+    else:
+        counts = mask.sum(axis=1)
+        lengths = counts.tolist()
+        # padding sorts after every finite score
+        ordered = np.sort(np.where(mask, arr, np.inf), axis=1)
+        last = ordered[np.arange(len(arr)), np.maximum(counts - 1, 0)]
+    # a row that fails the checks may divide by 0 or inf / inf here
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = ordered[:, 1:] / ordered[:, :-1]
+    if mask is None:
+        beta = ratios.min(axis=1, initial=np.inf)
+    else:
+        pairs = np.arange(arr.shape[1] - 1) < (counts - 1)[:, None]
+        beta = ratios.min(axis=1, initial=np.inf, where=pairs)
+    return [
+        (n, s_min, b) if n > 0 and s_min > 0.0 and s_max < math.inf and b > 1.0 else None
+        for n, s_min, s_max, b in zip(lengths, ordered[:, 0].tolist(), last.tolist(), beta.tolist())
+    ]
+
+
+def _checked(scores, delta: float) -> tuple[np.ndarray, tuple[int, float, float]]:
+    """One list's scores as float64 and their ``_list_stats``, after every
+    check ``certificate`` makes before K: delta, then the scores."""
+    _check_delta(delta)
     try:
         arr = as_scores(scores)
     except ValueError as exc:
         raise CertificateError(f"certificate undefined: {exc}") from exc
-    if np.any(arr <= 0.0):
-        raise CertificateError("certificate undefined: strict mode requires strictly positive scores")
-    ordered = np.sort(arr)[::-1]
-    if np.any(ordered[1:] == ordered[:-1]):
-        raise CertificateError(
-            "certificate undefined: strict mode requires pairwise distinct scores (ties present)"
-        )
-    return arr, ordered
+    (stats,) = _list_stats(arr[None], None)
+    if stats is None:
+        raise _score_error(arr)
+    return arr, stats
 
 
-def _certificate(ordered: np.ndarray, k: int, delta: float) -> BoundCertificate:
-    """Certificate at K from the descending sort of validated scores."""
+def _certificate_at(stats: tuple[int, float, float], k: int, delta: float) -> BoundCertificate:
+    """Certificate at K of a list from its ``_list_stats``.
+
+    Scalar Python arithmetic over Python floats: numpy's vector ``log`` and
+    ``power`` can round differently from ``math.log`` and ``**``.
+    """
+    n, s_min, beta = stats
     if k == 1:
         raise CertificateError("certificate undefined for K=1 (exponent 1/(K-1))")
-    if not 2 <= k <= ordered.size:
-        raise CertificateError(f"k={k} out of range [2, {ordered.size}]")
-    # adjacent ratios in sorted order attain the pairwise minimum
-    beta = float((ordered[:-1] / ordered[1:]).min())
-    s_min = float(ordered[-1])
+    if not 2 <= k <= n:
+        raise CertificateError(f"k={k} out of range [2, {n}]")
     c = ((beta + 1.0) / 2.0) ** (1.0 / (k - 1))
     gamma = min(delta, 0.5 - delta, (1.0 - delta) * (c - 1.0) / (c + 1.0))
     threshold = (
@@ -166,18 +216,51 @@ def _certificate(ordered: np.ndarray, k: int, delta: float) -> BoundCertificate:
         * (math.log(k - 1) - math.log(gamma))
         / (s_min * min(1.0, (beta - 1.0) / 2.0))
     )
-    return BoundCertificate(
-        beta=beta, s_min=s_min, c=c, gamma=gamma, alpha_threshold=threshold, k=k, delta=delta
-    )
+    return BoundCertificate(beta, s_min, c, gamma, threshold, k, delta)
 
 
 def certificate(scores, k: int, delta: float) -> BoundCertificate:
     """Certificate for one instance; requires distinct positive scores, K >= 2.
 
     K=1 is refused: the exponent 1/(K-1) is undefined there, and the top row
-    is a plain softmax whose convergence needs no certificate.
+    is a plain softmax whose convergence needs no certificate. This is the
+    one-list case of ``certificates``, with the same bits.
     """
-    return _certificate(_strict_descending(scores, delta)[1], k, delta)
+    return _certificate_at(_checked(scores, delta)[1], k, delta)
+
+
+def certificates(scores, k, delta: float, mask=None) -> list[BoundCertificate]:
+    """Certificates for a ``(B, N)`` batch of lists, each equal by ``repr`` to
+    ``certificate`` of that list.
+
+    List b's scores are ``scores[b][mask[b]]``, or the whole row for
+    ``mask=None``; padded cells may hold anything. ``k`` is an int or one
+    value per list. The validation, the sort, the tie check, ``beta`` and
+    ``s_min`` run on the whole batch; the rest is the one-list arithmetic.
+    A bad delta or a badly shaped argument raises first. Otherwise a bad list
+    raises the error that ``certificate`` calls in list order would raise
+    first, its message prefixed with ``list <b>: ``.
+    """
+    _check_delta(delta)
+    arr = np.asarray(scores, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ValueError(f"scores must be a (B, N) batch, got shape {arr.shape}")
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != arr.shape:
+            raise ValueError(f"mask has shape {mask.shape}, expected {arr.shape}")
+    ks = np.asarray(k)
+    if ks.ndim and ks.shape != (len(arr),):
+        raise ValueError(f"k must be an int or one value per list ({len(arr)}), got shape {ks.shape}")
+    out = []
+    for b, (stats, list_k) in enumerate(zip(_list_stats(arr, mask), np.broadcast_to(ks, len(arr)).tolist())):
+        try:
+            if stats is None:
+                raise _score_error(arr[b] if mask is None else arr[b][mask[b]])
+            out.append(_certificate_at(stats, list_k, delta))
+        except CertificateError as exc:
+            raise CertificateError(f"list {b}: {exc}") from None
+    return out
 
 
 def epsilon_alpha(cert: BoundCertificate, alpha: float) -> float:
@@ -199,8 +282,9 @@ def _certified_epsilon(cert: BoundCertificate, alpha: float) -> float:
 
 
 def _indicator_rows(scores: np.ndarray, alphas: np.ndarray, k: int, delta: float):
-    """Hard and smooth indicator rows 1..k, each ``(B, k, n)``, of a ``(B, n)``
-    batch of validated scores, list b at sharpness ``alphas[b]``.
+    """The ``(B, k)`` indices of each list's k top documents, and the hard and
+    smooth indicator rows 1..k, each ``(B, k, n)``, of a ``(B, n)`` batch of
+    validated scores, list b at sharpness ``alphas[b]``.
 
     One recursion serves the batch: each list's alpha is folded into its
     scores and the recursion runs at alpha = 1. It reads only alpha * score,
@@ -211,17 +295,15 @@ def _indicator_rows(scores: np.ndarray, alphas: np.ndarray, k: int, delta: float
     top = np.argsort(-scores, axis=1, kind="stable")[:, :k]
     hard = np.zeros_like(smooth)
     hard[np.arange(len(scores))[:, None], np.arange(k), top] = 1.0
-    return hard, smooth
+    return top, hard, smooth
 
 
-def _one_list_rows(scores, k: int, alpha: float, delta: float):
-    """``(scores, certificate, eps_alpha, hard rows, smooth rows)`` of one
-    instance, rows 1..k, above its certificate threshold."""
-    arr, ordered = _strict_descending(scores, delta)
-    cert = _certificate(ordered, k, delta)
-    eps = _certified_epsilon(cert, alpha)
-    hard, smooth = _indicator_rows(arr[None], np.array([alpha], dtype=np.float64), k, delta)
-    return arr, cert, eps, hard[0], smooth[0]
+def _certified(scores, k: int, alpha: float, delta: float):
+    """``(scores, certificate, eps_alpha)`` of one instance above its
+    certificate threshold."""
+    arr, stats = _checked(scores, delta)
+    cert = _certificate_at(stats, k, delta)
+    return arr, cert, _certified_epsilon(cert, alpha)
 
 
 def verify_indicator_bound(scores, k: int, alpha: float, delta: float = 0.1) -> BoundReport:
@@ -231,19 +313,72 @@ def verify_indicator_bound(scores, k: int, alpha: float, delta: float = 0.1) -> 
     raises instead of reporting, naming the threshold. The top-k error is
     additionally reported over the columns of the k highest-scoring documents.
     """
-    _, cert, eps, hard, smooth = _one_list_rows(scores, k, alpha, delta)
-    err = np.abs(hard - smooth)
+    arr, cert, eps = _certified(scores, k, alpha, delta)
+    top, hard, smooth = _indicator_rows(arr[None], np.array([alpha], dtype=np.float64), k, delta)
+    err = np.abs(hard[0] - smooth[0])
     max_err = float(err.max())
     return BoundReport(
         alpha=alpha,
         epsilon_alpha=eps,
         max_indicator_err=max_err,
-        # the hard rows' ones sit in the columns of the k top documents
-        max_indicator_err_topk=float(err[:, hard.argmax(axis=1)].max()),
+        max_indicator_err_topk=float(err[:, top[0]].max()),
         per_rank_err=err.max(axis=1),
         holds=max_err <= eps,
         certificate=cert,
     )
+
+
+def verify_indicator_bounds(lists, ks, alphas, certs, delta: float = 0.1) -> list[BoundReport]:
+    """``verify_indicator_bound`` for many lists whose certificates the caller
+    already holds; each report equals that call's by ``repr``.
+
+    ``certs[i]`` is the certificate of ``lists[i]`` at ``ks[i]`` and
+    ``delta``, from ``certificates`` or ``certificate``, so the list is
+    neither validated nor certified again: pass the float64 scores it was
+    made from. Before any recursion, the first list whose ``alphas[i]`` does
+    not exceed its threshold raises ``ThresholdNotMetError``, its message
+    prefixed with ``list <i>: ``. The lists of one (n, K) share one
+    recursion per chunk of at most ``SWEEP_CHUNK_ELEMENTS`` row elements.
+    """
+    if not len(lists) == len(ks) == len(alphas) == len(certs):
+        raise ValueError(
+            f"lists, ks, alphas and certs differ in length: "
+            f"{len(lists)}, {len(ks)}, {len(alphas)}, {len(certs)}"
+        )
+    epsilons = []
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (scores, k, alpha, cert) in enumerate(zip(lists, ks, alphas, certs)):
+        if cert.k != k or cert.delta != delta:
+            raise ValueError(f"list {i}: certificate at k={cert.k}, delta={cert.delta}, "
+                             f"not k={k}, delta={delta}")
+        try:
+            epsilons.append(_certified_epsilon(cert, alpha))
+        except ThresholdNotMetError as exc:
+            raise ThresholdNotMetError(f"list {i}: {exc}") from None
+        groups.setdefault((len(scores), k), []).append(i)
+    reports = [None] * len(lists)
+    for (n, k), members in groups.items():
+        per_call = max(1, SWEEP_CHUNK_ELEMENTS // (k * n))
+        for start in range(0, len(members), per_call):
+            part = members[start:start + per_call]
+            top, hard, smooth = _indicator_rows(
+                np.array([lists[i] for i in part], dtype=np.float64),
+                np.array([alphas[i] for i in part], dtype=np.float64),
+                k,
+                delta,
+            )
+            err = np.abs(hard - smooth)
+            per_rank = err.max(axis=2)
+            # each list's errors in the columns of its k top documents
+            top_errs = err[np.arange(len(part))[:, None, None], np.arange(k)[:, None], top[:, None, :]]
+            for i, max_err, top_err, rank_err in zip(
+                part, per_rank.max(axis=1).tolist(), top_errs.max(axis=(1, 2)).tolist(), per_rank
+            ):
+                # positional: a third of the keyword call's cost, which shows over thousands of lists
+                reports[i] = BoundReport(
+                    alphas[i], epsilons[i], max_err, top_err, rank_err, max_err <= epsilons[i], certs[i]
+                )
+    return reports
 
 
 def verify_metric_bounds(rel, scores, k: int, alpha: float, delta: float = 0.1) -> MetricBoundReport:
@@ -256,13 +391,13 @@ def verify_metric_bounds(rel, scores, k: int, alpha: float, delta: float = 0.1) 
     K-row recursion's rows. alpha must clear N's certificate threshold, which
     is larger than K's (the threshold grows strictly with K).
     """
-    arr, ordered = _strict_descending(scores, delta)
+    arr, stats = _checked(scores, delta)
     n = arr.size
     rel = as_relevance(rel, n, binary=True)
     if rel.sum() == 0.0:
         raise ValueError("metric bounds need at least one relevant document")
-    cert_k = _certificate(ordered, k, delta)
-    eps_n = _certified_epsilon(_certificate(ordered, n, delta), alpha)
+    cert_k = _certificate_at(stats, k, delta)
+    eps_n = _certified_epsilon(_certificate_at(stats, n, delta), alpha)
     eps_k = epsilon_alpha(cert_k, alpha)
     rows = smooth_indicators(arr, SmoothIParams(alpha=alpha, delta=delta), k=n).rows
     u = np.einsum("rj,j->r", rows, rel)
@@ -320,9 +455,12 @@ def verify_corollary(
     b = np.asarray(b_weights, dtype=np.float64)
     if a.shape != (k,):
         raise ValueError(f"a_weights must have length k={k}, got shape {a.shape}")
-    arr, _, eps, hard, smooth = _one_list_rows(scores, k, alpha, delta)
+    arr, _, eps = _certified(scores, k, alpha, delta)
     if b.shape != (arr.size,):
         raise ValueError(f"b_weights must have length n={arr.size}, got shape {b.shape}")
+    _, hard, smooth = (
+        rows[0] for rows in _indicator_rows(arr[None], np.array([alpha], dtype=np.float64), k, delta)
+    )
     if g == "identity":
         lip = 1.0
         gain = lambda x: x
@@ -366,11 +504,12 @@ def bound_sweep(
     With explicit ``alphas``, sub-threshold values are kept as rows marked
     ``skipped_below_threshold`` (the bound is not claimed there); otherwise
     each instance is probed at ``alpha_factors`` times its own threshold.
-    Every instance is drawn first and certified once; the rows to check are
-    then grouped by (n, K) and each group runs one recursion (of at most
-    ``SWEEP_CHUNK_ELEMENTS`` row elements), with the same bits as one check
-    per row. Rows come back in instance order. Returns (rows, summary) where
-    summary carries the fraction of checked rows on which the bound held.
+    Every instance is drawn first, then all are certified in one
+    ``certificates`` call, and the rows above their thresholds go through
+    one ``verify_indicator_bounds`` call, with the same bits as one
+    ``certificate`` per instance and one ``verify_indicator_bound`` per row.
+    Rows come back in instance order. Returns (rows, summary) where summary
+    carries the fraction of checked rows on which the bound held.
     """
     rng = np.random.default_rng(seed)
     drawn = []
@@ -381,48 +520,43 @@ def bound_sweep(
             raise ValueError(f"no usable k in {k_values} for n={n}")
         k = int(k_choices[int(rng.integers(len(k_choices)))])
         drawn.append((n, k, random_strict_scores(rng, n)))
+    lengths = np.array([n for n, _, _ in drawn], dtype=np.int64)
+    mask = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    packed = np.zeros(mask.shape)
+    for row, (n, _, scores) in zip(packed, drawn):
+        row[:n] = scores
+    certs = certificates(packed, [k for _, k, _ in drawn], delta, mask)
+    # one (instance, alpha) per row, in row order
+    probes = [
+        (idx, alpha)
+        for idx, cert in enumerate(certs)
+        for alpha in (alphas if alphas is not None else [f * cert.alpha_threshold for f in alpha_factors])
+    ]
+    above = [(idx, alpha) for idx, alpha in probes if not alpha <= certs[idx].alpha_threshold]
+    reports = verify_indicator_bounds(
+        [drawn[idx][2] for idx, _ in above],
+        [drawn[idx][1] for idx, _ in above],
+        [alpha for _, alpha in above],
+        [certs[idx] for idx, _ in above],
+        delta,
+    )
+    pending = iter(reports)
     rows = []
-    # rows above their threshold, by (n, K): (row, scores, alpha)
-    pending: dict[tuple[int, int], list] = {}
-    for idx, (n, k, scores) in enumerate(drawn):
-        cert = certificate(scores, k, delta)
-        alpha_list = list(alphas) if alphas is not None else [
-            f * cert.alpha_threshold for f in alpha_factors
-        ]
-        for alpha in alpha_list:
-            row = {
-                "instance": idx,
-                "n": n,
-                "k": k,
-                "alpha": float(alpha),
-                "delta": delta,
-                "beta": cert.beta,
-                "gamma": cert.gamma,
-                "alpha_threshold": cert.alpha_threshold,
-                "epsilon_alpha": epsilon_alpha(cert, alpha),
-            }
-            if alpha <= cert.alpha_threshold:
-                row.update(max_err="", holds="", status="skipped_below_threshold")
-            else:
-                pending.setdefault((n, k), []).append((row, scores, alpha))
-            rows.append(row)
-    checked = held = 0
-    for (n, k), group in pending.items():
-        per_call = max(1, SWEEP_CHUNK_ELEMENTS // (k * n))
-        for start in range(0, len(group), per_call):
-            part = group[start:start + per_call]
-            hard, smooth = _indicator_rows(
-                np.stack([scores for _, scores, _ in part]),
-                np.array([alpha for _, _, alpha in part], dtype=np.float64),
-                k,
-                delta,
-            )
-            max_errs = np.abs(hard - smooth).max(axis=(1, 2)).tolist()
-            for (row, _, _), max_err in zip(part, max_errs):
-                holds = max_err <= row["epsilon_alpha"]
-                row.update(max_err=max_err, holds=holds, status="checked")
-                held += holds
-            checked += len(part)
+    for idx, alpha in probes:
+        n, k, _ = drawn[idx]
+        cert = certs[idx]
+        row = {"instance": idx, "n": n, "k": k, "alpha": float(alpha), "delta": delta, "beta": cert.beta,
+               "gamma": cert.gamma, "alpha_threshold": cert.alpha_threshold}
+        if alpha <= cert.alpha_threshold:
+            row.update(epsilon_alpha=epsilon_alpha(cert, alpha), max_err="", holds="",
+                       status="skipped_below_threshold")
+        else:
+            report = next(pending)
+            row.update(epsilon_alpha=report.epsilon_alpha, max_err=report.max_indicator_err,
+                       holds=report.holds, status="checked")
+        rows.append(row)
+    checked = len(reports)
+    held = sum(report.holds for report in reports)
     skipped = len(rows) - checked
     return rows, {
         "instances": instances,

@@ -158,7 +158,7 @@ def exact_metrics(rel, scores, lengths, cutoffs) -> dict[str, np.ndarray]:
     for i, c in enumerate(cutoffs):
         out[f"ndcg@{c}"] = np.divide(dcg(cuts[:, i]), ideal[:, i], out=np.zeros(len(cuts)),
                                      where=ideal[:, i] > 0.0)
-    out["ndcg"] = dcg(lengths) / ideal[:, -1]
+    out["ndcg"] = np.divide(dcg(lengths), ideal[:, -1], out=np.zeros(len(cuts)), where=ideal[:, -1] > 0.0)
     hits = binary.sum(axis=1)
     precision = np.cumsum(binary, axis=1) / np.arange(1.0, width + 1.0)
     ap_sums = np.array([math.fsum(row) for row in (binary * precision).tolist()])

@@ -32,7 +32,12 @@ shared one recursion at K=N: three ``smooth_metric`` calls, each with its own
 preparation and recursion, and both certificate thresholds checked; and
 ``bound_sweep_per_list``, the verify-bounds sweep as ``bounds_lab.bound_sweep``
 ran it before it grouped its rows by (n, K): one ``certificate`` per instance
-and one ``verify_indicator_bound`` per checked row, in instance order; and
+and one ``verify_indicator_bound`` per checked row, in instance order;
+``certificate_one_list`` and ``indicator_bound_one_list``, the certificate and
+the indicator-bound check of one list as they ran before lists were
+certified and checked in batches: a validation, a descending sort and the
+scalar certificate arithmetic, then the list's own recursion against its
+hard indicator matrix; and
 ``rectangular_smooth_indicators`` and ``rectangular_loss_and_gradient``, the
 recursion and the batched loss as they ran before the staircase: every rank
 step over the whole batch, up to its longest cutoff, and the full-mode
@@ -49,6 +54,9 @@ import numpy as np
 from smoothrank import data_io
 from smoothrank.bounds_lab import (
     METRIC_ROUNDING_SLACK,
+    BoundCertificate,
+    BoundReport,
+    CertificateError,
     MetricBoundReport,
     ThresholdNotMetError,
     certificate,
@@ -63,6 +71,7 @@ from smoothrank.rank_core import (
     as_relevance,
     as_scores,
     average_precision,
+    hard_indicator_matrix,
     ideal_dcg_at_k,
     ndcg_at_k,
     precision_at_k,
@@ -441,6 +450,61 @@ def metric_bounds_three_pass(rel, scores, k: int, alpha: float, delta: float = 0
         ndcg_holds=ndcg_diff <= ndcg_bound + METRIC_ROUNDING_SLACK,
         epsilon_at_k=eps_k,
         epsilon_at_n=eps_n,
+    )
+
+
+def certificate_one_list(scores, k: int, delta: float) -> BoundCertificate:
+    """The certificate of one list: delta, then the scores (finite, strictly
+    positive, no equal neighbours in the descending sort), then K; beta is
+    the smallest ratio of sorted neighbours, and the rest is scalar Python."""
+    if not 0.0 < delta < 0.5:
+        raise ValueError(f"delta must lie in (0, 0.5), got {delta}")
+    try:
+        arr = as_scores(scores)
+    except ValueError as exc:
+        raise CertificateError(f"certificate undefined: {exc}") from exc
+    if np.any(arr <= 0.0):
+        raise CertificateError("certificate undefined: strict mode requires strictly positive scores")
+    ordered = np.sort(arr)[::-1]
+    if np.any(ordered[1:] == ordered[:-1]):
+        raise CertificateError(
+            "certificate undefined: strict mode requires pairwise distinct scores (ties present)"
+        )
+    if k == 1:
+        raise CertificateError("certificate undefined for K=1 (exponent 1/(K-1))")
+    if not 2 <= k <= ordered.size:
+        raise CertificateError(f"k={k} out of range [2, {ordered.size}]")
+    beta = float((ordered[:-1] / ordered[1:]).min())
+    s_min = float(ordered[-1])
+    c = ((beta + 1.0) / 2.0) ** (1.0 / (k - 1))
+    gamma = min(delta, 0.5 - delta, (1.0 - delta) * (c - 1.0) / (c + 1.0))
+    threshold = 2.0 ** (k - 1) * (math.log(k - 1) - math.log(gamma)) / (s_min * min(1.0, (beta - 1.0) / 2.0))
+    return BoundCertificate(beta=beta, s_min=s_min, c=c, gamma=gamma, alpha_threshold=threshold, k=k, delta=delta)
+
+
+def indicator_bound_one_list(scores, k: int, alpha: float, delta: float) -> BoundReport:
+    """The indicator-bound check of one list above its threshold: its own
+    recursion at ``alpha`` against ``hard_indicator_matrix``; the top-k error
+    over the columns of the hard rows' ones."""
+    arr = as_scores(scores)
+    cert = certificate_one_list(arr, k, delta)
+    if alpha <= cert.alpha_threshold:
+        raise ThresholdNotMetError(
+            f"alpha={alpha} does not exceed the certificate threshold "
+            f"{cert.alpha_threshold:.6g}; the bound is not certified there"
+        )
+    eps = epsilon_alpha(cert, alpha)
+    hard = hard_indicator_matrix(arr, k)
+    err = np.abs(hard - smooth_indicators(arr, SmoothIParams(alpha=alpha, delta=delta), k=k).rows)
+    max_err = float(err.max())
+    return BoundReport(
+        alpha=alpha,
+        epsilon_alpha=eps,
+        max_indicator_err=max_err,
+        max_indicator_err_topk=float(err[:, hard.argmax(axis=1)].max()),
+        per_rank_err=err.max(axis=1),
+        holds=max_err <= eps,
+        certificate=cert,
     )
 
 

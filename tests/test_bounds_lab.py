@@ -11,17 +11,24 @@ from smoothrank import (
     CertificateError,
     ThresholdNotMetError,
     certificate,
+    certificates,
     epsilon_alpha,
     precision_at_k,
     smooth_metric,
     make_loss_spec,
     verify_corollary,
     verify_indicator_bound,
+    verify_indicator_bounds,
     verify_metric_bounds,
 )
 from smoothrank import bounds_lab, smooth_metrics
 from smoothrank.bounds_lab import bound_sweep, random_strict_scores
-from oracles import bound_sweep_per_list, metric_bounds_three_pass
+from oracles import (
+    bound_sweep_per_list,
+    certificate_one_list,
+    indicator_bound_one_list,
+    metric_bounds_three_pass,
+)
 
 
 def count_calls(monkeypatch, *targets) -> dict:
@@ -35,6 +42,34 @@ def count_calls(monkeypatch, *targets) -> dict:
 
         monkeypatch.setattr(owner, name, wrapper)
     return calls
+
+
+def drawn_lists(seed, instances=600, n_range=(4, 10), k_values=(2, 3, 5)):
+    """(K, scores) of random strict instances, drawn as verify-bounds draws
+    them; the defaults are the certify benchmark's config."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(instances):
+        n = int(rng.integers(n_range[0], n_range[1] + 1))
+        usable = [k for k in k_values if k <= n]
+        out.append((usable[int(rng.integers(len(usable)))], random_strict_scores(rng, n)))
+    return out
+
+
+def packed(lists, fill=0.0):
+    """A (B, max n) batch of the score lists, each left-aligned, with its
+    mask; padded cells hold ``fill``."""
+    width = max(len(scores) for scores in lists)
+    mask = np.arange(width) < np.array([len(scores) for scores in lists])[:, None]
+    out = np.full(mask.shape, fill)
+    out[mask] = np.concatenate(lists)
+    return out, mask
+
+
+def report_text(report):
+    """A bound report by repr, with its per-rank errors' bits, which the
+    array's repr rounds."""
+    return repr(report), report.per_rank_err.dtype, report.per_rank_err.tobytes()
 
 
 def sweep_text(rows, summary):
@@ -129,6 +164,104 @@ class TestCertificate:
             assert all(a < b for a, b in zip(thresholds, thresholds[1:]))
 
 
+class TestCertificates:
+    @pytest.mark.parametrize("seed", [1, 2, 3, 7])
+    def test_equal_to_per_list_calls_on_certifys_config(self, seed):
+        """Equal by repr to one ``certificate`` call per list, and both to
+        the one-list oracle."""
+        lists = drawn_lists(seed)
+        ks = [k for k, _ in lists]
+        scores, mask = packed([s for _, s in lists])
+        want = [repr(certificate_one_list(s, k, 0.1)) for k, s in lists]
+        assert [repr(certificate(s, k, 0.1)) for k, s in lists] == want
+        assert [repr(cert) for cert in certificates(scores, ks, 0.1, mask)] == want
+
+    def test_unmasked_batch_and_a_common_k(self):
+        rng = np.random.default_rng(21)
+        scores = np.stack([random_strict_scores(rng, 12, gap_range=(1e-6, 1e-2)) for _ in range(50)])
+        for k in (2, 7, 12):
+            want = [repr(certificate_one_list(row, k, 0.3)) for row in scores]
+            assert [repr(cert) for cert in certificates(scores, k, 0.3)] == want
+            assert [repr(cert) for cert in certificates(scores.tolist(), np.full(50, k), 0.3)] == want
+
+    def test_masked_batch_ignores_what_the_padding_holds(self):
+        """2-30-document lists at K in [2, n], each scattered over its row;
+        the padded cells hold NaN, 0 and copies of the list's own scores."""
+        rng = np.random.default_rng(22)
+        lengths = rng.integers(2, 31, size=300)
+        ks = [int(rng.integers(2, n + 1)) for n in lengths.tolist()]
+        scores = np.full((300, 30), np.nan)
+        mask = np.zeros((300, 30), dtype=bool)
+        lists = []
+        for b, n in enumerate(lengths.tolist()):
+            values = random_strict_scores(rng, n, gap_range=(1e-4, 1.0))
+            cells = rng.permutation(30)
+            scores[b, cells[:n]] = values
+            mask[b, cells[:n]] = True
+            pad = cells[n:]
+            scores[b, pad[: len(pad) // 3]] = 0.0
+            scores[b, pad[len(pad) // 3: 2 * len(pad) // 3]] = values[0]
+            lists.append(scores[b][mask[b]])
+        want = [repr(certificate_one_list(values, k, 0.1)) for values, k in zip(lists, ks)]
+        assert [repr(cert) for cert in certificates(scores, ks, 0.1, mask)] == want
+
+    # (lists, ks, delta): list 1 fails first, list 2 fails in another way;
+    # list 0 is the longest, so the others have padded cells
+    ERROR_CASES = {
+        "delta": ([[3.0, 1.0, 2.0, 4.0], [2.0, 1.0], [2.0, 2.0]], [2, 2, 2], 0.5),
+        "nan": ([[3.0, 1.0, 2.0, 4.0], [2.0, np.nan, 1.0], [2.0, 0.0]], [2, 2, 2], 0.1),
+        "inf": ([[3.0, 1.0, 2.0, 4.0], [np.inf, 1.0], [2.0, 2.0]], [2, 2, 2], 0.1),
+        "negative inf": ([[3.0, 1.0, 2.0, 4.0], [-np.inf, 1.0], [2.0, 2.0]], [2, 2, 2], 0.1),
+        "empty": ([[3.0, 1.0, 2.0, 4.0], [], [np.nan]], [2, 2, 2], 0.1),
+        "zero before ties": ([[3.0, 1.0, 2.0, 4.0], [2.0, 0.0, 2.0], [np.nan, 1.0]], [2, 2, 2], 0.1),
+        "negative": ([[3.0, 1.0, 2.0, 4.0], [2.0, -1.0], [np.nan, 1.0]], [2, 2, 2], 0.1),
+        "ties before k": ([[3.0, 1.0, 2.0, 4.0], [2.0, 1.0, 2.0], [3.0, 1.0]], [2, 1, 2], 0.1),
+        "k=1": ([[3.0, 1.0, 2.0, 4.0], [2.0, 1.0], [2.0, 2.0]], [2, 1, 2], 0.1),
+        "k > n": ([[3.0, 1.0, 2.0, 4.0], [2.0, 1.0, 3.0], [2.0, 2.0]], [2, 4, 1], 0.1),
+        "k before later scores": ([[3.0, 1.0, 2.0], [2.0, 1.0], [np.nan, 1.0]], [3, 3, 2], 0.1),
+    }
+
+    @pytest.mark.parametrize("case", list(ERROR_CASES))
+    def test_raises_the_first_error_of_the_per_list_loop(self, case):
+        lists, ks, delta = self.ERROR_CASES[case]
+        errors = []
+        for one_list in (certificate, certificate_one_list):
+            for b, (values, k) in enumerate(zip(lists, ks)):
+                try:
+                    one_list(values, k, delta)
+                except ValueError as exc:
+                    errors.append((b, type(exc), str(exc)))
+                    break
+        assert errors[0] == errors[1]
+        b, kind, exc = errors[0]
+        assert b == (0 if case == "delta" else 1)
+        message = str(exc) if case == "delta" else f"list {b}: {exc}"
+        # padding of NaN, which the mask hides
+        scores, mask = packed([np.array(values, dtype=float) for values in lists], fill=np.nan)
+        with pytest.raises(kind, match=re.escape(message) + "$"):
+            certificates(scores, ks, delta, mask)
+
+    def test_unmasked_batch_names_the_first_bad_list(self):
+        scores = np.array([[3.0, 1.0, 2.0], [2.0, 1.0, 2.0], [0.0, 1.0, 2.0]])
+        with pytest.raises(CertificateError, match=re.escape("list 1: certificate undefined: strict mode "
+                                                             "requires pairwise distinct scores (ties present)")):
+            certificates(scores, 2, 0.1)
+        with pytest.raises(CertificateError, match=re.escape("list 0: k=4 out of range [2, 3]")):
+            certificates(scores, [4, 2, 2], 0.1)
+
+    def test_badly_shaped_arguments_rejected(self):
+        with pytest.raises(ValueError, match="batch"):
+            certificates([3.0, 1.0], 2, 0.1)
+        with pytest.raises(ValueError, match="mask"):
+            certificates([[3.0, 1.0]], 2, 0.1, mask=[True, True])
+        with pytest.raises(ValueError, match="one value per list"):
+            certificates([[3.0, 1.0], [2.0, 1.0]], [2, 2, 2], 0.1)
+
+    def test_an_empty_batch_has_no_certificate(self):
+        assert certificates(np.empty((0, 5)), 2, 0.1) == []
+        assert certificates(np.empty((0, 0)), [], 0.1, mask=np.empty((0, 0), dtype=bool)) == []
+
+
 class TestEpsilonAlpha:
     def test_worked_value(self):
         cert = certificate([4.0, 2.0, 1.0], k=2, delta=0.1)
@@ -204,6 +337,62 @@ class TestIndicatorBound:
                 report = verify_indicator_bound(scores, k, factor * cert.alpha_threshold, 0.1)
                 assert report.holds
                 assert report.max_indicator_err_topk <= report.max_indicator_err
+
+
+class TestIndicatorBounds:
+    def test_reports_equal_the_one_list_checks(self, monkeypatch):
+        """Mixed (n, K) groups, split into chunks of at most 40 row elements,
+        each report equal to verify_indicator_bound's."""
+        monkeypatch.setattr(bounds_lab, "SWEEP_CHUNK_ELEMENTS", 40)
+        calls = count_calls(monkeypatch, (bounds_lab, "smooth_indicators"))
+        lists = drawn_lists(5, instances=150, n_range=(2, 12), k_values=(2, 3, 5, 10))
+        rng = np.random.default_rng(5)
+        ks = [k for k, _ in lists]
+        scores = [s for _, s in lists]
+        scores_batch, mask = packed(scores)
+        certs = certificates(scores_batch, ks, 0.1, mask)
+        alphas = [float(rng.uniform(1.01, 4.0)) * cert.alpha_threshold for cert in certs]
+        got = verify_indicator_bounds(scores, ks, alphas, certs, 0.1)
+        assert calls["smooth_indicators"] > len({(len(s), k) for s, k in zip(scores, ks)})
+        want = [report_text(indicator_bound_one_list(s, k, alpha, 0.1)) for s, k, alpha in zip(scores, ks, alphas)]
+        assert [report_text(r) for r in got] == want
+        assert [report_text(verify_indicator_bound(s, k, alpha, 0.1))
+                for s, k, alpha in zip(scores, ks, alphas)] == want
+        assert all(report.holds for report in got)
+
+    def test_top_k_error_reads_every_top_column(self):
+        """Ranks 2 and 3 are close and rank 1 far ahead, so the top-2 error
+        sits in the column of rank 2; rank 1's column reads 0."""
+        scores = np.array([1.9, 10.0, 2.0])
+        cert = certificate(scores, 2, 0.1)
+        alpha = 1.5 * cert.alpha_threshold
+        (got,) = verify_indicator_bounds([scores], [2], [alpha], [cert], 0.1)
+        assert report_text(got) == report_text(indicator_bound_one_list(scores, 2, alpha, 0.1))
+        assert got.max_indicator_err_topk > 0.0
+
+    def test_first_list_below_its_threshold_raises_before_any_recursion(self, monkeypatch):
+        lists = drawn_lists(6, instances=6)
+        ks = [k for k, _ in lists]
+        scores = [s for _, s in lists]
+        certs = [certificate(s, k, 0.1) for k, s in lists]
+        alphas = [2.0 * cert.alpha_threshold for cert in certs]
+        alphas[2] = certs[2].alpha_threshold  # at the threshold: not claimed
+        alphas[4] = 0.5 * certs[4].alpha_threshold
+        with pytest.raises(ThresholdNotMetError) as want:
+            verify_indicator_bound(scores[2], ks[2], alphas[2], 0.1)
+        calls = count_calls(monkeypatch, (bounds_lab, "smooth_indicators"))
+        with pytest.raises(ThresholdNotMetError, match=re.escape(f"list 2: {want.value}") + "$"):
+            verify_indicator_bounds(scores, ks, alphas, certs, 0.1)
+        assert calls == {"smooth_indicators": 0}
+
+    def test_certificates_must_match_the_lists(self):
+        cert = certificate([4.0, 2.0, 1.0], 2, 0.1)
+        with pytest.raises(ValueError, match="differ in length"):
+            verify_indicator_bounds([[4.0, 2.0, 1.0]], [2, 2], [20.0], [cert], 0.1)
+        with pytest.raises(ValueError, match="list 0: certificate at k=2"):
+            verify_indicator_bounds([[4.0, 2.0, 1.0]], [3], [20.0], [cert], 0.1)
+        with pytest.raises(ValueError, match="list 0: certificate at k=2, delta=0.1"):
+            verify_indicator_bounds([[4.0, 2.0, 1.0]], [2], [20.0], [cert], 0.2)
 
 
 class TestMetricBounds:
@@ -403,20 +592,22 @@ class TestBoundSweep:
         args = (40, (2, 6), (3,), 0.1, 9)
         with pytest.raises(ValueError) as want:
             bound_sweep_per_list(*args)
-        calls = count_calls(monkeypatch, (bounds_lab, "certificate"), (bounds_lab, "smooth_indicators"))
+        calls = count_calls(monkeypatch, (bounds_lab, "certificate"), (bounds_lab, "certificates"),
+                            (bounds_lab, "smooth_indicators"))
         with pytest.raises(ValueError) as got:
             bound_sweep(*args)
         assert str(got.value) == str(want.value) == "no usable k in (3,) for n=2"
-        assert calls == {"certificate": 0, "smooth_indicators": 0}
+        assert calls == {"certificate": 0, "certificates": 0, "smooth_indicators": 0}
 
     def test_one_recursion_per_group(self, monkeypatch):
         """Certify's config, with explicit alphas that skip some rows: one
-        certificate per instance, one recursion per (n, K) group with a
-        checked row, no per-list bound check."""
-        calls = count_calls(monkeypatch, (bounds_lab, "certificate"), (bounds_lab, "smooth_indicators"),
-                            (bounds_lab, "verify_indicator_bound"))
+        batched certificate call for all instances, one recursion per (n, K)
+        group with a checked row, no per-list certificate or bound check."""
+        calls = count_calls(monkeypatch, (bounds_lab, "certificate"), (bounds_lab, "certificates"),
+                            (bounds_lab, "smooth_indicators"), (bounds_lab, "verify_indicator_bound"),
+                            (bounds_lab, "verify_indicator_bounds"))
         rows, summary = bound_sweep(600, (4, 10), (2, 3, 5), 0.1, 1, (0.5, 5.0, 50.0, 500.0))
         groups = {(row["n"], row["k"]) for row in rows if row["status"] == "checked"}
         assert 0 < summary["skipped"] and 0 < summary["checked"]
-        assert calls == {"certificate": 600, "smooth_indicators": len(groups),
-                         "verify_indicator_bound": 0}
+        assert calls == {"certificate": 0, "certificates": 1, "smooth_indicators": len(groups),
+                         "verify_indicator_bound": 0, "verify_indicator_bounds": 1}

@@ -187,3 +187,18 @@ def test_padded_batch_metrics_against_the_one_list_metrics():
                 want = ndcg_at_k(grades, ranked, min(c, n))
                 assert abs(got[f"ndcg@{c}"][b] - want) <= 4 * np.spacing(want)
             assert got["map"][b] == average_precision(binary, ranked)
+
+
+def test_all_zero_list_scores_zero_on_every_metric():
+    """A list whose grades are all 0 has full NDCG 0, like its NDCG@c and AP,
+    with no RuntimeWarning (which the test configuration makes an error),
+    and leaves its neighbour's metrics as they are alone."""
+    rel = np.array([[0.0, 0.0, 0.0], [2.0, 1.0, 0.0]])
+    scores = np.array([[0.3, 0.1, 0.2], [0.1, 0.5, -np.inf]])
+    lengths = np.array([3, 2])
+    got = exact_metrics(rel, scores, lengths, (1, 2))
+    for name in ("p@1", "p@2", "ndcg@1", "ndcg@2", "ndcg", "map"):
+        assert got[name][0] == 0.0, name
+    alone = exact_metrics(rel[1:], scores[1:], lengths[1:], (1, 2))
+    assert all(got[name][1] == alone[name][0] for name in got)
+    assert got["ndcg"][1] == pytest.approx(ndcg_at_k(rel[1, :2], scores[1, :2], 2), rel=1e-15)

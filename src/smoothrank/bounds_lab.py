@@ -9,8 +9,10 @@ once ``alpha`` clears an instance-specific threshold, where ``beta`` is the
 minimal ratio between a larger and a smaller score and ``s_min`` the smallest
 score. The same machinery bounds the gap between every smooth metric and its
 exact counterpart, and between any Lipschitz composition of indicator rows.
-This module computes the certificate quantities, checks the inequalities on
-concrete instances, and exposes a sweep harness that emits one CSV-ready row
+This module computes the certificate quantities, for one list or a padded
+batch; checks the indicator inequality on a batch of certified lists, one
+list being a batch of one, and the metric and composition inequalities on
+concrete instances; and exposes a sweep harness that emits one CSV-ready row
 per (instance, alpha).
 """
 
@@ -41,8 +43,8 @@ LN2 = float(np.log(2.0))
 # can be a few ulps of 1, the metrics' scale.
 METRIC_ROUNDING_SLACK = 4 * float(np.finfo(np.float64).eps)
 
-# bound_sweep splits a (n, K) group so that one recursion holds at most this
-# many row elements (8 MiB per float64 array)
+# verify_indicator_bounds splits a (n, K, delta) group so that one recursion
+# holds at most this many row elements (8 MiB per float64 array)
 SWEEP_CHUNK_ELEMENTS = 2**20
 
 # bound_sweep's default multiples of each instance's certificate threshold
@@ -298,66 +300,46 @@ def _indicator_rows(scores: np.ndarray, alphas: np.ndarray, k: int, delta: float
     return top, hard, smooth
 
 
-def _certified(scores, k: int, alpha: float, delta: float):
-    """``(scores, certificate, eps_alpha)`` of one instance above its
-    certificate threshold."""
-    arr, stats = _checked(scores, delta)
-    cert = _certificate_at(stats, k, delta)
-    return arr, cert, _certified_epsilon(cert, alpha)
-
-
 def verify_indicator_bound(scores, k: int, alpha: float, delta: float = 0.1) -> BoundReport:
     """Check max_{r<=k, all j} |hard - smooth| <= eps_alpha for one instance.
 
     The bound is only claimed above the certificate threshold; below it this
     raises instead of reporting, naming the threshold. The top-k error is
     additionally reported over the columns of the k highest-scoring documents.
+    This is ``verify_indicator_bounds`` on a batch of one list.
     """
-    arr, cert, eps = _certified(scores, k, alpha, delta)
-    top, hard, smooth = _indicator_rows(arr[None], np.array([alpha], dtype=np.float64), k, delta)
-    err = np.abs(hard[0] - smooth[0])
-    max_err = float(err.max())
-    return BoundReport(
-        alpha=alpha,
-        epsilon_alpha=eps,
-        max_indicator_err=max_err,
-        max_indicator_err_topk=float(err[:, top[0]].max()),
-        per_rank_err=err.max(axis=1),
-        holds=max_err <= eps,
-        certificate=cert,
-    )
+    arr, stats = _checked(scores, delta)
+    cert = _certificate_at(stats, k, delta)
+    _certified_epsilon(cert, alpha)  # raises without the batch's "list 0: " prefix
+    return verify_indicator_bounds([arr], [alpha], [cert])[0]
 
 
-def verify_indicator_bounds(lists, ks, alphas, certs, delta: float = 0.1) -> list[BoundReport]:
-    """``verify_indicator_bound`` for many lists whose certificates the caller
-    already holds; each report equals that call's by ``repr``.
+def verify_indicator_bounds(lists, alphas, certs) -> list[BoundReport]:
+    """The indicator-bound check of ``verify_indicator_bound`` on many lists
+    whose certificates the caller already holds, one report per list.
 
-    ``certs[i]`` is the certificate of ``lists[i]`` at ``ks[i]`` and
-    ``delta``, from ``certificates`` or ``certificate``, so the list is
-    neither validated nor certified again: pass the float64 scores it was
-    made from. Before any recursion, the first list whose ``alphas[i]`` does
-    not exceed its threshold raises ``ThresholdNotMetError``, its message
-    prefixed with ``list <i>: ``. The lists of one (n, K) share one
+    ``certs[i]`` is the certificate of ``lists[i]``, from ``certificates`` or
+    ``certificate``, and fixes the list's K and delta; the list is neither
+    validated nor certified again, so pass the float64 scores it was made
+    from. Before any recursion, the first list whose ``alphas[i]`` does not
+    exceed its threshold raises ``ThresholdNotMetError``, its message
+    prefixed with ``list <i>: ``. The lists of one (n, K, delta) share one
     recursion per chunk of at most ``SWEEP_CHUNK_ELEMENTS`` row elements.
     """
-    if not len(lists) == len(ks) == len(alphas) == len(certs):
+    if not len(lists) == len(alphas) == len(certs):
         raise ValueError(
-            f"lists, ks, alphas and certs differ in length: "
-            f"{len(lists)}, {len(ks)}, {len(alphas)}, {len(certs)}"
+            f"lists, alphas and certs differ in length: {len(lists)}, {len(alphas)}, {len(certs)}"
         )
     epsilons = []
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, (scores, k, alpha, cert) in enumerate(zip(lists, ks, alphas, certs)):
-        if cert.k != k or cert.delta != delta:
-            raise ValueError(f"list {i}: certificate at k={cert.k}, delta={cert.delta}, "
-                             f"not k={k}, delta={delta}")
+    groups: dict[tuple[int, int, float], list[int]] = {}
+    for i, (scores, alpha, cert) in enumerate(zip(lists, alphas, certs)):
         try:
             epsilons.append(_certified_epsilon(cert, alpha))
         except ThresholdNotMetError as exc:
             raise ThresholdNotMetError(f"list {i}: {exc}") from None
-        groups.setdefault((len(scores), k), []).append(i)
+        groups.setdefault((len(scores), cert.k, cert.delta), []).append(i)
     reports = [None] * len(lists)
-    for (n, k), members in groups.items():
+    for (n, k, delta), members in groups.items():
         per_call = max(1, SWEEP_CHUNK_ELEMENTS // (k * n))
         for start in range(0, len(members), per_call):
             part = members[start:start + per_call]
@@ -369,10 +351,10 @@ def verify_indicator_bounds(lists, ks, alphas, certs, delta: float = 0.1) -> lis
             )
             err = np.abs(hard - smooth)
             per_rank = err.max(axis=2)
-            # each list's errors in the columns of its k top documents
-            top_errs = err[np.arange(len(part))[:, None, None], np.arange(k)[:, None], top[:, None, :]]
+            # each list's largest error in the columns of its k top documents
+            top_errs = err.max(axis=1)[np.arange(len(part))[:, None], top].max(axis=1)
             for i, max_err, top_err, rank_err in zip(
-                part, per_rank.max(axis=1).tolist(), top_errs.max(axis=(1, 2)).tolist(), per_rank
+                part, per_rank.max(axis=1).tolist(), top_errs.tolist(), per_rank
             ):
                 # positional: a third of the keyword call's cost, which shows over thousands of lists
                 reports[i] = BoundReport(
@@ -455,7 +437,8 @@ def verify_corollary(
     b = np.asarray(b_weights, dtype=np.float64)
     if a.shape != (k,):
         raise ValueError(f"a_weights must have length k={k}, got shape {a.shape}")
-    arr, _, eps = _certified(scores, k, alpha, delta)
+    arr, stats = _checked(scores, delta)
+    eps = _certified_epsilon(_certificate_at(stats, k, delta), alpha)
     if b.shape != (arr.size,):
         raise ValueError(f"b_weights must have length n={arr.size}, got shape {b.shape}")
     _, hard, smooth = (
@@ -506,8 +489,8 @@ def bound_sweep(
     each instance is probed at ``alpha_factors`` times its own threshold.
     Every instance is drawn first, then all are certified in one
     ``certificates`` call, and the rows above their thresholds go through
-    one ``verify_indicator_bounds`` call, with the same bits as one
-    ``certificate`` per instance and one ``verify_indicator_bound`` per row.
+    one ``verify_indicator_bounds`` call. No value depends on the batch:
+    each row has the bits of certifying and checking its instance alone.
     Rows come back in instance order. Returns (rows, summary) where summary
     carries the fraction of checked rows on which the bound held.
     """
@@ -534,11 +517,7 @@ def bound_sweep(
     ]
     above = [(idx, alpha) for idx, alpha in probes if not alpha <= certs[idx].alpha_threshold]
     reports = verify_indicator_bounds(
-        [drawn[idx][2] for idx, _ in above],
-        [drawn[idx][1] for idx, _ in above],
-        [alpha for _, alpha in above],
-        [certs[idx] for idx, _ in above],
-        delta,
+        [drawn[idx][2] for idx, _ in above], [alpha for _, alpha in above], [certs[idx] for idx, _ in above]
     )
     pending = iter(reports)
     rows = []

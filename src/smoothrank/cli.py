@@ -288,11 +288,10 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[dict]) -> None:
+    # rows hold Python scalars, and str of a Python float is its repr
     def fmt(value) -> str:
         if isinstance(value, bool):
             return "true" if value else "false"
-        if isinstance(value, float):
-            return repr(value)
         return str(value)
 
     lines = [",".join(header)]

@@ -8,6 +8,7 @@ file order.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -120,6 +121,8 @@ def _parse_line(line: str, lineno: int, source: str):
         rel = float(tokens[0])
     except ValueError:
         raise ParseError(f"{source}:{lineno}: non-numeric relevance {tokens[0]!r}") from None
+    if not math.isfinite(rel):
+        raise ParseError(f"{source}:{lineno}: non-finite relevance {tokens[0]!r}")
     if rel < 0:
         raise ParseError(f"{source}:{lineno}: negative relevance {tokens[0]!r}")
     if not tokens[1].startswith("qid:") or len(tokens[1]) <= 4:
@@ -135,6 +138,8 @@ def _parse_line(line: str, lineno: int, source: str):
             v = float(val)
         except ValueError:
             raise ParseError(f"{source}:{lineno}: bad feature token {tok!r}") from None
+        if not math.isfinite(v):
+            raise ParseError(f"{source}:{lineno}: non-finite feature value {tok!r}")
         if i < 1:
             raise ParseError(f"{source}:{lineno}: feature indices are 1-based, got {i}")
         if i > MAX_FEATURE_INDEX:
@@ -165,9 +170,9 @@ def _parse_dense(lines: list[str]):
     with one d and single spaces between features. One cheap pass per line
     checks that shape; one ``np.loadtxt`` call then reads the numbers, whose
     float and integer syntax is a subset of ``float()`` and ``int()``.
-    Returns None for any other file, on any ``loadtxt`` error or warning, and
-    for a negative or NaN grade, so that the per-line reader parses it and
-    raises its errors.
+    Returns None for any other file, on any ``loadtxt`` error or warning, for
+    a negative grade and for any non-finite value, so that the per-line
+    reader parses it and raises its errors.
     """
     qids, comments, numeric = [], [], []
     separators = None
@@ -207,7 +212,9 @@ def _parse_dense(lines: list[str]):
     table = table.view(np.float64).reshape(len(qids), 2 * dim + 1)
     relevance = table[:, 0]
     indices = table.view(np.int64)[:, 1::2]
-    if not (relevance >= 0).all() or not (indices == np.arange(1, dim + 1)).all():
+    # columns 0, 2, 4, ... hold the grade and the feature values
+    if (not (relevance >= 0).all() or not np.isfinite(table[:, ::2]).all()
+            or not (indices == np.arange(1, dim + 1)).all()):
         return None
     return qids, comments, relevance, table[:, 2::2]
 
@@ -279,9 +286,9 @@ def _pad_features(dataset: Dataset, dim: int, source: str) -> Dataset:
 def assemble_folds(fold_paths: list[dict]) -> list[Dataset]:
     """Build one Dataset per fold from {train, vali, test} file paths.
 
-    The train split fixes the feature dimension; the other splits are padded
-    to it and must not exceed it. Query ids must not repeat across the three
-    files of a fold.
+    The train split fixes the feature dimension, which must be at least 1;
+    the other splits are padded to it and must not exceed it. Query ids must
+    not repeat across the three files of a fold.
     """
     datasets = []
     for fold_no, paths in enumerate(fold_paths):
@@ -296,6 +303,8 @@ def assemble_folds(fold_paths: list[dict]) -> list[Dataset]:
             except FileNotFoundError as exc:
                 raise SchemaError(f"fold {fold_no}: cannot read {key!r} file: {exc}") from exc
         dim = parsed["train"].feature_dim
+        if dim == 0:
+            raise SchemaError(f"fold {fold_no}: the train file has no feature values")
         groups: dict[str, QueryGroup] = {}
         splits: dict[str, list[str]] = {}
         for name in ("train", "validation", "test"):

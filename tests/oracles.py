@@ -31,8 +31,9 @@ metric-bound check as ``bounds_lab.verify_metric_bounds`` ran it before it
 shared one recursion at K=N: three ``smooth_metric`` calls, each with its own
 preparation and recursion, and both certificate thresholds checked; and
 ``bound_sweep_per_list``, the verify-bounds sweep as ``bounds_lab.bound_sweep``
-ran it before it grouped its rows by (n, K): one ``certificate`` per instance
-and one ``verify_indicator_bound`` per checked row, in instance order;
+ran it before it grouped its rows by (n, K): one certificate per instance
+and one indicator-bound check per checked row, in instance order, each by
+the one-list oracles below;
 ``certificate_one_list`` and ``indicator_bound_one_list``, the certificate and
 the indicator-bound check of one list as they ran before lists were
 certified and checked in batches: a validation, a descending sort and the
@@ -62,7 +63,6 @@ from smoothrank.bounds_lab import (
     certificate,
     epsilon_alpha,
     random_strict_scores,
-    verify_indicator_bound,
 )
 from smoothrank.gradients import REL_ERR_FLOOR, GradientReport, _upstream_coeffs, loss_and_gradient
 from smoothrank.ltr_model import eval_slice_shape
@@ -518,7 +518,8 @@ def bound_sweep_per_list(
     alpha_factors=(1.05, 1.5, 3.0),
 ) -> tuple[list[dict], dict]:
     """Indicator-bound rows over random instances, one row per (instance, alpha),
-    each checked row through its own ``verify_indicator_bound`` call."""
+    each instance through ``certificate_one_list`` and each checked row
+    through its own ``indicator_bound_one_list`` call."""
     rng = np.random.default_rng(seed)
     rows = []
     checked = held = skipped = 0
@@ -529,7 +530,7 @@ def bound_sweep_per_list(
             raise ValueError(f"no usable k in {k_values} for n={n}")
         k = int(k_choices[int(rng.integers(len(k_choices)))])
         scores = random_strict_scores(rng, n)
-        cert = certificate(scores, k, delta)
+        cert = certificate_one_list(scores, k, delta)
         alpha_list = list(alphas) if alphas is not None else [
             f * cert.alpha_threshold for f in alpha_factors
         ]
@@ -549,7 +550,7 @@ def bound_sweep_per_list(
                 row.update(max_err="", holds="", status="skipped_below_threshold")
                 skipped += 1
             else:
-                report = verify_indicator_bound(scores, k, alpha, delta)
+                report = indicator_bound_one_list(scores, k, alpha, delta)
                 row.update(
                     max_err=report.max_indicator_err,
                     holds=report.holds,

@@ -323,7 +323,7 @@ class TestIndicatorBound:
         assert report.holds
 
     def test_below_threshold_rejected_naming_it(self):
-        with pytest.raises(ThresholdNotMetError, match="9.21"):
+        with pytest.raises(ThresholdNotMetError, match="^alpha=5.0 does not exceed the certificate threshold 9.21"):
             verify_indicator_bound([4.0, 2.0, 1.0], k=2, alpha=5.0, delta=0.1)
 
     def test_random_instances_zero_violations(self):
@@ -337,6 +337,14 @@ class TestIndicatorBound:
                 report = verify_indicator_bound(scores, k, factor * cert.alpha_threshold, 0.1)
                 assert report.holds
                 assert report.max_indicator_err_topk <= report.max_indicator_err
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 7])
+    def test_equal_to_the_one_list_oracle_on_certifys_config(self, seed):
+        rng = np.random.default_rng(seed + 100)
+        for k, scores in drawn_lists(seed):
+            alpha = float(rng.uniform(1.01, 4.0)) * certificate(scores, k, 0.1).alpha_threshold
+            assert report_text(verify_indicator_bound(scores, k, alpha, 0.1)) == report_text(
+                indicator_bound_one_list(scores, k, alpha, 0.1))
 
 
 class TestIndicatorBounds:
@@ -352,7 +360,7 @@ class TestIndicatorBounds:
         scores_batch, mask = packed(scores)
         certs = certificates(scores_batch, ks, 0.1, mask)
         alphas = [float(rng.uniform(1.01, 4.0)) * cert.alpha_threshold for cert in certs]
-        got = verify_indicator_bounds(scores, ks, alphas, certs, 0.1)
+        got = verify_indicator_bounds(scores, alphas, certs)
         assert calls["smooth_indicators"] > len({(len(s), k) for s, k in zip(scores, ks)})
         want = [report_text(indicator_bound_one_list(s, k, alpha, 0.1)) for s, k, alpha in zip(scores, ks, alphas)]
         assert [report_text(r) for r in got] == want
@@ -366,7 +374,7 @@ class TestIndicatorBounds:
         scores = np.array([1.9, 10.0, 2.0])
         cert = certificate(scores, 2, 0.1)
         alpha = 1.5 * cert.alpha_threshold
-        (got,) = verify_indicator_bounds([scores], [2], [alpha], [cert], 0.1)
+        (got,) = verify_indicator_bounds([scores], [alpha], [cert])
         assert report_text(got) == report_text(indicator_bound_one_list(scores, 2, alpha, 0.1))
         assert got.max_indicator_err_topk > 0.0
 
@@ -382,17 +390,29 @@ class TestIndicatorBounds:
             verify_indicator_bound(scores[2], ks[2], alphas[2], 0.1)
         calls = count_calls(monkeypatch, (bounds_lab, "smooth_indicators"))
         with pytest.raises(ThresholdNotMetError, match=re.escape(f"list 2: {want.value}") + "$"):
-            verify_indicator_bounds(scores, ks, alphas, certs, 0.1)
+            verify_indicator_bounds(scores, alphas, certs)
         assert calls == {"smooth_indicators": 0}
 
     def test_certificates_must_match_the_lists(self):
         cert = certificate([4.0, 2.0, 1.0], 2, 0.1)
         with pytest.raises(ValueError, match="differ in length"):
-            verify_indicator_bounds([[4.0, 2.0, 1.0]], [2, 2], [20.0], [cert], 0.1)
-        with pytest.raises(ValueError, match="list 0: certificate at k=2"):
-            verify_indicator_bounds([[4.0, 2.0, 1.0]], [3], [20.0], [cert], 0.1)
-        with pytest.raises(ValueError, match="list 0: certificate at k=2, delta=0.1"):
-            verify_indicator_bounds([[4.0, 2.0, 1.0]], [2], [20.0], [cert], 0.2)
+            verify_indicator_bounds([[4.0, 2.0, 1.0]], [20.0, 20.0], [cert])
+
+    def test_each_list_checked_at_its_certificates_delta(self, monkeypatch):
+        """Lists of one (n, K) certified at two deltas: one recursion per
+        delta, each report equal to the oracle's at its own delta."""
+        calls = count_calls(monkeypatch, (bounds_lab, "smooth_indicators"))
+        rng = np.random.default_rng(8)
+        scores = [random_strict_scores(rng, 6) for _ in range(20)]
+        deltas = [0.1, 0.3] * 10
+        certs = [certificate(s, 3, delta) for s, delta in zip(scores, deltas)]
+        alphas = [float(rng.uniform(1.01, 4.0)) * cert.alpha_threshold for cert in certs]
+        got = verify_indicator_bounds(scores, alphas, certs)
+        assert calls == {"smooth_indicators": 2}
+        assert [report_text(r) for r in got] == [
+            report_text(indicator_bound_one_list(s, 3, alpha, delta))
+            for s, alpha, delta in zip(scores, alphas, deltas)
+        ]
 
 
 class TestMetricBounds:

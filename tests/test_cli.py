@@ -267,6 +267,19 @@ class TestTrainCommand:
         assert self.train_on_file(tmp_path, b"1 qid:1 1:0.5\n\xff\xfe qid:1 1:0.1\n") == 3
         assert "train.txt: not UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("train, message", [
+        (b"1 qid:1 1:0.5\nnan qid:1 1:0.1\n", "train.txt:2: non-finite relevance 'nan'"),
+        (b"1 qid:1 1:0.5\ninf qid:1 1:0.1\n", "train.txt:2: non-finite relevance 'inf'"),
+        (b"1 qid:1 1:0.5\n-inf qid:1 1:0.1\n", "train.txt:2: non-finite relevance '-inf'"),
+        (b"1 qid:1 1:0.5\n0 qid:1 1:nan\n", "train.txt:2: non-finite feature value '1:nan'"),
+        (b"1 qid:1 1:inf\n0 qid:1 1:0.1\n", "train.txt:1: non-finite feature value '1:inf'"),
+        (b"1 qid:1 2:0.5\n0 qid:1 1:-inf\n", "train.txt:2: non-finite feature value '1:-inf'"),
+        (b"1 qid:1 # a\n0 qid:1 # b\n", "fold 0: the train file has no feature values"),
+    ], ids=["nan grade", "inf grade", "-inf grade", "nan feature", "inf feature", "-inf feature", "no features"])
+    def test_unusable_train_file_is_data_error(self, tmp_path, out_root, capsys, train, message):
+        assert self.train_on_file(tmp_path, train) == 3
+        assert capsys.readouterr().err == f"data error: {message}\n"
+
     @pytest.mark.parametrize("index", ["99999999999999999999", "3000000000"])
     def test_huge_feature_index_is_data_error(self, tmp_path, out_root, capsys, index):
         """The index is refused before any feature matrix is built: one

@@ -70,6 +70,20 @@ class TestParse:
         with pytest.raises(ParseError, match="1-based"):
             parse_svmlight(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["grade", "feature"])
+    @pytest.mark.parametrize("layout", ["dense", "sparse"])
+    def test_non_finite_value_is_parse_error(self, tmp_path, value, field, layout):
+        """Each reader refuses a non-finite grade or feature value with the
+        file and line: ``nan < 0`` and ``inf >= 0`` let a sign check pass."""
+        second = "0 qid:1 1:0.1 2:0.75 # b" if layout == "dense" else "0 qid:1 2:0.75 # b"
+        second = second.replace("0 qid", f"{value} qid") if field == "grade" else second.replace("0.75", value)
+        path = tmp_path / "s.txt"
+        path.write_text(f"1 qid:1 1:0.5 2:0.25 # a\n{second}\n")
+        what = "relevance" if field == "grade" else "feature value"
+        with pytest.raises(ParseError, match=rf"s\.txt:2: non-finite {what} '.*{value}'"):
+            parse_svmlight(path)
+
     def test_non_utf8_bytes_are_parse_error(self, tmp_path):
         path = tmp_path / "s.txt"
         path.write_bytes(b"1 qid:1 1:0.5\n\xff\xfe qid:1 1:0.5\n")
@@ -357,6 +371,24 @@ class TestFolds:
         _write_split(test, [3], 3, rng)
         with pytest.raises(SchemaError, match="exceeds"):
             assemble_folds([{"train": train, "vali": vali, "test": test}])
+
+    def test_train_split_without_features_rejected(self, tmp_path):
+        train = tmp_path / "train.txt"
+        train.write_text("1 qid:1 # a\n0 qid:1 # b\n")
+        with pytest.raises(SchemaError, match="fold 0: the train file has no feature values"):
+            assemble_folds([{"train": train, "vali": train, "test": train}])
+
+    def test_featureless_vali_and_test_are_padded(self, tmp_path):
+        rng = np.random.default_rng(5)
+        train = tmp_path / "train.txt"
+        _write_split(train, [1], 3, rng)
+        vali = tmp_path / "vali.txt"
+        vali.write_text("1 qid:2 # a\n0 qid:2\n")
+        test = tmp_path / "test.txt"
+        test.write_text("0 qid:3 # c\n")
+        ds = assemble_folds([{"train": train, "vali": vali, "test": test}])[0]
+        assert ds.groups["2"].features.shape == (2, 3)
+        np.testing.assert_array_equal(ds.groups["3"].features, np.zeros((1, 3)))
 
     def test_missing_file_is_schema_error(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -32,7 +32,7 @@ from .rank_core import (
     precision_at_k,
 )
 from .smooth_metrics import SMOOTH_AP, SMOOTH_NDCG_AT_K, SMOOTH_P_AT_K, metric_from_weighted_sums
-from .smoothi import SmoothIParams, smooth_indicators
+from .smoothi import SmoothIParams, check_alpha, smooth_indicators
 
 
 LN2 = float(np.log(2.0))
@@ -266,15 +266,17 @@ def certificates(scores, k, delta: float, mask=None) -> list[BoundCertificate]:
 
 
 def epsilon_alpha(cert: BoundCertificate, alpha: float) -> float:
-    """Certified error radius (K-1) * exp(-alpha * decay_rate)."""
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    """Certified error radius (K-1) * exp(-alpha * decay_rate); alpha must
+    lie in (0, inf)."""
+    check_alpha(alpha)
     return (cert.k - 1) * math.exp(-alpha * cert.decay_rate)
 
 
 def _certified_epsilon(cert: BoundCertificate, alpha: float) -> float:
-    """eps_alpha at ``alpha``; raises ThresholdNotMetError unless alpha
-    exceeds the certificate threshold."""
+    """eps_alpha at ``alpha``; raises ValueError unless alpha lies in (0,
+    inf), and ThresholdNotMetError unless it exceeds the certificate
+    threshold."""
+    check_alpha(alpha)
     if alpha <= cert.alpha_threshold:
         raise ThresholdNotMetError(
             f"alpha={alpha} does not exceed the certificate threshold "
@@ -321,10 +323,11 @@ def verify_indicator_bounds(lists, alphas, certs) -> list[BoundReport]:
     ``certs[i]`` is the certificate of ``lists[i]``, from ``certificates`` or
     ``certificate``, and fixes the list's K and delta; the list is neither
     validated nor certified again, so pass the float64 scores it was made
-    from. Before any recursion, the first list whose ``alphas[i]`` does not
-    exceed its threshold raises ``ThresholdNotMetError``, its message
-    prefixed with ``list <i>: ``. The lists of one (n, K, delta) share one
-    recursion per chunk of at most ``SWEEP_CHUNK_ELEMENTS`` row elements.
+    from. Before any recursion, the first list whose ``alphas[i]`` is not in
+    (0, inf) or does not exceed its threshold raises ``ValueError`` or
+    ``ThresholdNotMetError``, its message prefixed with ``list <i>: ``. The
+    lists of one (n, K, delta) share one recursion per chunk of at most
+    ``SWEEP_CHUNK_ELEMENTS`` row elements.
     """
     if not len(lists) == len(alphas) == len(certs):
         raise ValueError(
@@ -335,8 +338,8 @@ def verify_indicator_bounds(lists, alphas, certs) -> list[BoundReport]:
     for i, (scores, alpha, cert) in enumerate(zip(lists, alphas, certs)):
         try:
             epsilons.append(_certified_epsilon(cert, alpha))
-        except ThresholdNotMetError as exc:
-            raise ThresholdNotMetError(f"list {i}: {exc}") from None
+        except ValueError as exc:  # a NaN, infinite or non-positive alpha, or one below the threshold
+            raise type(exc)(f"list {i}: {exc}") from None
         groups.setdefault((len(scores), cert.k, cert.delta), []).append(i)
     reports = [None] * len(lists)
     for (n, k, delta), members in groups.items():

@@ -33,7 +33,7 @@ import numpy as np
 
 from .data_io import Dataset, DatasetError
 from .gradients import loss_and_gradient
-from .rank_core import exact_metrics
+from .rank_core import _ideal_dcgs, _ranked_metrics
 from .smooth_metrics import SMOOTH_NDCG_AT_K, LossSpec, undefined_lists
 
 CHECKPOINT_FORMAT = "smoothrank-scorer"
@@ -383,8 +383,16 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Scorer, TrainHistory]:
     padded to its bucket's longest; a list shorter than the loss cutoff is
     scored at its own length. Queries whose loss is undefined (zero
     relevance) are skipped and counted, and so are the validation queries
-    ``evaluate`` leaves out. Raises DivergenceError when a batch loss goes
-    non-finite.
+    ``evaluate`` leaves out.
+
+    The validation split's ``_ValidationPlan`` is built once per call,
+    before epoch 1: the scored queries' stacked features, and per bucket
+    their padded grades and ideal DCGs. Each epoch then runs one eval
+    forward and the score-dependent half of the exact metrics, the same code
+    as ``evaluate``, and keeps only the summary and the skip count. Raises
+    DatasetError when no validation query has a relevant document, and
+    DivergenceError when a batch loss, the parameters or a validation score
+    go non-finite.
     """
     for split in ("train", "validation"):
         if not dataset.splits.get(split):
@@ -400,6 +408,9 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Scorer, TrainHistory]:
     select_key = "ndcg" if config.select_cutoff is None else f"ndcg@{config.select_cutoff}"
     cutoffs = EVAL_CUTOFFS if config.select_cutoff is None else (
         tuple(sorted({*EVAL_CUTOFFS, config.select_cutoff})))
+    validation = _ValidationPlan(dataset, "validation", cutoffs)
+    if not validation.scored:
+        raise DatasetError("validation split has no queries with any relevant document")
     history = TrainHistory(select_metric=select_key)
     best_value = -np.inf
     best_snap = scorer.snapshot()
@@ -440,21 +451,19 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Scorer, TrainHistory]:
         if not all(np.all(np.isfinite(p)) for p in scorer.parameters().values()):
             raise DivergenceError(epoch, f"non-finite parameters at epoch {epoch}")
         try:
-            val = evaluate(scorer, dataset, "validation", cutoffs=cutoffs)
+            summary = _summary(validation.run(scorer)[1])
         except NonFiniteScoresError as exc:
             raise DivergenceError(epoch, f"epoch {epoch}: {exc}") from exc
-        if not val.summary:
-            raise DatasetError("validation split has no queries with any relevant document")
         record = EpochRecord(
             epoch=epoch,
             train_loss=float(np.mean(epoch_losses)) if epoch_losses else float("nan"),
-            val_metrics=dict(val.summary),
+            val_metrics=summary,
             seconds=time.perf_counter() - tic,
             skipped_queries=skipped,
-            val_skipped_queries=val.skipped_queries,
+            val_skipped_queries=validation.skipped,
         )
         history.records.append(record)
-        selected = val.summary[select_key]
+        selected = summary[select_key]
         if selected > best_value:
             best_value = selected
             best_snap = scorer.snapshot()
@@ -503,6 +512,59 @@ def score_queries(scorer: Scorer, groups) -> dict[str, np.ndarray]:
     return dict(zip([g.query_id for g in groups], np.split(flat, np.cumsum(sizes)[:-1])))
 
 
+class _ValidationPlan:
+    """The part of an exact-metric pass over one split that depends only on
+    the data, built once: ``train`` runs one plan per epoch of a call, and
+    ``evaluate`` one per call.
+
+    It holds the ``scored`` groups (those with a relevant document, in split
+    order), the ``skipped`` count, their stacked ``features``, ``offsets`` and
+    ``lengths``, and per ``length_buckets`` bucket the list positions, the
+    padded document indices and mask, the padded grades and the ideal DCGs at
+    every cutoff and at the full length.
+    """
+
+    def __init__(self, dataset: Dataset, split: str, cutoffs):
+        self.cutoffs = tuple(cutoffs)
+        check_cutoffs(self.cutoffs)
+        groups = [dataset.groups[qid] for qid in dataset.query_ids(split)]
+        self.scored = [g for g in groups if g.relevance.sum() != 0.0]
+        self.skipped = len(groups) - len(self.scored)
+        self.features = (np.vstack([g.features for g in self.scored]) if self.scored
+                         else np.empty((0, dataset.feature_dim)))
+        self.lengths = np.array([len(g) for g in self.scored], dtype=np.int64)
+        self.offsets = np.cumsum(self.lengths) - self.lengths
+        rel = np.concatenate([g.relevance for g in self.scored]) if self.scored else np.empty(0)
+        self.buckets = []
+        for bucket in length_buckets(self.lengths):
+            docs, mask = padded_lists(self.offsets[bucket], self.lengths[bucket])
+            grades = np.where(mask, rel[docs], 0.0)
+            self.buckets.append((bucket, docs, mask, grades,
+                                 _ideal_dcgs(grades, self.lengths[bucket], self.cutoffs)))
+
+    def run(self, scorer: Scorer) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """The scored queries' eval-mode scores, stacked, and each metric's
+        values per scored query. Raises NonFiniteScoresError naming the
+        first query, in split order, with a NaN or infinite score."""
+        flat = scorer.forward(self.features, training=False)
+        bad = np.flatnonzero(~np.isfinite(flat))
+        if bad.size:
+            first = self.scored[np.searchsorted(self.offsets, bad[0], side="right") - 1]
+            raise NonFiniteScoresError(f"non-finite scores for query {first.query_id!r}")
+        columns: dict[str, np.ndarray] = {}
+        for bucket, docs, mask, grades, ideal in self.buckets:
+            values = _ranked_metrics(grades, np.where(mask, flat[docs], -np.inf), self.lengths[bucket],
+                                     self.cutoffs, ideal)
+            for key, value in values.items():
+                columns.setdefault(key, np.empty(len(self.scored)))[bucket] = value
+        return flat, columns
+
+
+def _summary(columns: dict[str, np.ndarray]) -> dict[str, float]:
+    # the mean over queries in split order, as np.mean of the per-query rows
+    return {key: float(np.mean(column)) for key, column in columns.items()}
+
+
 def evaluate(scorer: Scorer, dataset: Dataset, split: str, cutoffs=EVAL_CUTOFFS) -> EvaluationResult:
     """Exact metrics of the scorer on a split, averaged over queries.
 
@@ -510,40 +572,25 @@ def evaluate(scorer: Scorer, dataset: Dataset, split: str, cutoffs=EVAL_CUTOFFS)
     skipped entirely; the skip count is reported. The other queries are
     scored by one eval-mode forward pass over their stacked features, which
     uses running batch-norm statistics, so this is a pure function of
-    (weights, data). Their metrics are computed by ``exact_metrics`` once per
-    ``length_buckets`` bucket, on lists padded to the bucket's longest.
-    Raises NonFiniteScoresError naming the first query, in split order,
-    with a NaN or infinite score. Cutoffs must be >= 1.
+    (weights, data). Their metrics are computed like ``exact_metrics`` once
+    per ``length_buckets`` bucket, on lists padded to the bucket's longest.
+    Each call builds a ``_ValidationPlan`` of the split (the stacked
+    features, each bucket's padded grades and ideal DCGs) and runs it once;
+    ``train`` runs the same plan code on its validation split. Raises
+    NonFiniteScoresError naming the first query, in split order, with a NaN
+    or infinite score. Cutoffs must be >= 1.
     """
-    check_cutoffs(cutoffs)
-    groups = [dataset.groups[qid] for qid in dataset.query_ids(split)]
-    scored = [g for g in groups if g.relevance.sum() != 0.0]
-    if not scored:
-        return EvaluationResult(summary={}, per_query={}, skipped_queries=len(groups), query_count=0, scores={})
-    scores = score_queries(scorer, scored)
-    flat = np.concatenate(list(scores.values()))
-    lengths = np.array([len(g) for g in scored])
-    offsets = np.cumsum(lengths) - lengths
-    bad = np.flatnonzero(~np.isfinite(flat))
-    if bad.size:
-        first = scored[np.searchsorted(offsets, bad[0], side="right") - 1]
-        raise NonFiniteScoresError(f"non-finite scores for query {first.query_id!r}")
-    rel = np.concatenate([g.relevance for g in scored])
-    columns: dict[str, np.ndarray] = {}
-    for bucket in length_buckets(lengths):
-        docs, mask = padded_lists(offsets[bucket], lengths[bucket])
-        values = exact_metrics(np.where(mask, rel[docs], 0.0), np.where(mask, flat[docs], -np.inf),
-                               lengths[bucket], cutoffs)
-        for key, value in values.items():
-            columns.setdefault(key, np.empty(len(scored)))[bucket] = value
+    plan = _ValidationPlan(dataset, split, cutoffs)
+    if not plan.scored:
+        return EvaluationResult(summary={}, per_query={}, skipped_queries=plan.skipped, query_count=0, scores={})
+    flat, columns = plan.run(scorer)
     rows = np.column_stack(list(columns.values())).tolist()
     return EvaluationResult(
-        # the mean over queries in split order, as np.mean of the per-query rows
-        summary={key: float(np.mean(column)) for key, column in columns.items()},
-        per_query={g.query_id: dict(zip(columns, row)) for g, row in zip(scored, rows)},
-        skipped_queries=len(groups) - len(scored),
-        query_count=len(scored),
-        scores=scores,
+        summary=_summary(columns),
+        per_query={g.query_id: dict(zip(columns, row)) for g, row in zip(plan.scored, rows)},
+        skipped_queries=plan.skipped,
+        query_count=len(plan.scored),
+        scores=dict(zip([g.query_id for g in plan.scored], np.split(flat, plan.offsets[1:]))),
     )
 
 

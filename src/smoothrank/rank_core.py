@@ -140,6 +140,19 @@ def exact_metrics(rel, scores, lengths, cutoffs) -> dict[str, np.ndarray]:
     """
     rel = np.asarray(rel, dtype=np.float64)
     lengths = np.asarray(lengths)
+    return _ranked_metrics(rel, scores, lengths, cutoffs, _ideal_dcgs(rel, lengths, cutoffs))
+
+
+def _ideal_dcgs(rel: np.ndarray, lengths: np.ndarray, cutoffs) -> np.ndarray:
+    """The ideal DCGs ``_ranked_metrics`` divides by: each padded list's at
+    ``min(length, c)`` for every cutoff ``c``, then at its full length."""
+    return ideal_dcg(rel, np.column_stack([np.minimum(lengths, c) for c in cutoffs] + [lengths]))
+
+
+def _ranked_metrics(rel: np.ndarray, scores, lengths: np.ndarray, cutoffs,
+                    ideal: np.ndarray) -> dict[str, np.ndarray]:
+    """``exact_metrics`` given the lists' ``_ideal_dcgs``: the half of it
+    that depends on the scores."""
     width = rel.shape[1]
     ranked = np.take_along_axis(rel, np.argsort(-np.asarray(scores), axis=1, kind="stable"), axis=1)
     binary = (ranked >= 1.0).astype(np.float64)
@@ -152,13 +165,11 @@ def exact_metrics(rel, scores, lengths, cutoffs) -> dict[str, np.ndarray]:
             out[rows] = terms[rows, :c].sum(axis=1)
         return out
 
-    cuts = np.column_stack([np.minimum(lengths, c) for c in cutoffs] + [lengths])
-    ideal = ideal_dcg(rel, cuts)
     out = {f"p@{c}": binary[:, :c].sum(axis=1) / c for c in cutoffs}
     for i, c in enumerate(cutoffs):
-        out[f"ndcg@{c}"] = np.divide(dcg(cuts[:, i]), ideal[:, i], out=np.zeros(len(cuts)),
+        out[f"ndcg@{c}"] = np.divide(dcg(np.minimum(lengths, c)), ideal[:, i], out=np.zeros(len(rel)),
                                      where=ideal[:, i] > 0.0)
-    out["ndcg"] = np.divide(dcg(lengths), ideal[:, -1], out=np.zeros(len(cuts)), where=ideal[:, -1] > 0.0)
+    out["ndcg"] = np.divide(dcg(lengths), ideal[:, -1], out=np.zeros(len(rel)), where=ideal[:, -1] > 0.0)
     hits = binary.sum(axis=1)
     precision = np.cumsum(binary, axis=1) / np.arange(1.0, width + 1.0)
     ap_sums = np.array([math.fsum(row) for row in (binary * precision).tolist()])

@@ -31,9 +31,17 @@ recursion: validation and each row's max read the real part only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def check_alpha(alpha: float) -> None:
+    """Reject an alpha outside (0, inf). The indicator needs alpha > 0, and a
+    NaN or infinite alpha makes the recursion's scaled scores NaN."""
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -50,8 +58,7 @@ class SmoothIParams:
     delta: float = 0.1
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        check_alpha(self.alpha)
         if not 0.0 < self.delta < 0.5:
             raise ValueError(f"delta must lie in the open interval (0, 0.5), got {self.delta}")
 

@@ -309,6 +309,44 @@ class TestEpsilonAlpha:
             assert 1.0 - delta - eps > 0.5
 
 
+BAD_ALPHAS = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestBadAlpha:
+    """A NaN or infinite alpha is refused, naming it, before any recursion."""
+
+    @pytest.mark.parametrize("alpha", BAD_ALPHAS)
+    def test_epsilon_alpha(self, alpha):
+        cert = certificate([4.0, 2.0, 1.0], k=2, delta=0.1)
+        with pytest.raises(ValueError, match=f"^alpha must be positive and finite, got {alpha}$"):
+            epsilon_alpha(cert, alpha)
+
+    @pytest.mark.parametrize("alpha", BAD_ALPHAS)
+    def test_one_list_checks(self, alpha, monkeypatch):
+        calls = count_calls(monkeypatch, (bounds_lab, "smooth_indicators"))
+        message = f"^alpha must be positive and finite, got {alpha}$"
+        with pytest.raises(ValueError, match=message) as info:
+            verify_indicator_bound([4.0, 2.0, 1.0], 2, alpha, 0.1)
+        assert not isinstance(info.value, ThresholdNotMetError)
+        with pytest.raises(ValueError, match=message):
+            verify_metric_bounds([1.0, 0.0, 1.0], [4.0, 2.0, 1.0], 2, alpha, 0.1)
+        with pytest.raises(ValueError, match=message):
+            verify_corollary([1.0, 1.0], [1.0, 0.0, 1.0], "identity", [4.0, 2.0, 1.0], 2, alpha, 0.1)
+        assert calls == {"smooth_indicators": 0}
+
+    @pytest.mark.parametrize("alpha", BAD_ALPHAS)
+    def test_batch_names_the_list(self, alpha, monkeypatch):
+        lists = [[4.0, 2.0, 1.0], [5.0, 3.0, 1.0], [6.0, 1.0, 0.5]]
+        certs = [certificate(scores, 2, 0.1) for scores in lists]
+        alphas = [2.0 * cert.alpha_threshold for cert in certs]
+        alphas[1] = alpha
+        calls = count_calls(monkeypatch, (bounds_lab, "smooth_indicators"))
+        with pytest.raises(ValueError, match=f"^list 1: alpha must be positive and finite, got {alpha}$") as info:
+            verify_indicator_bounds(lists, alphas, certs)
+        assert not isinstance(info.value, ThresholdNotMetError)
+        assert calls == {"smooth_indicators": 0}
+
+
 class TestIndicatorBound:
     def test_worked_example_holds(self):
         report = verify_indicator_bound([4.0, 2.0, 1.0], k=2, alpha=20.0, delta=0.1)

@@ -18,6 +18,7 @@ from smoothrank import (
     train,
     training_loss,
 )
+from smoothrank import ltr_model
 from smoothrank.data_io import Dataset, DatasetError, QueryGroup
 from smoothrank.ltr_model import NonFiniteScoresError
 
@@ -329,6 +330,74 @@ class TestEvaluate:
         a = evaluate(scorer, ds, "test")
         b = evaluate(scorer, ds, "test")
         assert a.summary == b.summary
+
+
+def varlen_dataset(seed=0, dim=4):
+    """Lists of 2-40 documents with grades 0-2; every fourth validation list
+    has no relevant document."""
+    rng = np.random.default_rng(seed)
+    groups, splits = {}, {"train": [], "validation": []}
+    for split, count in (("train", 30), ("validation", 24)):
+        for i in range(count):
+            qid = f"{split[0]}{i}"
+            n = int(rng.integers(2, 41))
+            rel = rng.integers(0, 3, size=n).astype(float)
+            rel[0] = 1.0
+            if split == "validation" and i % 4 == 3:
+                rel[:] = 0.0
+            groups[qid] = QueryGroup(qid, [f"{qid}-{j}" for j in range(n)], rng.normal(size=(n, dim)), rel)
+            splits[split].append(qid)
+    return Dataset(groups=groups, feature_dim=dim, splits=splits)
+
+
+class TestValidationPlan:
+    CUTOFFS = (1, 5, 7, 10)  # the cutoffs train() validates at for select_cutoff=7
+
+    def config(self, epochs):
+        return TrainConfig(loss=make_loss_spec("ndcg@k", alpha=5.0), learning_rate=1e-2, epochs=epochs,
+                           batch_size_queries=8, seed=3, hidden_dim=16, select_cutoff=7)
+
+    def test_plan_summary_is_evaluates(self):
+        ds = varlen_dataset()
+        plan = ltr_model._ValidationPlan(ds, "validation", self.CUTOFFS)
+        assert len(plan.buckets) >= 3 and plan.skipped == 6
+        for seed in range(3):
+            scorer = Scorer(4, hidden_dim=16, seed=seed)
+            result = evaluate(scorer, ds, "validation", cutoffs=self.CUTOFFS)
+            assert ltr_model._summary(plan.run(scorer)[1]) == result.summary
+            assert plan.skipped == result.skipped_queries
+
+    def test_train_records_evaluates_summary(self):
+        ds = varlen_dataset(1)
+        scorer, history = train(ds, self.config(epochs=1))
+        result = evaluate(scorer, ds, "validation", cutoffs=self.CUTOFFS)
+        (record,) = history.records
+        assert record.val_metrics == result.summary
+        assert record.val_skipped_queries == result.skipped_queries == 6
+        assert history.select_metric == "ndcg@7"
+
+    @pytest.mark.parametrize("epochs", [1, 4])
+    def test_train_builds_one_plan(self, epochs, monkeypatch):
+        built = []
+
+        class Counted(ltr_model._ValidationPlan):
+            def __init__(self, *args):
+                built.append(args[1:])
+                super().__init__(*args)
+
+        monkeypatch.setattr(ltr_model, "_ValidationPlan", Counted)
+        _, history = train(varlen_dataset(2), self.config(epochs))
+        assert len(history.records) == epochs
+        assert built == [("validation", self.CUTOFFS)]
+
+    def test_non_finite_validation_features_diverge_naming_the_first_query(self):
+        ds = varlen_dataset(3)
+        # v3 has no relevant document, so it is not scored
+        for qid in ("v3", "v9", "v5"):
+            ds.groups[qid].features[1] = np.nan
+        with pytest.raises(DivergenceError, match="^epoch 1: non-finite scores for query 'v5'$") as info:
+            train(ds, self.config(epochs=3))
+        assert info.value.epoch == 1
 
 
 class TestCheckpoint:

@@ -7,6 +7,7 @@ from smoothrank import (
     SmoothIParams,
     certificate,
     hard_indicator_matrix,
+    make_loss_spec,
     rank_permutation,
     smooth_indicators,
     stable_softmax,
@@ -18,6 +19,13 @@ class TestParams:
     def test_alpha_must_be_positive(self):
         with pytest.raises(ValueError, match="alpha"):
             SmoothIParams(alpha=0.0)
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), float("-inf")])
+    def test_alpha_must_be_finite(self, alpha):
+        with pytest.raises(ValueError, match=f"^alpha must be positive and finite, got {alpha}$"):
+            SmoothIParams(alpha=alpha)
+        with pytest.raises(ValueError, match=f"^alpha must be positive and finite, got {alpha}$"):
+            make_loss_spec("ndcg@k", alpha=alpha)
 
     @pytest.mark.parametrize("delta", [0.0, 0.5, -0.1, 0.7])
     def test_delta_open_interval(self, delta):

@@ -23,14 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rank_core import (
-    as_relevance,
-    as_scores,
-    average_precision,
-    ideal_dcg_at_k,
-    ndcg_at_k,
-    precision_at_k,
-)
+from .rank_core import _list_metrics, as_relevance, as_scores
 from .smooth_metrics import SMOOTH_AP, SMOOTH_NDCG_AT_K, SMOOTH_P_AT_K, metric_from_weighted_sums
 from .smoothi import SmoothIParams, check_alpha, smooth_indicators
 
@@ -373,8 +366,9 @@ def verify_metric_bounds(rel, scores, k: int, alpha: float, delta: float = 0.1) 
     so its radius is certified at K=N. The bounds are m*eps for P@K (m =
     number of relevant documents), 2N*(eps + eps^2) for AP, and N*eps for
     NDCG@K. One recursion at K=N serves all three: rows 1..K of it are the
-    K-row recursion's rows. alpha must clear N's certificate threshold, which
-    is larger than K's (the threshold grows strictly with K).
+    K-row recursion's rows, and one exact-metric pass at K serves the exact
+    side. alpha must clear N's certificate threshold, which is larger than
+    K's (the threshold grows strictly with K).
     """
     arr, stats = _checked(scores, delta)
     n = arr.size
@@ -386,18 +380,12 @@ def verify_metric_bounds(rel, scores, k: int, alpha: float, delta: float = 0.1) 
     eps_k = epsilon_alpha(cert_k, alpha)
     rows = smooth_indicators(arr, SmoothIParams(alpha=alpha, delta=delta), k=n).rows
     u = np.einsum("rj,j->r", rows, rel)
-    p_diff = abs(
-        precision_at_k(rel, arr, k) - metric_from_weighted_sums(u[:k], SMOOTH_P_AT_K, k, None, None)
-    )
+    exact, ideal = _list_metrics(rel, arr, k)
+    p_diff = abs(exact[f"p@{k}"] - metric_from_weighted_sums(u[:k], SMOOTH_P_AT_K, k, None, None))
     p_bound = float(rel.sum()) * eps_k
-    ap_diff = abs(
-        average_precision(rel, arr) - metric_from_weighted_sums(u, SMOOTH_AP, n, rel.sum(), None)
-    )
+    ap_diff = abs(exact["map"] - metric_from_weighted_sums(u, SMOOTH_AP, n, rel.sum(), None))
     ap_bound = 2.0 * n * (eps_n + eps_n**2)
-    ndcg_diff = abs(
-        ndcg_at_k(rel, arr, k)
-        - metric_from_weighted_sums(u[:k], SMOOTH_NDCG_AT_K, k, None, ideal_dcg_at_k(rel, k))
-    )
+    ndcg_diff = abs(exact[f"ndcg@{k}"] - metric_from_weighted_sums(u[:k], SMOOTH_NDCG_AT_K, k, None, ideal))
     ndcg_bound = n * eps_k
     return MetricBoundReport(
         precision_diff=float(p_diff),

@@ -307,8 +307,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size_queries < 1:
             raise ValueError(f"batch_size_queries must be >= 1, got {self.batch_size_queries}")
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not 0.0 <= self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be >= 0 and finite, got {self.learning_rate}")
         if self.hidden_dim < 1:
             raise ValueError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
         if self.select_cutoff is not None and self.select_cutoff < 1:

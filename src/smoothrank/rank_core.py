@@ -2,7 +2,8 @@
 
 Hard rank indicators obtained by sorting, plus exact P@K, AP and NDCG@K.
 These serve both as evaluation metrics and as the reference values that the
-smooth approximations converge to.
+smooth approximations converge to. One function ranks and sums them for a
+padded batch of lists; the one-list metrics are its batch of one.
 """
 
 from __future__ import annotations
@@ -75,49 +76,60 @@ def precision_at_k(rel, scores, k: int) -> float:
     rel = as_relevance(rel, arr.size, binary=True)
     if not 1 <= k <= arr.size:
         raise ValueError(f"k={k} out of range [1, {arr.size}]")
-    perm = rank_permutation(arr)
-    return float(rel[perm[:k]].sum() / k)
+    return _list_metrics(rel, arr, k)[0][f"p@{k}"]
 
 
 def average_precision(rel, scores) -> float:
     """Mean of P@k over the ranks k holding a relevant document."""
     arr = as_scores(scores)
     rel = as_relevance(rel, arr.size, binary=True)
-    total = rel.sum()
-    if total == 0.0:
+    if rel.sum() == 0.0:
         raise UndefinedMetricError("AP is undefined: no relevant document")
-    ranked = rel[rank_permutation(arr)]
-    prec = np.cumsum(ranked) / np.arange(1, arr.size + 1)
-    # fsum: the sum is exactly rounded, not summation-order dependent
-    return math.fsum(ranked * prec) / total
+    return _list_metrics(rel, arr, arr.size)[0]["map"]
 
 
-def _ideal_terms(rel: np.ndarray) -> np.ndarray:
-    """Each row's ideal DCG terms: the gains of its grades sorted descending,
-    over the log2 discount of their rank."""
-    top = np.sort(rel, axis=-1)[..., ::-1]
-    return (np.exp2(top) - 1.0) / np.log2(np.arange(2.0, top.shape[-1] + 2.0))
+def ndcg_at_k(rel, scores, k: int) -> float:
+    """DCG@k of the score-induced ordering, normalized by the ideal DCG@k.
 
-
-def ideal_dcg(rel, cutoffs) -> np.ndarray:
-    """DCG of the best possible ordering of each row of grades, at each of
-    that row's cutoffs.
-
-    ``rel`` is ``(B, N)``, a row's padding grade 0 (which adds nothing), and
-    ``cutoffs`` is ``(B, m)``; so is the result. The terms are built for all
-    rows at once; each value is a ``math.fsum`` of the row's first ``c``
-    terms, exactly rounded, so it equals ``ideal_dcg_at_k`` of the row
-    whatever the batch and the padding.
+    Gains are 2^grade - 1 with a log2(rank + 1) position discount; grades may
+    be non-binary.
     """
-    terms = _ideal_terms(np.asarray(rel, dtype=np.float64)).tolist()
+    arr = as_scores(scores)
+    rel = as_relevance(rel, arr.size)
+    if not 1 <= k <= arr.size:
+        raise ValueError(f"k={k} out of range [1, {arr.size}]")
+    values, ideal = _list_metrics(rel, arr, k)
+    if ideal == 0.0:
+        raise UndefinedMetricError("NDCG is undefined: all relevance grades are zero")
+    return values[f"ndcg@{k}"]
+
+
+def _dcg(ranked: np.ndarray, cutoffs) -> np.ndarray:
+    """DCG of each row of grades, taken in rank order, at each of that row's
+    cutoffs.
+
+    ``ranked`` is ``(B, N)`` and ``cutoffs`` ``(B, m)``; so is the result.
+    Gains are 2^grade - 1 over a log2(rank + 1) discount. Each value is a
+    ``math.fsum`` of the row's first ``c`` terms, exactly rounded, so it
+    depends on neither the batch nor the padding (grade 0 adds nothing).
+    """
+    terms = ((np.exp2(ranked) - 1.0) / np.log2(np.arange(2.0, ranked.shape[-1] + 2.0))).tolist()
     cuts = np.asarray(cutoffs)
     sums = [[math.fsum(row[:c]) for c in row_cuts] for row, row_cuts in zip(terms, cuts.tolist())]
     return np.array(sums, dtype=np.float64).reshape(cuts.shape)
 
 
+def ideal_dcg(rel, cutoffs) -> np.ndarray:
+    """DCG of the best possible ordering (grades sorted descending) of each
+    row of grades, at each of that row's cutoffs: ``rel`` is ``(B, N)``, a
+    row's padding grade 0, and ``cutoffs`` is ``(B, m)``, as ``_dcg`` takes
+    them."""
+    return _dcg(np.sort(np.asarray(rel, dtype=np.float64), axis=-1)[..., ::-1], cutoffs)
+
+
 def ideal_dcg_at_k(rel, k: int) -> float:
     """DCG@k of the best possible ordering (grades sorted descending)."""
-    return math.fsum(_ideal_terms(np.asarray(rel, dtype=np.float64))[:k])
+    return float(ideal_dcg([rel], [[k]])[0, 0])
 
 
 def exact_metrics(rel, scores, lengths, cutoffs) -> dict[str, np.ndarray]:
@@ -132,21 +144,25 @@ def exact_metrics(rel, scores, lengths, cutoffs) -> dict[str, np.ndarray]:
     list without a relevant document has AP 0; one with ideal DCG@c 0 has
     NDCG@c 0.
 
-    No value depends on the batch or the padding. P@c and AP equal
-    ``precision_at_k`` and ``average_precision`` bit for bit (0/1 sums are
-    exact, AP is a ``math.fsum``). Each DCG is a numpy ``sum`` of the list's
-    first ``k`` terms where ``ndcg_at_k`` takes a ``math.fsum``, so NDCG can
-    differ from it by a few ulps (at most 3 on 20,000 random lists).
+    No value depends on the batch or the padding: 0/1 sums are exact, and
+    AP and each DCG are a ``math.fsum``. ``precision_at_k``,
+    ``average_precision`` and ``ndcg_at_k`` are this function on a batch of
+    one, so every value equals theirs bit for bit.
     """
     rel = np.asarray(rel, dtype=np.float64)
     lengths = np.asarray(lengths)
     return _ranked_metrics(rel, scores, lengths, cutoffs, _ideal_dcgs(rel, lengths, cutoffs))
 
 
+def _dcg_cutoffs(lengths: np.ndarray, cutoffs) -> np.ndarray:
+    """Each padded list's DCG cutoffs: ``min(length, c)`` for every cutoff
+    ``c``, then its full length."""
+    return np.column_stack([np.minimum(lengths, c) for c in cutoffs] + [lengths])
+
+
 def _ideal_dcgs(rel: np.ndarray, lengths: np.ndarray, cutoffs) -> np.ndarray:
-    """The ideal DCGs ``_ranked_metrics`` divides by: each padded list's at
-    ``min(length, c)`` for every cutoff ``c``, then at its full length."""
-    return ideal_dcg(rel, np.column_stack([np.minimum(lengths, c) for c in cutoffs] + [lengths]))
+    """The ideal DCGs ``_ranked_metrics`` divides by, at ``_dcg_cutoffs``."""
+    return ideal_dcg(rel, _dcg_cutoffs(lengths, cutoffs))
 
 
 def _ranked_metrics(rel: np.ndarray, scores, lengths: np.ndarray, cutoffs,
@@ -156,20 +172,11 @@ def _ranked_metrics(rel: np.ndarray, scores, lengths: np.ndarray, cutoffs,
     width = rel.shape[1]
     ranked = np.take_along_axis(rel, np.argsort(-np.asarray(scores), axis=1, kind="stable"), axis=1)
     binary = (ranked >= 1.0).astype(np.float64)
-    terms = (np.exp2(ranked) - 1.0) / np.log2(np.arange(2.0, width + 2.0))
-
-    def dcg(k: np.ndarray) -> np.ndarray:
-        out = np.empty(len(k))
-        for c in set(k.tolist()):
-            rows = k == c
-            out[rows] = terms[rows, :c].sum(axis=1)
-        return out
-
     out = {f"p@{c}": binary[:, :c].sum(axis=1) / c for c in cutoffs}
-    for i, c in enumerate(cutoffs):
-        out[f"ndcg@{c}"] = np.divide(dcg(np.minimum(lengths, c)), ideal[:, i], out=np.zeros(len(rel)),
-                                     where=ideal[:, i] > 0.0)
-    out["ndcg"] = np.divide(dcg(lengths), ideal[:, -1], out=np.zeros(len(rel)), where=ideal[:, -1] > 0.0)
+    ndcg = np.divide(_dcg(ranked, _dcg_cutoffs(lengths, cutoffs)), ideal, out=np.zeros(ideal.shape),
+                     where=ideal > 0.0)
+    out.update({f"ndcg@{c}": ndcg[:, i] for i, c in enumerate(cutoffs)})
+    out["ndcg"] = ndcg[:, -1]
     hits = binary.sum(axis=1)
     precision = np.cumsum(binary, axis=1) / np.arange(1.0, width + 1.0)
     ap_sums = np.array([math.fsum(row) for row in (binary * precision).tolist()])
@@ -177,20 +184,10 @@ def _ranked_metrics(rel: np.ndarray, scores, lengths: np.ndarray, cutoffs,
     return out
 
 
-def ndcg_at_k(rel, scores, k: int) -> float:
-    """DCG@k of the score-induced ordering, normalized by the ideal DCG@k.
-
-    Gains are 2^grade - 1 with a log2(rank + 1) position discount; grades may
-    be non-binary.
-    """
-    arr = as_scores(scores)
-    rel = as_relevance(rel, arr.size)
-    if not 1 <= k <= arr.size:
-        raise ValueError(f"k={k} out of range [1, {arr.size}]")
-    ideal = ideal_dcg_at_k(rel, k)
-    if ideal == 0.0:
-        raise UndefinedMetricError("NDCG is undefined: all relevance grades are zero")
-    perm = rank_permutation(arr)
-    gains = np.exp2(rel[perm[:k]]) - 1.0
-    dcg = math.fsum(gains / np.log2(np.arange(2.0, k + 2.0)))
-    return dcg / ideal
+def _list_metrics(rel: np.ndarray, arr: np.ndarray, k: int) -> tuple[dict[str, float], float]:
+    """``_ranked_metrics`` at cutoff ``k`` of one validated list, a batch of
+    one, and the ideal DCG@k its NDCG@k divides by."""
+    grades, lengths = rel[None], np.array([arr.size])
+    ideal = _ideal_dcgs(grades, lengths, (k,))
+    values = _ranked_metrics(grades, arr[None], lengths, (k,), ideal)
+    return {key: float(value[0]) for key, value in values.items()}, float(ideal[0, 0])

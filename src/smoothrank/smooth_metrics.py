@@ -63,8 +63,9 @@ class LossSpec:
             raise ValueError(f"smooth AP walks every rank and takes no cutoff k, got k={self.k}")
         if self.grad_mode not in GRAD_MODES:
             raise ValueError(f"grad_mode must be one of {GRAD_MODES}, got {self.grad_mode!r}")
-        if self.shift_margin <= 0.0:
-            raise ValueError(f"shift_margin must be positive, got {self.shift_margin}")
+        # a NaN or infinite margin would make every shifted score NaN or infinite
+        if not 0.0 < self.shift_margin < np.inf:
+            raise ValueError(f"shift_margin must be positive and finite, got {self.shift_margin}")
 
     def kept_length(self, n):
         """How many documents of an ``n``-document list the metric ranks: AP
@@ -100,8 +101,8 @@ def shift_scores(raw_scores, margin: float = 1.0) -> np.ndarray:
     consumers will reject, hence the warning.
     """
     arr = as_scores(raw_scores)
-    if margin <= 0.0:
-        raise ValueError(f"margin must be positive, got {margin}")
+    if not 0.0 < margin < np.inf:
+        raise ValueError(f"margin must be positive and finite, got {margin}")
     out = _shift(arr, margin)
     ordered = np.sort(out)
     if np.any(ordered[1:] == ordered[:-1]):

@@ -205,11 +205,11 @@ def query_metrics(rel: np.ndarray, scores: np.ndarray, cutoffs) -> dict[str, flo
         k = min(c, n)
         ideal = ideal_dcg_at_k(rel, k)
         gains = np.exp2(rel[perm[:k]]) - 1.0
-        dcg = float((gains / np.log2(np.arange(2.0, k + 2.0))).sum())
+        dcg = math.fsum(gains / np.log2(np.arange(2.0, k + 2.0)))
         out[f"ndcg@{c}"] = dcg / ideal if ideal > 0 else 0.0
     ideal_full = ideal_dcg_at_k(rel, n)
     gains = np.exp2(rel[perm]) - 1.0
-    out["ndcg"] = float((gains / np.log2(np.arange(2.0, n + 2.0))).sum() / ideal_full)
+    out["ndcg"] = math.fsum(gains / np.log2(np.arange(2.0, n + 2.0))) / ideal_full
     try:
         out["map"] = average_precision(binary, scores)
     except UndefinedMetricError:

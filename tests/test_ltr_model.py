@@ -239,6 +239,13 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match=field):
             TrainConfig(loss=make_loss_spec("ndcg@k", alpha=2.0), **{field: 0})
 
+    @pytest.mark.parametrize("rate", [-1e-3, float("nan"), float("inf"), float("-inf")])
+    def test_learning_rate_outside_non_negative_reals_rejected(self, rate):
+        """Refused at once, where a NaN or infinite rate would train an epoch
+        and then fail on the parameters it made non-finite."""
+        with pytest.raises(ValueError, match=f"^learning_rate must be >= 0 and finite, got {rate}$"):
+            TrainConfig(loss=make_loss_spec("ndcg@k", alpha=2.0), learning_rate=rate)
+
     def test_missing_split_rejected(self):
         ds = synthesize(4, 5, 3, seed=0)  # no splits assigned
         cfg = TrainConfig(loss=make_loss_spec("ndcg@k", alpha=2.0), epochs=1)

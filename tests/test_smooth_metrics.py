@@ -49,6 +49,11 @@ class TestShiftScores:
         with pytest.raises(ValueError, match="margin"):
             shift_scores([1.0], margin=0.0)
 
+    @pytest.mark.parametrize("margin", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_margin_rejected(self, margin):
+        with pytest.raises(ValueError, match=f"^margin must be positive and finite, got {margin}$"):
+            shift_scores([1.0, 2.0], margin=margin)
+
 
 def two_doc_spec(kind, k=None, alpha=1.0):
     return make_loss_spec(kind, k=k, alpha=alpha, delta=0.1)
@@ -253,6 +258,16 @@ class TestLossSpec:
         with pytest.raises(ValueError, match="no cutoff"):
             make_loss_spec("ap", k=10)
         assert make_loss_spec("ap").k is None
+
+    @pytest.mark.parametrize("margin", [0.0, float("nan"), float("inf"), float("-inf")])
+    def test_shift_margin_outside_positive_reals_rejected(self, margin):
+        """The margin is named, where the loss would otherwise fail later on
+        scores it shifted to NaN or infinity."""
+        message = f"^shift_margin must be positive and finite, got {margin}$"
+        with pytest.raises(ValueError, match=message):
+            LossSpec(kind="p@k", params=SmoothIParams(alpha=1.0), shift_margin=margin)
+        with pytest.raises(ValueError, match=message):
+            make_loss_spec("ndcg@k", k=2, alpha=1.0, shift_margin=margin)
 
 
 class TestEdgeCases:

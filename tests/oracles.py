@@ -23,7 +23,12 @@ the package's own preparation, shift and metric. Its analytic gradient must
 equal the batched check's bit for bit; its central differences, which the
 complex-step check no longer uses, are an independent estimate of the
 numeric gradient where the exact dual-number oracle of
-``test_gradients_dual`` does not reach (AP's list cap, long lists); and
+``test_gradients_dual`` does not reach (AP's list cap, long lists);
+``gradcheck_rows_one_by_one``, the ``gradcheck`` command as
+``cli.cmd_gradcheck`` ran it before it checked each (kind, mode) of all its
+instances in one grouped call: each instance drawn just before its checks,
+and one ``finite_difference_check`` per instance, kind and mode, in that
+order. The command's ``gradcheck.csv`` must equal its lines byte for byte;
 ``svmlight_per_line``, the SVMlight reader as ``parse_svmlight`` was before
 it read dense files with ``np.loadtxt``: ``data_io._parse_line`` per line
 and a scatter per feature value; and ``metric_bounds_three_pass``, the
@@ -64,7 +69,13 @@ from smoothrank.bounds_lab import (
     epsilon_alpha,
     random_strict_scores,
 )
-from smoothrank.gradients import REL_ERR_FLOOR, GradientReport, _upstream_coeffs, loss_and_gradient
+from smoothrank.gradients import (
+    REL_ERR_FLOOR,
+    GradientReport,
+    _upstream_coeffs,
+    finite_difference_check,
+    loss_and_gradient,
+)
 from smoothrank.ltr_model import eval_slice_shape
 from smoothrank.rank_core import (
     UndefinedMetricError,
@@ -85,6 +96,7 @@ from smoothrank.smooth_metrics import (
     LossSpec,
     _prepare,
     _shift,
+    make_loss_spec,
     metric_from_weighted_sums,
     shift_scores,
     smooth_metric,
@@ -396,6 +408,32 @@ def finite_difference_loop(rel, raw_scores, spec: LossSpec, h: float = 1e-4) -> 
         max_rel_err=max_abs_err / denom,
         step_h=h,
     )
+
+
+def gradcheck_rows_one_by_one(settings) -> list[str]:
+    """The lines of ``gradcheck.csv`` for a ``cli.GradcheckSettings``, header
+    first, one ``finite_difference_check`` at a time."""
+    rng = np.random.default_rng(settings.seed)
+    lines = ["instance,kind,mode,n,k,alpha,max_abs_err,max_rel_err,pass"]
+    for i in range(settings.instances):
+        n = int(rng.integers(settings.min_docs, settings.max_docs + 1))
+        raw = rng.random(n)
+        rel = (rng.random(n) < 0.4).astype(float)
+        if rel.sum() == 0:
+            rel[int(rng.integers(n))] = 1.0
+        if rel.sum() == n and n > 1:
+            rel[int(rng.integers(n))] = 0.0
+        k = int(rng.integers(1, min(settings.max_cutoff, n) + 1))
+        alpha = float(np.exp(rng.uniform(np.log(0.1), np.log(settings.alpha_max))))
+        for kind in settings.loss_kinds:
+            for mode in settings.grad_modes:
+                spec = make_loss_spec(kind, k=None if kind == SMOOTH_AP else k,
+                                      alpha=alpha, delta=settings.delta, grad_mode=mode)
+                report = finite_difference_check(rel, raw, spec, h=settings.step_h)
+                passed = "true" if report.max_rel_err <= settings.tolerance else "false"
+                lines.append(f"{i},{kind},{mode},{n},{0 if kind == SMOOTH_AP else k},{alpha!r},"
+                             f"{report.max_abs_err!r},{report.max_rel_err!r},{passed}")
+    return lines
 
 
 def metric_bounds_three_pass(rel, scores, k: int, alpha: float, delta: float = 0.1) -> MetricBoundReport:

@@ -22,7 +22,7 @@ from smoothrank import (
     training_loss,
 )
 
-from oracles import query_metrics
+from oracles import gradcheck_rows_one_by_one, query_metrics
 
 
 def write_config(path, payload):
@@ -96,6 +96,11 @@ CONFIG_FAILURES = [
     ("train", {"n_queries": 40}, "n_queries"),
     # alphas are drawn log-uniformly from [0.1, alpha_max]
     ("gradcheck", {"alpha_max": 0.05}, "alpha_max"),
+    # no max_rel_err is below a negative tolerance, so every check would fail
+    ("gradcheck", {"tolerance": -1.0}, "tolerance"),
+    # a repeated entry would write its rows twice
+    ("gradcheck", {"loss_kinds": ["ap", "ap"]}, "loss_kinds"),
+    ("gradcheck", {"grad_modes": ["full", "stop_gradient", "full"]}, "grad_modes"),
 ]
 
 
@@ -523,6 +528,25 @@ class TestGradcheckCommand:
         with pytest.warns(UserWarning, match="h="):
             assert cli.main(["gradcheck", "--config", cfg]) == 5
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload", [
+        # the output-bytes CI job's two configs
+        {"instances": 40, "min_docs": 2, "max_docs": 10, "seed": 1},
+        {"instances": 30, "min_docs": 1, "max_docs": 40, "max_cutoff": 10, "alpha_max": 100.0,
+         "loss_kinds": ["ndcg@k", "ap"], "grad_modes": ["stop_gradient", "full"], "seed": 3},
+        # the certify benchmark's config
+        *({"instances": 120, "min_docs": 2, "max_docs": 10, "max_cutoff": 5, "alpha_max": 10.0,
+           "delta": 0.1, "tolerance": 1e-4, "seed": seed} for seed in (1, 2, 3)),
+    ], ids=["ci", "ci-long", "certify-1", "certify-2", "certify-3"])
+    def test_writes_the_bytes_of_one_check_per_list(self, tmp_path, out_root, payload):
+        """Grouping the checks of each (kind, mode) leaves every byte of
+        gradcheck.csv as one finite_difference_check per row wrote it."""
+        cfg = write_config(tmp_path / "g.json", {**payload, "output_dir": "gc5"})
+        assert cli.main(["gradcheck", "--config", cfg]) == 0
+        settings = cli.GradcheckSettings(**{key: tuple(value) if isinstance(value, list) else value
+                                            for key, value in payload.items()})
+        expected = "\n".join(gradcheck_rows_one_by_one(settings)) + "\n"
+        assert (out_root / "gc5" / "gradcheck.csv").read_bytes() == expected.encode()
 
     def test_deterministic_output(self, tmp_path, out_root):
         payload = {"instances": 10, "seed": 3, "output_dir": "gc3"}

@@ -8,13 +8,15 @@ import pytest
 from smoothrank import (
     LossSpec,
     SmoothIParams,
+    UndefinedMetricError,
     finite_difference_check,
+    finite_difference_checks,
     loss_and_gradient,
     make_loss_spec,
     metric_gradient,
     stable_softmax,
 )
-from smoothrank import gradients, shift_scores, smooth_metrics
+from smoothrank import gradients, shift_scores, smooth_indicators, smooth_metrics
 from oracles import finite_difference_loop, random_ranking_instance
 from test_gradients_dual import dual_gradient
 
@@ -235,6 +237,165 @@ class TestAgainstTheLoopOracle:
         whole = finite_difference_check(rel, raw, spec).numeric
         monkeypatch.setattr(gradients, "FD_CHUNK_ELEMENTS", 2 * raw.size**2 + 1)
         np.testing.assert_array_equal(finite_difference_check(rel, raw, spec).numeric, whole)
+
+
+def mixed_lists(rng, count, lengths=(1, 2, 3, 7, 16, 40)):
+    """``count`` lists of the given lengths, each with binary grades holding
+    a relevant and (past one document) an irrelevant one, a cutoff in [1,
+    min(10, n)] and an alpha drawn log-uniformly from [0.1, 100]."""
+    out = []
+    for _ in range(count):
+        n = int(rng.choice(lengths))
+        raw = rng.random(n) * rng.choice([1.0, 20.0])
+        rel = (rng.random(n) < 0.4).astype(float)
+        rel[int(rng.integers(n))] = 1.0
+        if n > 1 and rel.all():
+            rel[int(rng.integers(n))] = 0.0
+        k = int(rng.integers(1, min(10, n) + 1))
+        alpha = float(np.exp(rng.uniform(np.log(0.1), np.log(100.0))))
+        out.append((rel, raw, k, alpha))
+    return out
+
+
+def batch_spec(kind, mode, k, alpha, rng):
+    """A spec for one list of a batch: AP takes no cutoff, and the others
+    take the list's cutoff or, now and then, none."""
+    cutoff = None if kind == "ap" or rng.random() < 0.25 else k
+    return make_loss_spec(kind, k=cutoff, alpha=alpha, grad_mode=mode)
+
+
+def assert_same_reports(batch, one):
+    np.testing.assert_array_equal(batch.analytic, one.analytic)
+    np.testing.assert_array_equal(batch.numeric, one.numeric)
+    assert batch.max_abs_err == one.max_abs_err
+    assert batch.max_rel_err == one.max_rel_err
+    assert batch.step_h == one.step_h
+
+
+class TestBatchOfLists:
+    """``finite_difference_checks`` groups lists by length, kept cutoff and
+    spec but for alpha; each of its reports must be the one-list check's,
+    bit for bit."""
+
+    def check(self, lists, specs, h=gradients.STEP_H):
+        reports = finite_difference_checks([(rel, raw) for rel, raw, *_ in lists], specs, h=h)
+        assert len(reports) == len(lists)
+        for (rel, raw, *_), spec, report in zip(lists, specs, reports):
+            assert_same_reports(report, finite_difference_check(rel, raw, spec, h=h))
+        return reports
+
+    @pytest.mark.parametrize("mode", ["stop_gradient", "full"])
+    @pytest.mark.parametrize("kind", ["p@k", "ap", "ndcg@k"])
+    def test_each_report_is_the_one_list_report(self, kind, mode):
+        rng = np.random.default_rng(20)
+        lists = mixed_lists(rng, 36)
+        if kind == "ndcg@k":  # graded: 0, 1 or 2 where the binary grade is 1
+            lists = [(rel * rng.integers(1, 3, rel.size), raw, k, a) for rel, raw, k, a in lists]
+        self.check(lists, [batch_spec(kind, mode, k, alpha, rng) for _, _, k, alpha in lists])
+
+    def test_kinds_and_modes_mixed_in_one_call(self):
+        rng = np.random.default_rng(21)
+        lists = mixed_lists(rng, 60, lengths=(1, 4, 9))
+        specs = [batch_spec(("p@k", "ap", "ndcg@k")[i % 3], ("stop_gradient", "full")[i % 2], k, alpha, rng)
+                 for i, (_, _, k, alpha) in enumerate(lists)]
+        self.check(lists, specs)
+
+    def test_lists_past_the_ap_cap(self, monkeypatch):
+        monkeypatch.setattr(smooth_metrics, "AP_LIST_CAP", 4)
+        rng = np.random.default_rng(22)
+        lists = mixed_lists(rng, 24, lengths=(3, 4, 9, 12))
+        for mode in ("stop_gradient", "full"):
+            reports = self.check(lists, [make_loss_spec("ap", alpha=a, grad_mode=mode) for *_, a in lists])
+            for (_, raw, *_), report in zip(lists, reports):
+                dropped = np.argsort(-raw, kind="stable")[4:]
+                np.testing.assert_array_equal(report.numeric[dropped], 0.0)
+                np.testing.assert_array_equal(report.analytic[dropped], 0.0)
+
+    def test_full_mode_group_split_across_chunks(self, monkeypatch):
+        """Three chunks of two 7-document lists, whose perturbed copies are
+        split mid-list; no recursion gets more than FD_CHUNK_ELEMENTS row
+        elements, and the reports keep their bits."""
+        rng = np.random.default_rng(23)
+        lists = mixed_lists(rng, 6, lengths=(7,))
+        specs = [make_loss_spec("ndcg@k", k=3, alpha=a, grad_mode="full") for *_, a in lists]
+        whole = finite_difference_checks([(rel, raw) for rel, raw, *_ in lists], specs)
+        limit = 2 * 3 * 7 + 5
+        monkeypatch.setattr(gradients, "FD_CHUNK_ELEMENTS", limit)
+        sizes = []
+
+        def recording(scores, *args, **kwargs):
+            mat = smooth_indicators(scores, *args, **kwargs)
+            sizes.append(mat.rows.size)
+            return mat
+
+        monkeypatch.setattr(gradients, "smooth_indicators", recording)
+        monkeypatch.setattr(smooth_metrics, "smooth_indicators", recording)
+        chunked = self.check(lists, specs)
+        # the batch: 3 forward passes, and 42 perturbed copies 2 at a time;
+        # then each one-list check: 1 forward pass and 7 copies 2 at a time
+        assert sizes == [42] * (3 + 21) + ([21] + [42] * 3 + [21]) * 6
+        assert max(sizes) <= limit
+        for a, b in zip(whole, chunked):
+            assert_same_reports(a, b)
+
+    def test_tied_list_warns(self):
+        lists = [([1.0, 0.0, 1.0], [0.3, 0.1, 0.2], 2, 3.0), ([1.0, 0.0, 2.0, 0.0], [0.5, 0.5, 0.2, 0.5], 3, 4.0)]
+        specs = [make_loss_spec("ndcg@k", k=k, alpha=a) for _, _, k, a in lists]
+        with pytest.warns(UserWarning, match="ties"):
+            self.check(lists, specs)
+
+    def test_no_lists(self):
+        assert finite_difference_checks([], []) == []
+
+
+class TestBatchErrors:
+    """Errors come before any recursion, each the one-list check's, with the
+    first invalid list named."""
+
+    @pytest.fixture(autouse=True)
+    def no_recursion(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a recursion ran before the error")
+
+        monkeypatch.setattr(gradients, "smooth_indicators", refuse)
+        monkeypatch.setattr(smooth_metrics, "smooth_indicators", refuse)
+
+    GOOD = ([1.0, 0.0, 0.0], [0.3, 0.1, 0.2])
+
+    def test_lengths_must_match(self):
+        with pytest.raises(ValueError, match="lists and specs differ in length: 2, 1"):
+            finite_difference_checks([self.GOOD, self.GOOD], [make_loss_spec("ap")])
+
+    def test_undefined_loss(self):
+        lists = [self.GOOD, self.GOOD, ([0.0, 0.0, 0.0], [0.3, 0.1, 0.2])]
+        with pytest.raises(UndefinedMetricError, match="^list 2: smooth AP is undefined: no relevant document$"):
+            finite_difference_checks(lists, [make_loss_spec("ap", alpha=a) for a in (1.0, 2.0, 3.0)])
+
+    def test_cutoff_above_the_list_length(self):
+        specs = [make_loss_spec("p@k", k=k) for k in (2, 5, 1)]
+        with pytest.raises(ValueError, match=r"^list 1: cutoff k=5 exceeds list length 3$"):
+            finite_difference_checks([self.GOOD] * 3, specs)
+
+    def test_the_first_invalid_list_is_named(self):
+        """List 0's undefined loss is named, though list 1's scores fail
+        earlier in the batch's own order."""
+        lists = [([0.0, 0.0, 0.0], [0.3, 0.1, 0.2]), ([1.0, 0.0], [0.3, np.nan])]
+        with pytest.raises(UndefinedMetricError, match="^list 0: "):
+            finite_difference_checks(lists, [make_loss_spec("ap")] * 2)
+        with pytest.raises(ValueError, match="^list 1: scores contain NaN or Inf$"):
+            finite_difference_checks([self.GOOD, lists[1]], [make_loss_spec("ap")] * 2)
+
+    @pytest.mark.parametrize("h", [0.0, float("nan"), float("inf"), -1e-3])
+    def test_a_bad_step(self, h):
+        """h is one for the whole call, so its error names no list."""
+        with pytest.raises(ValueError, match="^step h must be positive and finite"):
+            finite_difference_checks([self.GOOD], [make_loss_spec("ap")], h=h)
+
+    def test_the_one_list_errors_are_unprefixed(self):
+        with pytest.raises(ValueError, match="^cutoff k=5 exceeds list length 3$"):
+            finite_difference_check(*self.GOOD, make_loss_spec("p@k", k=5))
+        with pytest.raises(UndefinedMetricError, match="^smooth AP is undefined: no relevant document$"):
+            finite_difference_check([0.0, 0.0], [0.3, 0.1], make_loss_spec("ap"))
 
 
 def saturated_lists():

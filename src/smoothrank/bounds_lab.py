@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rank_core import _list_metrics, as_relevance, as_scores
+from .rank_core import _hard_rows, _integer, _list_metrics, as_relevance, as_scores
 from .smooth_metrics import SMOOTH_AP, SMOOTH_NDCG_AT_K, SMOOTH_P_AT_K, metric_from_weighted_sums
-from .smoothi import SmoothIParams, check_alpha, smooth_indicators
+from .smoothi import SmoothIParams, _lists_per_call, check_alpha, check_delta, smooth_indicators
 
 
 LN2 = float(np.log(2.0))
@@ -35,10 +35,6 @@ LN2 = float(np.log(2.0))
 # so even when the bound is 0 (eps_K underflows at large alpha) their gap
 # can be a few ulps of 1, the metrics' scale.
 METRIC_ROUNDING_SLACK = 4 * float(np.finfo(np.float64).eps)
-
-# verify_indicator_bounds splits a (n, K, delta) group so that one recursion
-# holds at most this many row elements (8 MiB per float64 array)
-SWEEP_CHUNK_ELEMENTS = 2**20
 
 # bound_sweep's default multiples of each instance's certificate threshold
 ALPHA_FACTORS = (1.05, 1.5, 3.0)
@@ -122,11 +118,6 @@ class CorollaryReport:
     lipschitz: float
 
 
-def _check_delta(delta: float) -> None:
-    if not 0.0 < delta < 0.5:
-        raise ValueError(f"delta must lie in (0, 0.5), got {delta}")
-
-
 def _score_error(values: np.ndarray) -> CertificateError:
     """The error ``certificate`` raises for scores that fail its checks: not
     a non-empty, finite 1-d vector, then not strictly positive, then tied."""
@@ -182,7 +173,7 @@ def _list_stats(arr: np.ndarray, mask: np.ndarray | None) -> list[tuple[int, flo
 def _checked(scores, delta: float) -> tuple[np.ndarray, tuple[int, float, float]]:
     """One list's scores as float64 and their ``_list_stats``, after every
     check ``certificate`` makes before K: delta, then the scores."""
-    _check_delta(delta)
+    check_delta(delta)
     try:
         arr = as_scores(scores)
     except ValueError as exc:
@@ -200,6 +191,7 @@ def _certificate_at(stats: tuple[int, float, float], k: int, delta: float) -> Bo
     ``power`` can round differently from ``math.log`` and ``**``.
     """
     n, s_min, beta = stats
+    k = _integer(k, error=CertificateError)
     if k == 1:
         raise CertificateError("certificate undefined for K=1 (exponent 1/(K-1))")
     if not 2 <= k <= n:
@@ -236,7 +228,7 @@ def certificates(scores, k, delta: float, mask=None) -> list[BoundCertificate]:
     raises the error that ``certificate`` calls in list order would raise
     first, its message prefixed with ``list <b>: ``.
     """
-    _check_delta(delta)
+    check_delta(delta)
     arr = np.asarray(scores, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"scores must be a (B, N) batch, got shape {arr.shape}")
@@ -289,10 +281,7 @@ def _indicator_rows(scores: np.ndarray, alphas: np.ndarray, k: int, delta: float
     list's alpha.
     """
     smooth = smooth_indicators(alphas[:, None] * scores, SmoothIParams(alpha=1.0, delta=delta), k=k).rows
-    top = np.argsort(-scores, axis=1, kind="stable")[:, :k]
-    hard = np.zeros_like(smooth)
-    hard[np.arange(len(scores))[:, None], np.arange(k), top] = 1.0
-    return top, hard, smooth
+    return (*_hard_rows(scores, k), smooth)
 
 
 def verify_indicator_bound(scores, k: int, alpha: float, delta: float = 0.1) -> BoundReport:
@@ -320,7 +309,7 @@ def verify_indicator_bounds(lists, alphas, certs) -> list[BoundReport]:
     (0, inf) or does not exceed its threshold raises ``ValueError`` or
     ``ThresholdNotMetError``, its message prefixed with ``list <i>: ``. The
     lists of one (n, K, delta) share one recursion per chunk of at most
-    ``SWEEP_CHUNK_ELEMENTS`` row elements.
+    ``smoothi.CHUNK_ELEMENTS`` row elements.
     """
     if not len(lists) == len(alphas) == len(certs):
         raise ValueError(
@@ -336,7 +325,7 @@ def verify_indicator_bounds(lists, alphas, certs) -> list[BoundReport]:
         groups.setdefault((len(scores), cert.k, cert.delta), []).append(i)
     reports = [None] * len(lists)
     for (n, k, delta), members in groups.items():
-        per_call = max(1, SWEEP_CHUNK_ELEMENTS // (k * n))
+        per_call = _lists_per_call(k, n)
         for start in range(0, len(members), per_call):
             part = members[start:start + per_call]
             top, hard, smooth = _indicator_rows(
@@ -376,6 +365,7 @@ def verify_metric_bounds(rel, scores, k: int, alpha: float, delta: float = 0.1) 
     if rel.sum() == 0.0:
         raise ValueError("metric bounds need at least one relevant document")
     cert_k = _certificate_at(stats, k, delta)
+    k = cert_k.k
     eps_n = _certified_epsilon(_certificate_at(stats, n, delta), alpha)
     eps_k = epsilon_alpha(cert_k, alpha)
     rows = smooth_indicators(arr, SmoothIParams(alpha=alpha, delta=delta), k=n).rows

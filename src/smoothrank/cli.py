@@ -36,6 +36,7 @@ import numpy as np
 from . import bounds_lab, data_io, ltr_model
 # finite_difference_check is not called here; the benchmark's tracer wraps it in this module by name
 from .gradients import STEP_H, finite_difference_check, finite_difference_checks
+from .rank_core import _rank_order
 from .smooth_metrics import GRAD_MODES, LOSS_KINDS, SMOOTH_AP, LossSpec, make_loss_spec
 from .smoothi import SmoothIParams
 
@@ -355,7 +356,7 @@ def cmd_train(settings: TrainSettings, strict: bool) -> int:
     return EXIT_OK
 
 
-def cmd_evaluate(settings: EvaluateSettings, strict: bool) -> int:
+def cmd_evaluate(settings: EvaluateSettings) -> int:
     dataset = settings.load()
     try:
         scorer = ltr_model.load_checkpoint(settings.checkpoint)
@@ -382,8 +383,7 @@ def cmd_evaluate(settings: EvaluateSettings, strict: bool) -> int:
     for qid in sorted(scores_by_qid):
         g = dataset.groups[qid]
         scores = scores_by_qid[qid]
-        order = np.argsort(-scores, kind="stable")
-        for rank, idx in enumerate(order, start=1):
+        for rank, idx in enumerate(_rank_order(scores), start=1):
             lines.append(f"{qid} Q0 {g.doc_ids[idx]} {rank} {float(scores[idx])!r} {settings.run_tag}")
     (out / "run.txt").write_text("\n".join(lines) + "\n")
     data_io.write_qrels(dataset, out / "qrels.txt", split=split)
@@ -393,7 +393,7 @@ def cmd_evaluate(settings: EvaluateSettings, strict: bool) -> int:
     return EXIT_OK
 
 
-def cmd_gradcheck(settings: GradcheckSettings, strict: bool) -> int:
+def cmd_gradcheck(settings: GradcheckSettings) -> int:
     rng = np.random.default_rng(settings.seed)
     instances = []
     for _ in range(settings.instances):
@@ -439,7 +439,7 @@ def cmd_gradcheck(settings: GradcheckSettings, strict: bool) -> int:
     return EXIT_GRADCHECK if failed else EXIT_OK
 
 
-def cmd_verify_bounds(settings: VerifyBoundsSettings, strict: bool) -> int:
+def cmd_verify_bounds(settings: VerifyBoundsSettings) -> int:
     # the sweep draws everything from the settings, so a ValueError it raises
     # (delta, k_values, alphas out of range) is a config error
     with _as_config_error():
@@ -482,6 +482,8 @@ COMMANDS = {
     "verify-bounds": (VerifyBoundsSettings, cmd_verify_bounds),
     "sweep": (SweepSettings, cmd_sweep),
 }
+# --strict pins the training recipe, so only the commands that train take it
+STRICT_COMMANDS = ("train", "sweep")
 
 
 def main(argv=None) -> int:
@@ -495,14 +497,16 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--strict",
         action="store_true",
-        help="pin hyperparameters to the reference recipe (lr in {1e-2,1e-3}, "
-        "50 epochs, batch 128, alpha grid {0.1,1,10,100}, delta 0.1)",
+        help="train and sweep only: pin hyperparameters to the reference recipe "
+        "(lr in {1e-2,1e-3}, 50 epochs, batch 128, alpha grid {0.1,1,10,100}, delta 0.1)",
     )
     args = parser.parse_args(argv)
     settings_cls, run = COMMANDS[args.command]
     try:
+        trains = args.command in STRICT_COMMANDS
+        _check(trains or not args.strict, f"--strict applies to train and sweep only, not {args.command}")
         settings = _load_settings(settings_cls, args.config, args.command, args.seed)
-        code = run(settings, args.strict)
+        code = run(settings, args.strict) if trains else run(settings)
         _write_json(_out_dir(settings) / "resolved_config.json", _resolved(settings, args.command))
         return code
     except ConfigError as exc:

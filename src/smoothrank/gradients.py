@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .smoothi import SmoothIndicatorMatrix, rank_steps, smooth_indicators
+from .smoothi import SmoothIndicatorMatrix, _lists_per_call, rank_steps, smooth_indicators
 from .smooth_metrics import (
     SMOOTH_AP,
     SMOOTH_NDCG_AT_K,
@@ -64,11 +64,6 @@ REL_ERR_FLOOR = 1e-8
 
 # The default complex step: its truncation error, about h^2 f''', vanishes.
 STEP_H = 1e-20
-
-# The full-mode oracle runs its N perturbed lists through the recursion in
-# chunks of at most this many indicator-row elements (16 MB per complex128
-# array); unchunked, a 128-document list would hold 34 MB per array.
-FD_CHUNK_ELEMENTS = 2**20
 
 
 @dataclass
@@ -201,7 +196,8 @@ def _differenced_loss(lists: _Lists, mat: SmoothIndicatorMatrix, spec: LossSpec,
     ``c_rj = e_rj * expm1(i * alpha * h * prefix[r, j])``: all B N perturbed
     ``u`` vectors come from ``(B, K, N)`` arrays. Full mode runs the N
     perturbed copies of each list through ``smooth_indicators`` as batches
-    of at most ``FD_CHUNK_ELEMENTS`` row elements.
+    of at most ``smoothi.CHUNK_ELEMENTS`` row elements (unchunked, a
+    128-document list would hold 34 MB per array).
     """
     k = int(lists.k[0])
     scores, rel = lists.scores, lists.rel
@@ -217,7 +213,7 @@ def _differenced_loss(lists: _Lists, mat: SmoothIndicatorMatrix, spec: LossSpec,
         u = ((weighted + rel[:, None, :] * change) / (total + change)).transpose(0, 2, 1)
     else:
         # copy c perturbs document c % n of list c // n
-        per_call = max(1, FD_CHUNK_ELEMENTS // (k * n))
+        per_call = _lists_per_call(k, n)
         parts = []
         for start in range(0, count * n, per_call):
             b, j = np.divmod(np.arange(start, min(start + per_call, count * n)), n)
@@ -233,7 +229,7 @@ def _differenced_loss(lists: _Lists, mat: SmoothIndicatorMatrix, spec: LossSpec,
 def _grouped(lists, specs, shifted) -> list[tuple[list[int], LossSpec, _Lists]]:
     """The lists, with their ``shifted`` scores, of one length and one spec
     but for alpha (so of one kept K) prepared together, in chunks of at most
-    ``FD_CHUNK_ELEMENTS`` indicator-row elements: each chunk's input
+    ``smoothi.CHUNK_ELEMENTS`` indicator-row elements: each chunk's input
     positions, the spec of its first list and the prepared lists. A
     ValueError here means that some list is invalid, not which one."""
     groups: dict[tuple, list[int]] = {}
@@ -247,7 +243,7 @@ def _grouped(lists, specs, shifted) -> list[tuple[list[int], LossSpec, _Lists]]:
     for (n, *_), members in groups.items():
         spec = specs[members[0]]
         width = int(spec.kept_length(n))
-        per_call = max(1, FD_CHUNK_ELEMENTS // ((spec.k or width) * width))
+        per_call = _lists_per_call(spec.k or width, width)
         for start in range(0, len(members), per_call):
             part = members[start:start + per_call]
             rel = np.array([lists[i][0] for i in part], dtype=np.float64)
@@ -305,7 +301,7 @@ def finite_difference_checks(lists, specs, h: float = STEP_H) -> list[GradientRe
     its length, an undefined loss) raises that check's error, its message
     prefixed with ``list <i>: ``. The lists of one (n, kept K) and one spec
     but for alpha share one preparation, forward pass, backward pass and
-    complex-step pass per chunk of at most ``FD_CHUNK_ELEMENTS`` row
+    complex-step pass per chunk of at most ``smoothi.CHUNK_ELEMENTS`` row
     elements. Each list's alpha enters as a ``(B, 1)`` array where the
     one-list check multiplies by its scalar, which keeps every bit.
     """

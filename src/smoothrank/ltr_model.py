@@ -33,7 +33,7 @@ import numpy as np
 
 from .data_io import Dataset, DatasetError
 from .gradients import loss_and_gradient
-from .rank_core import _ideal_dcgs, _ranked_metrics
+from .rank_core import _ideal_dcgs, _integer, _ranked_metrics
 from .smooth_metrics import SMOOTH_NDCG_AT_K, LossSpec, undefined_lists
 
 CHECKPOINT_FORMAT = "smoothrank-scorer"
@@ -497,8 +497,9 @@ class EvaluationResult:
 
 
 def check_cutoffs(cutoffs) -> None:
-    """Reject metric cutoffs below 1; P@0 would divide by zero."""
-    bad = [c for c in cutoffs if c < 1]
+    """Reject metric cutoffs that are not integers, or below 1: P@0 would
+    divide by zero."""
+    bad = [c for c in cutoffs if _integer(c, "metric cutoff") < 1]
     if bad:
         raise ValueError(f"metric cutoffs must be >= 1, got {bad}")
 

@@ -4,11 +4,17 @@ Hard rank indicators obtained by sorting, plus exact P@K, AP and NDCG@K.
 These serve both as evaluation metrics and as the reference values that the
 smooth approximations converge to. One function ranks and sums them for a
 padded batch of lists; the one-list metrics are its batch of one.
+
+``_rank_order`` is the package's one rank order (descending score, ties
+broken by index), and ``_hard_rows`` its one builder of hard indicator
+rows: the bound checks, the smooth AP's list cap and the CLI's run file
+rank through them too.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -43,37 +49,64 @@ def as_relevance(rel, n: int, binary: bool = False) -> np.ndarray:
     return arr
 
 
+def _rank_order(scores) -> np.ndarray:
+    """Indices along the last axis in descending score order, ties broken by
+    index: the one rank order of the package. No validation; ``-inf``
+    padding ranks last."""
+    return np.argsort(-np.asarray(scores), axis=-1, kind="stable")
+
+
+def _hard_rows(scores, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The indices of the ``k`` top documents along the last axis of
+    ``scores``, ``(..., k)``, and their hard indicator rows ``(..., k, n)``:
+    row r marks the document at rank r + 1. No validation."""
+    top = _rank_order(scores)[..., :k]
+    lists = top.reshape(-1, k)
+    rows = np.zeros((len(lists), k, scores.shape[-1]))
+    rows[np.arange(len(lists))[:, None], np.arange(k), lists] = 1.0
+    return top, rows.reshape(top.shape + rows.shape[-1:])
+
+
+def _integer(k, name: str = "k", error: type[ValueError] = ValueError) -> int:
+    """A cutoff or rank ``k`` as a Python int: a Python or numpy integer is
+    taken, anything else (a float, even 2.0, a bool, a string) raises
+    ``error``."""
+    if not isinstance(k, (bool, np.bool_)):
+        try:
+            return operator.index(k)
+        except TypeError:
+            pass
+    raise error(f"{name} must be an integer, got {k!r}")
+
+
 def rank_permutation(scores) -> np.ndarray:
     """Document indices in descending score order, ties broken by index."""
-    arr = as_scores(scores)
-    return np.argsort(-arr, kind="stable")
+    return _rank_order(as_scores(scores))
 
 
 def hard_indicator(scores, r: int) -> np.ndarray:
     """One-hot vector marking the document at rank ``r`` (1-based)."""
     arr = as_scores(scores)
+    r = _integer(r, "rank r")
     if not 1 <= r <= arr.size:
         raise ValueError(f"rank r={r} out of range [1, {arr.size}]")
-    out = np.zeros(arr.size)
-    out[rank_permutation(arr)[r - 1]] = 1.0
-    return out
+    return _hard_rows(arr, r)[1][r - 1]
 
 
 def hard_indicator_matrix(scores, k: int) -> np.ndarray:
     """Hard indicators for ranks 1..k stacked into a (k, n) 0/1 matrix."""
     arr = as_scores(scores)
+    k = _integer(k)
     if not 1 <= k <= arr.size:
         raise ValueError(f"k={k} out of range [1, {arr.size}]")
-    perm = rank_permutation(arr)
-    out = np.zeros((k, arr.size))
-    out[np.arange(k), perm[:k]] = 1.0
-    return out
+    return _hard_rows(arr, k)[1]
 
 
 def precision_at_k(rel, scores, k: int) -> float:
     """Fraction of relevant documents among the top ``k`` by score."""
     arr = as_scores(scores)
     rel = as_relevance(rel, arr.size, binary=True)
+    k = _integer(k)
     if not 1 <= k <= arr.size:
         raise ValueError(f"k={k} out of range [1, {arr.size}]")
     return _list_metrics(rel, arr, k)[0][f"p@{k}"]
@@ -96,6 +129,7 @@ def ndcg_at_k(rel, scores, k: int) -> float:
     """
     arr = as_scores(scores)
     rel = as_relevance(rel, arr.size)
+    k = _integer(k)
     if not 1 <= k <= arr.size:
         raise ValueError(f"k={k} out of range [1, {arr.size}]")
     values, ideal = _list_metrics(rel, arr, k)
@@ -136,13 +170,12 @@ def exact_metrics(rel, scores, lengths, cutoffs) -> dict[str, np.ndarray]:
     """Exact P@c and NDCG@c per cutoff, full NDCG and AP of padded lists.
 
     Row i of the ``(B, N)`` arrays holds a list of ``lengths[i]`` documents
-    with finite scores, then padding: grade 0, score ``-inf``. A stable
-    descending sort ranks the padding last and breaks ties by index, as
-    ``rank_permutation`` does. Grades >= 1 count as relevant for P@c and
-    AP; a list shorter than ``c`` counts its missing documents as
-    non-relevant (TREC style) and is scored at its own length for NDCG. A
-    list without a relevant document has AP 0; one with ideal DCG@c 0 has
-    NDCG@c 0.
+    with finite scores, then padding: grade 0, score ``-inf``. They are
+    ranked by ``_rank_order``, which ranks the padding last and breaks ties
+    by index. Grades >= 1 count as relevant for P@c and AP; a list shorter
+    than ``c`` counts its missing documents as non-relevant (TREC style) and
+    is scored at its own length for NDCG. A list without a relevant document
+    has AP 0; one with ideal DCG@c 0 has NDCG@c 0.
 
     No value depends on the batch or the padding: 0/1 sums are exact, and
     AP and each DCG are a ``math.fsum``. ``precision_at_k``,
@@ -170,7 +203,7 @@ def _ranked_metrics(rel: np.ndarray, scores, lengths: np.ndarray, cutoffs,
     """``exact_metrics`` given the lists' ``_ideal_dcgs``: the half of it
     that depends on the scores."""
     width = rel.shape[1]
-    ranked = np.take_along_axis(rel, np.argsort(-np.asarray(scores), axis=1, kind="stable"), axis=1)
+    ranked = np.take_along_axis(rel, _rank_order(scores), axis=1)
     binary = (ranked >= 1.0).astype(np.float64)
     out = {f"p@{c}": binary[:, :c].sum(axis=1) / c for c in cutoffs}
     ndcg = np.divide(_dcg(ranked, _dcg_cutoffs(lengths, cutoffs)), ideal, out=np.zeros(ideal.shape),

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rank_core import UndefinedMetricError, as_relevance, as_scores, ideal_dcg
+from .rank_core import UndefinedMetricError, _integer, _rank_order, as_relevance, as_scores, ideal_dcg
 from .smoothi import SmoothIndicatorMatrix, SmoothIParams, smooth_indicators
 
 SMOOTH_P_AT_K = "p@k"
@@ -57,8 +57,10 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"loss kind must be one of {LOSS_KINDS}, got {self.kind!r}")
-        if self.k is not None and self.k < 1:
-            raise ValueError(f"cutoff k must be >= 1, got {self.k}")
+        if self.k is not None:
+            object.__setattr__(self, "k", _integer(self.k, "cutoff k"))
+            if self.k < 1:
+                raise ValueError(f"cutoff k must be >= 1, got {self.k}")
         if self.kind == SMOOTH_AP and self.k is not None:
             raise ValueError(f"smooth AP walks every rank and takes no cutoff k, got k={self.k}")
         if self.grad_mode not in GRAD_MODES:
@@ -260,11 +262,11 @@ def _prepare(rel, scores, spec: LossSpec, mask=None) -> _Lists:
     keep = None
     cap = AP_LIST_CAP
     if spec.kind == SMOOTH_AP and batch.shape[1] > cap:
-        # a list longer than the cap keeps its top documents in descending
-        # score order (stable); a shorter one keeps its documents in place
+        # a list longer than the cap keeps its top documents in rank order;
+        # a shorter one keeps its documents in place
         if valid is None:
             valid = np.ones(batch.shape, dtype=bool)
-        by_score = np.argsort(np.where(valid, -batch, np.inf), axis=1, kind="stable")
+        by_score = _rank_order(np.where(valid, batch, -np.inf))
         in_place = np.argsort(~valid, axis=1, kind="stable")
         keep = np.where((n > cap)[:, None], by_score, in_place)[:, :cap]
         batch, grades, valid = (np.take_along_axis(a, keep, axis=1) for a in (batch, grades, valid))

@@ -36,6 +36,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rank_core import _integer
+
+
+# Callers that run many lists through the recursion (the bound checks, the
+# full-mode gradient check) split them so that one call holds at most this
+# many row elements: 8 MiB per float64 array, 16 MiB per complex128 one.
+# Read at call time, so a test can lower it.
+CHUNK_ELEMENTS = 2**20
+
+
+def _lists_per_call(k: int, n: int) -> int:
+    """How many lists of ``k`` rows over ``n`` documents one recursion call
+    takes within ``CHUNK_ELEMENTS`` row elements (at least one)."""
+    return max(1, CHUNK_ELEMENTS // (k * n))
+
+
+def check_delta(delta: float) -> None:
+    """Reject a damping delta outside the open interval (0, 0.5)."""
+    if not 0.0 < delta < 0.5:
+        raise ValueError(f"delta must lie in (0, 0.5), got {delta}")
+
 
 def check_alpha(alpha: float) -> None:
     """Reject an alpha outside (0, inf). The indicator needs alpha > 0, and a
@@ -59,8 +80,7 @@ class SmoothIParams:
 
     def __post_init__(self):
         check_alpha(self.alpha)
-        if not 0.0 < self.delta < 0.5:
-            raise ValueError(f"delta must lie in the open interval (0, 0.5), got {self.delta}")
+        check_delta(self.delta)
 
 
 @dataclass
@@ -97,18 +117,22 @@ def rank_steps(k, count: int, width: int) -> list[tuple[int, int, int]]:
     """The staircase of a recursion over ``count`` lists of padded ``width``:
     ``(start, stop, lists)`` triples, one per distinct cutoff, each saying
     that rank steps ``start`` to ``stop - 1`` work on the leading ``lists``
-    lists. ``k`` is one cutoff for all lists, or one non-increasing cutoff
-    per list; each lies in [1, width]. Raises ValueError otherwise."""
+    lists. ``k`` is one integer cutoff for all lists, or one non-increasing
+    integer cutoff per list; each lies in [1, width]. Raises ValueError
+    otherwise. No lists make no steps."""
     cutoffs = np.asarray(k)
     if cutoffs.ndim == 0:
+        k = _integer(k)
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         if k > width:
             raise ValueError(f"k={k} exceeds list length {width}")
-        return [(0, int(k), count)]
+        return [(0, k, count)]
     if cutoffs.shape != (count,) or cutoffs.dtype.kind not in "iu":
         raise ValueError(f"k must be an int or {count} integer cutoffs, got shape {cutoffs.shape}")
     ks = cutoffs.tolist()  # Python ints: numpy's per-call cost would dominate a one-list call
+    if not ks:
+        return []
     if ks != sorted(ks, reverse=True):
         raise ValueError("per-list k must be non-increasing (longest list first)")
     if ks[-1] < 1 or ks[0] > width:
@@ -160,7 +184,7 @@ def smooth_indicators(scores, params: SmoothIParams, mask=None, *,
     # alpha * score once: row r's logits are (alpha * score) * prefix
     scaled = params.alpha * batch
     pad = None if valid is None else np.where(valid, 0.0, -np.inf)
-    shape = (batch.shape[0], steps[-1][1], batch.shape[1])
+    shape = (batch.shape[0], steps[-1][1] if steps else 0, batch.shape[1])
     # a staircase leaves the rows past each list's cutoff unwritten
     alloc = np.empty if len(steps) == 1 else np.zeros
     rows = alloc(shape, dtype=batch.dtype)

@@ -100,6 +100,16 @@ def test_staircase_keeps_every_bit_of_the_rectangular_path(kind, mode, ap_cap):
         np.testing.assert_array_equal(grads, want_grads)
 
 
+@pytest.mark.parametrize("mode", ["stop_gradient", "full"])
+@pytest.mark.parametrize("kind", ["p@k", "ap", "ndcg@k"])
+@pytest.mark.parametrize("masked", [False, True])
+def test_no_lists_give_no_losses(kind, mode, masked):
+    spec = LossSpec(kind=kind, params=SmoothIParams(alpha=1.0), k=None if kind == "ap" else 2, grad_mode=mode)
+    mask = np.ones((0, 4), dtype=bool) if masked else None
+    values, grads = loss_and_gradient(np.zeros((0, 4)), np.ones((0, 4)), spec, mask)
+    assert values.shape == (0,) and grads.shape == (0, 4)
+
+
 def test_undefined_lists_match_the_single_list_error():
     for kind in ("ap", "ndcg@k"):
         spec = LossSpec(kind=kind, params=SmoothIParams(alpha=2.0))

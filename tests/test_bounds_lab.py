@@ -21,7 +21,7 @@ from smoothrank import (
     verify_indicator_bounds,
     verify_metric_bounds,
 )
-from smoothrank import bounds_lab, smooth_metrics
+from smoothrank import bounds_lab, smooth_metrics, smoothi
 from smoothrank.bounds_lab import bound_sweep, random_strict_scores
 from oracles import (
     bound_sweep_per_list,
@@ -389,7 +389,7 @@ class TestIndicatorBounds:
     def test_reports_equal_the_one_list_checks(self, monkeypatch):
         """Mixed (n, K) groups, split into chunks of at most 40 row elements,
         each report equal to verify_indicator_bound's."""
-        monkeypatch.setattr(bounds_lab, "SWEEP_CHUNK_ELEMENTS", 40)
+        monkeypatch.setattr(smoothi, "CHUNK_ELEMENTS", 40)
         calls = count_calls(monkeypatch, (bounds_lab, "smooth_indicators"))
         lists = drawn_lists(5, instances=150, n_range=(2, 12), k_values=(2, 3, 5, 10))
         rng = np.random.default_rng(5)
@@ -637,7 +637,7 @@ class TestBoundSweep:
 
     def test_groups_split_into_chunks_equal_the_oracle(self, monkeypatch):
         # at most 60 row elements per recursion, so groups split into chunks
-        monkeypatch.setattr(bounds_lab, "SWEEP_CHUNK_ELEMENTS", 60)
+        monkeypatch.setattr(smoothi, "CHUNK_ELEMENTS", 60)
         calls = count_calls(monkeypatch, (bounds_lab, "smooth_indicators"))
         args = (200, (4, 10), (2, 3, 5), 0.1, 6, (0.5, 50.0, 500.0))
         got = bound_sweep(*args)

@@ -116,6 +116,18 @@ def test_bad_config_value_exits_two(tmp_path, out_root, capsys, command, overrid
     assert not (out_root / "bad").exists()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "gradcheck", "verify-bounds"])
+def test_strict_outside_training_exits_two(tmp_path, out_root, capsys, command):
+    """--strict pins the training recipe; a command that does not train
+    refuses it before making its output directory."""
+    cfg = write_config(tmp_path / "c.json", tiny_config(command, "strict", tmp_path))
+    assert cli.main([command, "--config", cfg, "--strict"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error:") and "--strict" in line and command in line
+    assert not (out_root / "strict").exists()
+    assert cli.main([command, "--config", cfg]) == 0
+
+
 def check_resolved_config_round_trip(tmp_path, out_root, command, output):
     """Running a command's resolved_config.json again reproduces its output."""
     cfg = write_config(tmp_path / "c.json", tiny_config(command, "orig", tmp_path))

@@ -16,7 +16,7 @@ from smoothrank import (
     metric_gradient,
     stable_softmax,
 )
-from smoothrank import gradients, shift_scores, smooth_indicators, smooth_metrics
+from smoothrank import gradients, shift_scores, smooth_indicators, smooth_metrics, smoothi
 from oracles import finite_difference_loop, random_ranking_instance
 from test_gradients_dual import dual_gradient
 
@@ -235,7 +235,7 @@ class TestAgainstTheLoopOracle:
         raw, rel, k, alpha = random_ranking_instance(rng, n_max=8)
         spec = make_loss_spec("ap", alpha=alpha, grad_mode="full")
         whole = finite_difference_check(rel, raw, spec).numeric
-        monkeypatch.setattr(gradients, "FD_CHUNK_ELEMENTS", 2 * raw.size**2 + 1)
+        monkeypatch.setattr(smoothi, "CHUNK_ELEMENTS", 2 * raw.size**2 + 1)
         np.testing.assert_array_equal(finite_difference_check(rel, raw, spec).numeric, whole)
 
 
@@ -313,14 +313,14 @@ class TestBatchOfLists:
 
     def test_full_mode_group_split_across_chunks(self, monkeypatch):
         """Three chunks of two 7-document lists, whose perturbed copies are
-        split mid-list; no recursion gets more than FD_CHUNK_ELEMENTS row
+        split mid-list; no recursion gets more than CHUNK_ELEMENTS row
         elements, and the reports keep their bits."""
         rng = np.random.default_rng(23)
         lists = mixed_lists(rng, 6, lengths=(7,))
         specs = [make_loss_spec("ndcg@k", k=3, alpha=a, grad_mode="full") for *_, a in lists]
         whole = finite_difference_checks([(rel, raw) for rel, raw, *_ in lists], specs)
         limit = 2 * 3 * 7 + 5
-        monkeypatch.setattr(gradients, "FD_CHUNK_ELEMENTS", limit)
+        monkeypatch.setattr(smoothi, "CHUNK_ELEMENTS", limit)
         sizes = []
 
         def recording(scores, *args, **kwargs):

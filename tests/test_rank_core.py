@@ -4,15 +4,24 @@ import numpy as np
 import pytest
 
 from smoothrank import (
+    CertificateError,
+    LossSpec,
+    SmoothIParams,
     UndefinedMetricError,
     average_precision,
+    certificate,
+    certificates,
     hard_indicator,
     hard_indicator_matrix,
     ndcg_at_k,
     precision_at_k,
     rank_permutation,
+    smooth_indicators,
+    verify_indicator_bound,
 )
+from smoothrank.ltr_model import check_cutoffs
 from smoothrank.rank_core import exact_metrics
+from smoothrank.smoothi import rank_steps
 from oracles import brute_average_precision, brute_ndcg_at_k, brute_precision_at_k
 
 
@@ -200,3 +209,53 @@ def test_all_zero_list_scores_zero_on_every_metric():
     alone = exact_metrics(rel[1:], scores[1:], lengths[1:], (1, 2))
     assert all(got[name][1] == alone[name][0] for name in got)
     assert got["ndcg"][1] == ndcg_at_k(rel[1, :2], scores[1, :2], 2)
+
+
+# every entry point that takes a cutoff or rank K, and the error it raises
+# for a K that is not an integer
+CUTOFF_SCORES = np.array([4.0, 1.0, 3.0, 2.0])
+CUTOFF_REL = np.array([1.0, 0.0, 0.0, 1.0])
+CUTOFF_ENTRY_POINTS = {
+    "smooth_indicators": (lambda k: smooth_indicators(CUTOFF_SCORES, SmoothIParams(alpha=1.0), k=k),
+                          ValueError),
+    "rank_steps": (lambda k: rank_steps(k, 1, CUTOFF_SCORES.size), ValueError),
+    "LossSpec": (lambda k: LossSpec(kind="p@k", params=SmoothIParams(alpha=1.0), k=k), ValueError),
+    "precision_at_k": (lambda k: precision_at_k(CUTOFF_REL, CUTOFF_SCORES, k), ValueError),
+    "ndcg_at_k": (lambda k: ndcg_at_k(CUTOFF_REL, CUTOFF_SCORES, k), ValueError),
+    "hard_indicator": (lambda k: hard_indicator(CUTOFF_SCORES, k), ValueError),
+    "hard_indicator_matrix": (lambda k: hard_indicator_matrix(CUTOFF_SCORES, k), ValueError),
+    "certificate": (lambda k: certificate(CUTOFF_SCORES, k, 0.1), CertificateError),
+    "certificates": (lambda k: certificates(CUTOFF_SCORES[None], k, 0.1), CertificateError),
+    "verify_indicator_bound": (lambda k: verify_indicator_bound(CUTOFF_SCORES, k, 1e4, 0.1),
+                               CertificateError),
+    "check_cutoffs": (lambda k: check_cutoffs((1, k)), ValueError),
+}
+
+
+NOT_INTEGERS = {"2.5": 2.5, "2.0": 2.0, "np.float64": np.float64(2.0), "str": "2", "bool": True, "None": None}
+
+
+@pytest.mark.parametrize("entry, bad", [
+    (entry, bad) for entry in sorted(CUTOFF_ENTRY_POINTS) for bad in NOT_INTEGERS
+    # k=None means the full list there
+    if not (bad == "None" and entry in ("LossSpec", "smooth_indicators"))
+])
+def test_a_cutoff_that_is_not_an_integer_is_refused(entry, bad):
+    call, error = CUTOFF_ENTRY_POINTS[entry]
+    with pytest.raises(error, match=r"(k|rank r|metric cutoff) must be an integer, got"):
+        call(NOT_INTEGERS[bad])
+
+
+@pytest.mark.parametrize("k", [np.int64(2), np.int32(2), np.uint8(2)], ids=["int64", "int32", "uint8"])
+@pytest.mark.parametrize("entry", sorted(CUTOFF_ENTRY_POINTS))
+def test_a_numpy_integer_cutoff_is_a_python_int(entry, k):
+    """The result equals the Python int's by ``repr``: no numpy scalar
+    leaks into a certificate, a spec or a metric."""
+    call, _ = CUTOFF_ENTRY_POINTS[entry]
+    assert repr(call(k)) == repr(call(2))
+
+
+def test_a_certificate_at_a_numpy_integer_equals_the_batch_one():
+    cert = certificate(CUTOFF_SCORES, np.int64(2), 0.1)
+    assert type(cert.k) is int and type(cert.c) is float and type(cert.alpha_threshold) is float
+    assert repr(cert) == repr(certificates(CUTOFF_SCORES[None], 2, 0.1)[0])

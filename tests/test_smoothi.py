@@ -31,6 +31,12 @@ class TestParams:
     def test_delta_open_interval(self, delta):
         with pytest.raises(ValueError, match="delta"):
             SmoothIParams(alpha=1.0, delta=delta)
+        # the bound checks refuse a bad delta with the same message
+        message = rf"^delta must lie in \(0, 0.5\), got {delta}$"
+        with pytest.raises(ValueError, match=message):
+            SmoothIParams(alpha=1.0, delta=delta)
+        with pytest.raises(ValueError, match=message):
+            certificate([2.0, 1.0], 2, delta)
 
 
 
@@ -197,6 +203,13 @@ class TestStaircase:
                 want = rectangular_smooth_indicators(scores, params, mask, k=k)
                 np.testing.assert_array_equal(got.rows, want.rows)
                 np.testing.assert_array_equal(got.prefix_products, want.prefix_products)
+
+    @pytest.mark.parametrize("mask", [None, np.ones((0, 3), dtype=bool)], ids=["no-mask", "mask"])
+    def test_no_lists_give_no_rows(self, mask):
+        params = SmoothIParams(alpha=1.0)
+        mat = smooth_indicators(np.ones((0, 3)), params, mask, k=np.zeros(0, dtype=int))
+        assert mat.rows.shape == mat.prefix_products.shape == (0, 0, 3)
+        assert smooth_indicators(np.ones((0, 3)), params, mask, k=2).rows.shape == (0, 2, 3)
 
     @pytest.mark.parametrize("k", [[3, 0], [4, 3], [2, -1], [3, 2, 1], [1, 2], [2.0, 1.0], [[2, 1]]])
     def test_bad_cutoffs_rejected(self, k):

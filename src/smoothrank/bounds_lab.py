@@ -403,23 +403,22 @@ def verify_corollary(
     k: int,
     alpha: float,
     delta: float = 0.1,
-    domain_bound: float | None = None,
 ) -> CorollaryReport:
     """Check the Lipschitz-composition bound for h(M) = sum_k a_k g(sum_j b_j M_kj).
 
     ``g`` is "identity" (Lipschitz constant 1) or "exp2m1" (x -> 2^x - 1, with
-    constant 2^G * ln 2 on [0, G]); ``domain_bound`` overrides G, which
-    defaults to sum(|b|), the largest magnitude a row-stochastic combination
-    can reach.
+    constant 2^G * ln 2 on [0, G]), where G = sum(|b|) is the largest
+    magnitude a row-stochastic combination can reach. The scores and K are
+    checked and certified at ``alpha`` before the weights' lengths.
     """
     if g not in GAIN_FUNCTIONS:
         raise ValueError(f"g must be one of {GAIN_FUNCTIONS}, got {g!r}")
+    arr, stats = _checked(scores, delta)
+    eps = _certified_epsilon(_certificate_at(stats, k, delta), alpha)
     a = np.asarray(a_weights, dtype=np.float64)
     b = np.asarray(b_weights, dtype=np.float64)
     if a.shape != (k,):
         raise ValueError(f"a_weights must have length k={k}, got shape {a.shape}")
-    arr, stats = _checked(scores, delta)
-    eps = _certified_epsilon(_certificate_at(stats, k, delta), alpha)
     if b.shape != (arr.size,):
         raise ValueError(f"b_weights must have length n={arr.size}, got shape {b.shape}")
     _, hard, smooth = (
@@ -429,8 +428,7 @@ def verify_corollary(
         lip = 1.0
         gain = lambda x: x
     else:
-        bound = float(np.abs(b).sum()) if domain_bound is None else float(domain_bound)
-        lip = 2.0**bound * LN2
+        lip = 2.0 ** float(np.abs(b).sum()) * LN2
         gain = lambda x: np.exp2(x) - 1.0
 
     lhs = abs(float(a @ gain(hard @ b)) - float(a @ gain(smooth @ b)))

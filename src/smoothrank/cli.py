@@ -36,7 +36,7 @@ import numpy as np
 from . import bounds_lab, data_io, ltr_model
 # finite_difference_check is not called here; the benchmark's tracer wraps it in this module by name
 from .gradients import STEP_H, finite_difference_check, finite_difference_checks
-from .rank_core import _rank_order
+from .rank_core import _rank_order, check_cutoffs
 from .smooth_metrics import GRAD_MODES, LOSS_KINDS, SMOOTH_AP, LossSpec, make_loss_spec
 from .smoothi import SmoothIParams
 
@@ -190,7 +190,7 @@ class EvaluateSettings(_DatasetSettings):
         _check(self.split in ("train", "validation", "test"),
                f"split must be 'train', 'validation' or 'test', got {self.split!r}")
         with _as_config_error():
-            ltr_model.check_cutoffs(self.cutoffs)
+            check_cutoffs(self.cutoffs)
 
 
 @dataclass(frozen=True)

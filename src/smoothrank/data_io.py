@@ -294,8 +294,6 @@ def assemble_folds(fold_paths: list[dict]) -> list[Dataset]:
     for fold_no, paths in enumerate(fold_paths):
         parsed = {}
         for name, key in (("train", "train"), ("validation", "vali"), ("test", "test")):
-            if key not in paths and name in paths:
-                key = name
             if key not in paths:
                 raise SchemaError(f"fold {fold_no}: missing {key!r} path")
             try:

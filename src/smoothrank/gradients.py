@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .smoothi import SmoothIndicatorMatrix, _lists_per_call, rank_steps, smooth_indicators
+from .smoothi import SmoothIndicatorMatrix, _lists_per_call, smooth_indicators
 from .smooth_metrics import (
     SMOOTH_AP,
     SMOOTH_NDCG_AT_K,
@@ -108,34 +108,27 @@ def _softmax_rows_backward_stop(mat: SmoothIndicatorMatrix, upstream: np.ndarray
     return alpha * (mat.prefix_products * dz).sum(axis=-2)
 
 
-def _softmax_rows_backward_full(mat: SmoothIndicatorMatrix, upstream: np.ndarray, k, alpha) -> np.ndarray:
+def _softmax_rows_backward_full(mat: SmoothIndicatorMatrix, upstream: np.ndarray, alpha) -> np.ndarray:
     """dL/dS through the complete recursion, accumulated from the last rank up.
 
     ``q`` carries dL/d(prefix of rank r+1); each step routes it into the
     current row (prefixes multiply the row's logits) and into the next-lower
     prefix (prefixes chain by the factor ``1 - row - delta``). Arrays are
-    ``(B, K, N)``; padded entries have zero rows and so get 0. ``k`` is the
-    forward pass's cutoff, one for all lists or one per list, longest first:
-    rank step r works only on the lists whose cutoff exceeds r, the forward
-    staircase walked down (a list's upstream is 0 past its cutoff, so the
-    lists left out would only add zeros).
+    ``(B, K, N)``; padded entries have zero rows and so get 0. Every step
+    works on the whole batch: past a list's cutoff its rows, prefixes and
+    upstream are 0, so those ranks add exact zeros and leave its ``q`` at 0.
     """
     rows, prefixes = mat.rows, mat.prefix_products
     # the forward ran at alpha 1.0 on the scaled scores: its logits are scaled * prefix
     scaled, delta = mat.scores, mat.params.delta
-    alpha = np.broadcast_to(alpha, (len(scaled), 1))
     ds = np.zeros(scaled.shape)
-    q = np.zeros((0, scaled.shape[1]))
-    for start, stop, count in reversed(rank_steps(k, *scaled.shape)):
-        # the lists that join at this step have carried nothing yet
-        q = np.concatenate([q, np.zeros((count - len(q), q.shape[1]))])
-        out, step_alpha, step_scaled = ds[:count], alpha[:count], scaled[:count]
-        for r in range(stop - 1, start - 1, -1):
-            row, prefix = rows[:count, r], prefixes[:count, r]
-            a = upstream[:count, r] - q * prefix
-            dz = row * (a - (a * row).sum(axis=1, keepdims=True))
-            out += step_alpha * prefix * dz
-            q = step_scaled * dz + q * (1.0 - row - delta)
+    q = np.zeros(scaled.shape)
+    for r in range(rows.shape[1] - 1, -1, -1):
+        row, prefix = rows[:, r], prefixes[:, r]
+        a = upstream[:, r] - q * prefix
+        dz = row * (a - (a * row).sum(axis=1, keepdims=True))
+        ds += alpha * prefix * dz
+        q = scaled * dz + q * (1.0 - row - delta)
     return ds
 
 
@@ -149,7 +142,7 @@ def _gradient(lists: _Lists, mat: SmoothIndicatorMatrix, u: np.ndarray, spec: Lo
     if spec.grad_mode == STOP_GRADIENT:
         grad = _softmax_rows_backward_stop(mat, upstream, alpha)
     else:
-        grad = _softmax_rows_backward_full(mat, upstream, lists.k, alpha)
+        grad = _softmax_rows_backward_full(mat, upstream, alpha)
     return lists.restore(grad)
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .data_io import Dataset, DatasetError
 from .gradients import loss_and_gradient
-from .rank_core import _ideal_dcgs, _integer, _ranked_metrics
+from .rank_core import _ideal_dcgs, _integer, _ranked_metrics, check_cutoffs
 from .smooth_metrics import SMOOTH_NDCG_AT_K, LossSpec, undefined_lists
 
 CHECKPOINT_FORMAT = "smoothrank-scorer"
@@ -303,6 +303,9 @@ class TrainConfig:
     select_cutoff: int | None = None
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size_queries", "hidden_dim") + (
+                () if self.select_cutoff is None else ("select_cutoff",)):
+            setattr(self, name, _integer(getattr(self, name), name))
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size_queries < 1:
@@ -494,14 +497,6 @@ class EvaluationResult:
             "skipped_queries": self.skipped_queries,
             "query_count": self.query_count,
         }
-
-
-def check_cutoffs(cutoffs) -> None:
-    """Reject metric cutoffs that are not integers, or below 1: P@0 would
-    divide by zero."""
-    bad = [c for c in cutoffs if _integer(c, "metric cutoff") < 1]
-    if bad:
-        raise ValueError(f"metric cutoffs must be >= 1, got {bad}")
 
 
 def score_queries(scorer: Scorer, groups) -> dict[str, np.ndarray]:

@@ -8,7 +8,9 @@ padded batch of lists; the one-list metrics are its batch of one.
 ``_rank_order`` is the package's one rank order (descending score, ties
 broken by index), and ``_hard_rows`` its one builder of hard indicator
 rows: the bound checks, the smooth AP's list cap and the CLI's run file
-rank through them too.
+rank through them too. ``_integer`` is its one check of a cutoff or rank
+(an integer, within [1, n] when n is given), and ``check_cutoffs`` its one
+check of metric cutoffs.
 """
 
 from __future__ import annotations
@@ -67,16 +69,28 @@ def _hard_rows(scores, k: int) -> tuple[np.ndarray, np.ndarray]:
     return top, rows.reshape(top.shape + rows.shape[-1:])
 
 
-def _integer(k, name: str = "k", error: type[ValueError] = ValueError) -> int:
+def _integer(k, name: str = "k", error: type[ValueError] = ValueError, high: int | None = None) -> int:
     """A cutoff or rank ``k`` as a Python int: a Python or numpy integer is
     taken, anything else (a float, even 2.0, a bool, a string) raises
-    ``error``."""
+    ``error``, and so does one outside [1, ``high``] when ``high`` is given."""
     if not isinstance(k, (bool, np.bool_)):
         try:
-            return operator.index(k)
+            k = operator.index(k)
         except TypeError:
             pass
+        else:
+            if high is not None and not 1 <= k <= high:
+                raise error(f"{name}={k} out of range [1, {high}]")
+            return k
     raise error(f"{name} must be an integer, got {k!r}")
+
+
+def check_cutoffs(cutoffs) -> None:
+    """Reject metric cutoffs that are not integers, or below 1: P@0 would
+    divide by zero."""
+    bad = [c for c in cutoffs if _integer(c, "metric cutoff") < 1]
+    if bad:
+        raise ValueError(f"metric cutoffs must be >= 1, got {bad}")
 
 
 def rank_permutation(scores) -> np.ndarray:
@@ -87,18 +101,14 @@ def rank_permutation(scores) -> np.ndarray:
 def hard_indicator(scores, r: int) -> np.ndarray:
     """One-hot vector marking the document at rank ``r`` (1-based)."""
     arr = as_scores(scores)
-    r = _integer(r, "rank r")
-    if not 1 <= r <= arr.size:
-        raise ValueError(f"rank r={r} out of range [1, {arr.size}]")
+    r = _integer(r, "rank r", high=arr.size)
     return _hard_rows(arr, r)[1][r - 1]
 
 
 def hard_indicator_matrix(scores, k: int) -> np.ndarray:
     """Hard indicators for ranks 1..k stacked into a (k, n) 0/1 matrix."""
     arr = as_scores(scores)
-    k = _integer(k)
-    if not 1 <= k <= arr.size:
-        raise ValueError(f"k={k} out of range [1, {arr.size}]")
+    k = _integer(k, high=arr.size)
     return _hard_rows(arr, k)[1]
 
 
@@ -106,9 +116,7 @@ def precision_at_k(rel, scores, k: int) -> float:
     """Fraction of relevant documents among the top ``k`` by score."""
     arr = as_scores(scores)
     rel = as_relevance(rel, arr.size, binary=True)
-    k = _integer(k)
-    if not 1 <= k <= arr.size:
-        raise ValueError(f"k={k} out of range [1, {arr.size}]")
+    k = _integer(k, high=arr.size)
     return _list_metrics(rel, arr, k)[0][f"p@{k}"]
 
 
@@ -129,9 +137,7 @@ def ndcg_at_k(rel, scores, k: int) -> float:
     """
     arr = as_scores(scores)
     rel = as_relevance(rel, arr.size)
-    k = _integer(k)
-    if not 1 <= k <= arr.size:
-        raise ValueError(f"k={k} out of range [1, {arr.size}]")
+    k = _integer(k, high=arr.size)
     values, ideal = _list_metrics(rel, arr, k)
     if ideal == 0.0:
         raise UndefinedMetricError("NDCG is undefined: all relevance grades are zero")
@@ -181,7 +187,11 @@ def exact_metrics(rel, scores, lengths, cutoffs) -> dict[str, np.ndarray]:
     AP and each DCG are a ``math.fsum``. ``precision_at_k``,
     ``average_precision`` and ``ndcg_at_k`` are this function on a batch of
     one, so every value equals theirs bit for bit.
+
+    Each cutoff must be an integer >= 1 (``check_cutoffs``); one above a
+    list's length is allowed, as above. Raises ValueError otherwise.
     """
+    check_cutoffs(cutoffs)
     rel = np.asarray(rel, dtype=np.float64)
     lengths = np.asarray(lengths)
     return _ranked_metrics(rel, scores, lengths, cutoffs, _ideal_dcgs(rel, lengths, cutoffs))

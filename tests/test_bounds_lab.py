@@ -577,6 +577,12 @@ class TestCorollary:
         with pytest.raises(ValueError, match="b_weights"):
             verify_corollary([1.0, 1.0], [1.0], "identity", [4.0, 2.0, 1.0], 2, 25.0, 0.1)
 
+    def test_a_non_integer_k_is_refused_before_the_weights(self):
+        """The weights' lengths are checked against a certified K, so a K
+        that is not an integer gets the other bound checks' error."""
+        with pytest.raises(CertificateError, match=r"^k must be an integer, got 2\.5$"):
+            verify_corollary([1.0, 1.0], [1.0, 0.0, 0.0, 1.0], "identity", [4.0, 1.0, 3.0, 2.0], 2.5, 1e4)
+
     def test_unknown_gain_rejected(self):
         with pytest.raises(ValueError, match="g must be"):
             verify_corollary([1.0, 1.0], [1.0, 0.0, 1.0], "square", [4.0, 2.0, 1.0], 2, 25.0, 0.1)

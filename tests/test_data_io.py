@@ -399,6 +399,13 @@ class TestFolds:
         with pytest.raises(SchemaError, match="cannot read"):
             assemble_folds([{"train": train, "vali": tmp_path / "nope.txt", "test": train}])
 
+    def test_validation_is_not_a_fold_key(self, tmp_path):
+        rng = np.random.default_rng(3)
+        train = tmp_path / "train.txt"
+        _write_split(train, [1], 3, rng)
+        with pytest.raises(SchemaError, match="^fold 0: missing 'vali' path$"):
+            assemble_folds([{"train": train, "validation": train, "test": train}])
+
     def test_overlapping_qids_rejected(self, tmp_path):
         rng = np.random.default_rng(4)
         train = tmp_path / "train.txt"

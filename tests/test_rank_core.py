@@ -19,8 +19,7 @@ from smoothrank import (
     smooth_indicators,
     verify_indicator_bound,
 )
-from smoothrank.ltr_model import check_cutoffs
-from smoothrank.rank_core import exact_metrics
+from smoothrank.rank_core import check_cutoffs, exact_metrics
 from smoothrank.smoothi import rank_steps
 from oracles import brute_average_precision, brute_ndcg_at_k, brute_precision_at_k
 
@@ -211,6 +210,13 @@ def test_all_zero_list_scores_zero_on_every_metric():
     assert got["ndcg"][1] == ndcg_at_k(rel[1, :2], scores[1, :2], 2)
 
 
+def test_exact_metrics_refuses_a_cutoff_below_one():
+    """P@0 would divide by zero; the cutoffs that are not integers are in
+    the table below."""
+    with pytest.raises(ValueError, match=r"^metric cutoffs must be >= 1, got \[0\]$"):
+        exact_metrics(CUTOFF_REL[None], CUTOFF_SCORES[None], [4], (0,))
+
+
 # every entry point that takes a cutoff or rank K, and the error it raises
 # for a K that is not an integer
 CUTOFF_SCORES = np.array([4.0, 1.0, 3.0, 2.0])
@@ -229,6 +235,7 @@ CUTOFF_ENTRY_POINTS = {
     "verify_indicator_bound": (lambda k: verify_indicator_bound(CUTOFF_SCORES, k, 1e4, 0.1),
                                CertificateError),
     "check_cutoffs": (lambda k: check_cutoffs((1, k)), ValueError),
+    "exact_metrics": (lambda k: exact_metrics(CUTOFF_REL[None], CUTOFF_SCORES[None], [4], (1, k)), ValueError),
 }
 
 

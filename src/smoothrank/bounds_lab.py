@@ -446,8 +446,10 @@ def random_strict_scores(rng: np.random.Generator, n: int, s_min_range=(0.5, 2.0
     threshold stays moderate.
     """
     base = rng.uniform(*s_min_range)
-    gaps = rng.uniform(*gap_range, size=n - 1) if n > 1 else np.empty(0)
-    scores = base + np.concatenate([[0.0], np.cumsum(gaps)])
+    scores = np.zeros(n)
+    if n > 1:
+        np.cumsum(rng.uniform(*gap_range, size=n - 1), out=scores[1:])
+    scores += base
     rng.shuffle(scores)
     return scores
 

@@ -199,7 +199,8 @@ class Scorer:
         a row by its position in a product whose height varies or whose width
         is no multiple of 8, so every product has the ``eval_slice_shape``, the
         input padded with zero rows and ``W`` with zero columns: a row then
-        scores the same in any call and at any position."""
+        scores the same in any call and at any position. The slices of one
+        call write their products into one buffer."""
         s1 = self.bn1_gamma / np.sqrt(self.bn1_var + self.bn_eps)
         s2 = self.bn2_gamma / np.sqrt(self.bn2_var + self.bn_eps)
         rows, cols = eval_slice_shape(self.hidden_dim)
@@ -208,8 +209,10 @@ class Scorer:
         padded = np.zeros((len(x) + -len(x) % rows, self.input_dim))
         padded[: len(x)] = x
         scores = np.empty(len(padded))
+        product = np.empty((rows, cols))
+        h = product[:, : self.hidden_dim]
         for start in range(0, len(padded), rows):
-            h = (padded[start : start + rows] @ w)[:, : self.hidden_dim]
+            np.matmul(padded[start : start + rows], w, out=product)
             h += b
             np.maximum(h, 0.0, out=h)
             self._head(h, out=scores[start : start + rows])
@@ -222,8 +225,9 @@ class Scorer:
         which must have run in training mode (batch statistics). The hidden
         batch norm's backward reads ``P = 1[h > 0] * dscores[:, None]`` only
         through ``gx = xhat1' P`` and ``colsum(P)``: one product of the ReLU
-        mask, the one hidden-layer temporary, with ``xhat1 * dscores`` and a
-        ``dscores`` column. The rest works on d x H arrays. With ``s = gamma2
+        mask, the one hidden-layer temporary (one float64 comparison, with no
+        boolean array before it), with ``xhat1 * dscores`` and a ``dscores``
+        column. The rest works on d x H arrays. With ``s = gamma2
         * inv2``, ``dbeta2 = w2 * colsum(P)`` and ``dgamma2 = w2 * inv2 *
         (colsum(w1 * gamma1[:, None] * gx) - colsum(P) * mu2)``, the
         pre-activations' gradient ``dZ = s * (w2 * P - (dbeta2 + xhat2 *
@@ -238,7 +242,7 @@ class Scorer:
         xhat1, h, abar, mu2, inv2 = (cache[key] for key in ("xhat1", "h", "abar", "mu2", "inv2"))
         m = h.shape[0]
         dw2 = h.T @ dscores
-        mask = (h > 0.0).astype(np.float64)
+        mask = np.greater(h, 0.0, out=np.empty(h.shape))
         gxc = np.hstack([xhat1 * dscores[:, None], dscores[:, None]]).T @ mask
         gx, cs = gxc[:-1], gxc[-1]
         gamma1 = self.bn1_gamma
@@ -303,13 +307,15 @@ class TrainConfig:
     select_cutoff: int | None = None
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size_queries", "hidden_dim") + (
+        for name in ("epochs", "batch_size_queries", "seed", "hidden_dim") + (
                 () if self.select_cutoff is None else ("select_cutoff",)):
             setattr(self, name, _integer(getattr(self, name), name))
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size_queries < 1:
             raise ValueError(f"batch_size_queries must be >= 1, got {self.batch_size_queries}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.learning_rate < np.inf:
             raise ValueError(f"learning_rate must be >= 0 and finite, got {self.learning_rate}")
         if self.hidden_dim < 1:

@@ -589,6 +589,20 @@ class TestCorollary:
 
 
 class TestBoundSweep:
+    @pytest.mark.parametrize("gap_range", [(0.05, 1.0), (1e-6, 1e-2)])
+    def test_random_strict_scores_keep_the_bits_of_the_literal_formula(self, gap_range):
+        """The base plus the cumulative gaps written as one expression, with
+        the same RNG calls in the same order: equal bits, equal RNG state."""
+        got_rng, want_rng = np.random.default_rng(21), np.random.default_rng(21)
+        for n in range(1, 41):
+            got = random_strict_scores(got_rng, n, gap_range=gap_range)
+            base = want_rng.uniform(0.5, 2.0)
+            gaps = want_rng.uniform(*gap_range, size=n - 1) if n > 1 else np.empty(0)
+            want = base + np.concatenate([[0.0], np.cumsum(gaps)])
+            want_rng.shuffle(want)
+            assert got.tobytes() == want.tobytes(), n
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
     def test_auto_alphas_all_hold(self):
         rows, summary = bound_sweep(
             instances=25, n_range=(4, 8), k_values=[2, 3, 5], delta=0.1, seed=11

@@ -2,6 +2,8 @@
 formulas and the unfused batch-norm formulas, edge cases of the folded hidden
 batch norm, and the position-independent score head."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,28 @@ def test_cache_holds_one_hidden_array_and_is_left_unchanged():
     assert all(shape in ((DIM,), (33,)) for shape in shapes.values()), shapes
     before = {k: v.copy() for k, v in cache.items()}
     scorer.backward(cache, rng.normal(size=25))
+    for name, value in before.items():
+        np.testing.assert_array_equal(cache[name], value, err_msg=name)
+
+
+def test_backward_allocates_about_one_hidden_array():
+    """The ReLU mask is the backward's one hidden-size temporary: one float64
+    comparison, with no boolean array before it (that one would add an eighth
+    of an m x H float64 array to the peak). Everything else it allocates is
+    m x (d + 1) or d x H."""
+    rows, hidden = 2000, 256
+    scorer = Scorer(1, hidden, seed=3)
+    rng = np.random.default_rng(3)
+    _, cache = scorer.forward(rng.normal(size=(rows, 1)), training=True)
+    dscores = rng.normal(size=rows)
+    before = {k: v.copy() for k, v in cache.items()}
+    tracemalloc.start()
+    try:
+        scorer.backward(cache, dscores)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.05 * rows * hidden * 8, peak / (rows * hidden * 8)
     for name, value in before.items():
         np.testing.assert_array_equal(cache[name], value, err_msg=name)
 

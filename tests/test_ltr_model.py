@@ -240,13 +240,19 @@ class TestTrainLoop:
             TrainConfig(loss=make_loss_spec("ndcg@k", alpha=2.0), **{field: 0})
 
     @pytest.mark.parametrize("bad", [2.5, True], ids=["float", "bool"])
-    @pytest.mark.parametrize("field", ["epochs", "batch_size_queries", "hidden_dim", "select_cutoff"])
+    @pytest.mark.parametrize("field", ["epochs", "batch_size_queries", "seed", "hidden_dim", "select_cutoff"])
     def test_integer_fields_refuse_other_types(self, field, bad):
         """Refused at once, where ``train`` would fail later (a float epoch
-        count in ``range``, a float cutoff when it builds its validation
-        plan) or a bool would pass for 1."""
+        count in ``range``, a float seed in numpy's ``SeedSequence``, a float
+        cutoff when it builds its validation plan) or a bool would pass for 1."""
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got {bad!r}$"):
             TrainConfig(loss=make_loss_spec("ndcg@k", alpha=2.0), **{field: bad})
+
+    def test_negative_seed_rejected(self):
+        """Refused at once, where ``train`` would end in numpy's error for a
+        negative seed."""
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            TrainConfig(loss=make_loss_spec("ndcg@k", alpha=2.0), seed=-1)
 
     @pytest.mark.parametrize("rate", [-1e-3, float("nan"), float("inf"), float("-inf")])
     def test_learning_rate_outside_non_negative_reals_rejected(self, rate):

@@ -2,11 +2,11 @@
 # Usage: tools/output_bytes.sh <base-checkout>
 #
 # Runs verify-bounds, gradcheck, train and evaluate on fixed configs with
-# this checkout's src/ and with <base-checkout>/src, and diffs the 16 output
-# files of the two sides byte for byte: synthetic lists of one length, and
-# LETOR files of varying length, some past AP's list cap. Exits non-zero on
-# any difference; `diff -u` shows which rows and columns moved. The .log
-# files hold timestamps and stay out.
+# this checkout's src/ and with <base-checkout>/src, and diffs the 20 output
+# files of the two sides byte for byte: synthetic lists of one length (one
+# scorer at the default 1,024 units), and LETOR files of varying length, some
+# past AP's list cap. Exits non-zero on any difference; `diff -u` shows which
+# rows and columns moved. The .log files hold timestamps and stay out.
 set -euo pipefail
 
 if [ $# -ne 1 ] || [ ! -d "$1/src/smoothrank" ]; then
@@ -26,6 +26,10 @@ echo '{"instances": 40, "min_docs": 2, "max_docs": 10, "seed": 1, "output_dir": 
 echo '{"instances": 30, "min_docs": 1, "max_docs": 40, "max_cutoff": 10, "alpha_max": 100.0, "loss_kinds": ["ndcg@k", "ap"], "grad_modes": ["stop_gradient", "full"], "seed": 3, "output_dir": "gradcheck-long"}' > "$cfg/gradcheck-long.json"
 data='"docs_per_query": 10, "feature_dim": 5, "train_queries": 40, "validation_queries": 10, "test_queries": 10'
 echo "{$data, \"hidden_dim\": 16, \"epochs\": 2, \"seed\": 1, \"output_dir\": \"train\"}" > "$cfg/train.json"
+# the default 1,024 units, whose eval slices hold 64 rows: the 150 validation
+# and 150 test documents span three slices each
+wide='"docs_per_query": 10, "feature_dim": 5, "train_queries": 40, "validation_queries": 15, "test_queries": 15, "data_seed": 4'
+echo "{$wide, \"hidden_dim\": 1024, \"epochs\": 2, \"seed\": 4, \"output_dir\": \"train-wide\"}" > "$cfg/train-wide.json"
 # LETOR files of 3-40 documents per query, so validation spans several
 # length buckets; every fifth vali and test query has no relevant document
 python - "$cfg" <<'PY'
@@ -72,9 +76,10 @@ for side in base head; do
   # each side evaluates the checkpoint its own train wrote
   echo "{$data, \"checkpoint\": \"$cfg/$side/train/checkpoint.json\", \"output_dir\": \"evaluate\"}" > "$cfg/evaluate-$side.json"
   echo "{$letor, \"checkpoint\": \"$cfg/$side/train-letor/checkpoint.json\", \"output_dir\": \"evaluate-letor\"}" > "$cfg/evaluate-letor-$side.json"
+  echo "{$wide, \"checkpoint\": \"$cfg/$side/train-wide/checkpoint.json\", \"output_dir\": \"evaluate-wide\"}" > "$cfg/evaluate-wide-$side.json"
   for run in "verify-bounds bounds" "verify-bounds bounds-alphas" "gradcheck gradcheck" "gradcheck gradcheck-long" \
              "train train" "evaluate evaluate-$side" "train train-letor" "evaluate evaluate-letor-$side" \
-             "train train-ap"; do
+             "train train-ap" "train train-wide" "evaluate evaluate-wide-$side"; do
     set -- $run
     SMOOTHRANK_OUT="$cfg/$side" PYTHONPATH="$src" python -c \
       'import sys; from smoothrank.cli import main; sys.exit(main(sys.argv[1:]))' \
@@ -86,8 +91,9 @@ status=0
 for file in bounds/bounds.csv bounds/summary.json bounds-alphas/bounds.csv bounds-alphas/summary.json \
             gradcheck/gradcheck.csv gradcheck-long/gradcheck.csv train/history.csv train/checkpoint.json \
             evaluate/metrics.json evaluate/run.txt train-letor/history.csv train-letor/checkpoint.json \
-            evaluate-letor/metrics.json evaluate-letor/run.txt train-ap/history.csv train-ap/checkpoint.json; do
+            evaluate-letor/metrics.json evaluate-letor/run.txt train-ap/history.csv train-ap/checkpoint.json \
+            train-wide/history.csv train-wide/checkpoint.json evaluate-wide/metrics.json evaluate-wide/run.txt; do
   diff -u "$cfg/base/$file" "$cfg/head/$file" || status=1
 done
-[ "$status" = 0 ] && echo "all 16 output files are byte-identical"
+[ "$status" = 0 ] && echo "all 20 output files are byte-identical"
 exit $status

@@ -24,11 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rank_core import _hard_rows, _integer, _list_metrics, as_relevance, as_scores
-from .smooth_metrics import SMOOTH_AP, SMOOTH_NDCG_AT_K, SMOOTH_P_AT_K, metric_from_weighted_sums
+from .smooth_metrics import LN2, SMOOTH_AP, SMOOTH_NDCG_AT_K, SMOOTH_P_AT_K, metric_from_weighted_sums
 from .smoothi import SmoothIParams, _lists_per_call, check_alpha, check_delta, smooth_indicators
 
-
-LN2 = float(np.log(2.0))
 
 # Absolute slack added to each metric bound before comparing. The exact and
 # smooth metrics are summed in different orders (math.fsum against .sum()),
@@ -41,7 +39,8 @@ ALPHA_FACTORS = (1.05, 1.5, 3.0)
 
 
 class CertificateError(ValueError):
-    """No certificate exists for this instance (ties, non-positive scores, K=1)."""
+    """No certificate exists for this instance (ties, non-positive scores, K=1,
+    a threshold past the float range)."""
 
 
 class ThresholdNotMetError(ValueError):
@@ -198,11 +197,16 @@ def _certificate_at(stats: tuple[int, float, float], k: int, delta: float) -> Bo
         raise CertificateError(f"k={k} out of range [2, {n}]")
     c = ((beta + 1.0) / 2.0) ** (1.0 / (k - 1))
     gamma = min(delta, 0.5 - delta, (1.0 - delta) * (c - 1.0) / (c + 1.0))
-    threshold = (
-        2.0 ** (k - 1)
-        * (math.log(k - 1) - math.log(gamma))
-        / (s_min * min(1.0, (beta - 1.0) / 2.0))
-    )
+    try:
+        threshold = (
+            2.0 ** (k - 1)
+            * (math.log(k - 1) - math.log(gamma))
+            / (s_min * min(1.0, (beta - 1.0) / 2.0))
+        )
+    except (ArithmeticError, ValueError):  # 2 ** (k - 1) overflows, gamma or the divisor rounds to 0
+        threshold = math.inf
+    if not math.isfinite(threshold):
+        raise CertificateError(f"certificate threshold at K={k} is not a finite float")
     return BoundCertificate(beta, s_min, c, gamma, threshold, k, delta)
 
 
@@ -210,8 +214,11 @@ def certificate(scores, k: int, delta: float) -> BoundCertificate:
     """Certificate for one instance; requires distinct positive scores, K >= 2.
 
     K=1 is refused: the exponent 1/(K-1) is undefined there, and the top row
-    is a plain softmax whose convergence needs no certificate. This is the
-    one-list case of ``certificates``, with the same bits.
+    is a plain softmax whose convergence needs no certificate. So is an
+    instance whose threshold is not a finite float: K above 1024, where
+    ``2**(K-1)`` overflows, or scores so close or so small that gamma or the
+    threshold's divisor rounds to 0. This is the one-list case of
+    ``certificates``, with the same bits.
     """
     return _certificate_at(_checked(scores, delta)[1], k, delta)
 
@@ -371,11 +378,11 @@ def verify_metric_bounds(rel, scores, k: int, alpha: float, delta: float = 0.1) 
     rows = smooth_indicators(arr, SmoothIParams(alpha=alpha, delta=delta), k=n).rows
     u = np.einsum("rj,j->r", rows, rel)
     exact, ideal = _list_metrics(rel, arr, k)
-    p_diff = abs(exact[f"p@{k}"] - metric_from_weighted_sums(u[:k], SMOOTH_P_AT_K, k, None, None))
+    p_diff = abs(exact[f"p@{k}"] - metric_from_weighted_sums(u[:k], SMOOTH_P_AT_K, k))
     p_bound = float(rel.sum()) * eps_k
-    ap_diff = abs(exact["map"] - metric_from_weighted_sums(u, SMOOTH_AP, n, rel.sum(), None))
+    ap_diff = abs(exact["map"] - metric_from_weighted_sums(u, SMOOTH_AP, rel.sum()))
     ap_bound = 2.0 * n * (eps_n + eps_n**2)
-    ndcg_diff = abs(exact[f"ndcg@{k}"] - metric_from_weighted_sums(u[:k], SMOOTH_NDCG_AT_K, k, None, ideal))
+    ndcg_diff = abs(exact[f"ndcg@{k}"] - metric_from_weighted_sums(u[:k], SMOOTH_NDCG_AT_K, ideal))
     ndcg_bound = n * eps_k
     return MetricBoundReport(
         precision_diff=float(p_diff),

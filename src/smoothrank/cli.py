@@ -73,10 +73,12 @@ def _at_least(settings, minimum: int, *names: str) -> None:
 
 @contextlib.contextmanager
 def _as_config_error():
-    """The library's own checks, run on config values, report config errors."""
+    """The library's own checks, run on config values, and the files and
+    directories the config names (a checkpoint, the output directory) report
+    config errors."""
     try:
         yield
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -265,8 +267,8 @@ def _coerce(key: str, value, hint, spelled: str):
 def _load_settings(cls, path: str, command: str, seed_override: int | None):
     try:
         raw = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     _check(isinstance(raw, dict), "config must be a JSON object")
@@ -285,7 +287,8 @@ def _resolved(settings: _Settings, command: str) -> dict:
 
 def _out_dir(settings: _Settings) -> Path:
     out = Path(os.environ.get(ENV_OUTPUT_ROOT, ".")) / settings.output_dir
-    out.mkdir(parents=True, exist_ok=True)
+    with _as_config_error():
+        out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -358,12 +361,8 @@ def cmd_train(settings: TrainSettings, strict: bool) -> int:
 
 def cmd_evaluate(settings: EvaluateSettings) -> int:
     dataset = settings.load()
-    try:
+    with _as_config_error():
         scorer = ltr_model.load_checkpoint(settings.checkpoint)
-    except FileNotFoundError:
-        raise ConfigError(f"checkpoint not found: {settings.checkpoint}") from None
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     if scorer.input_dim != dataset.feature_dim:
         raise ConfigError(
             f"checkpoint expects {scorer.input_dim} features, dataset has {dataset.feature_dim}"
@@ -512,7 +511,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (data_io.ParseError, data_io.SchemaError, data_io.DatasetError, FileNotFoundError) as exc:
+    except (data_io.ParseError, data_io.SchemaError, data_io.DatasetError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ltr_model.DivergenceError as exc:

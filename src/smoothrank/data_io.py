@@ -298,7 +298,7 @@ def assemble_folds(fold_paths: list[dict]) -> list[Dataset]:
                 raise SchemaError(f"fold {fold_no}: missing {key!r} path")
             try:
                 parsed[name] = parse_svmlight(paths[key])
-            except FileNotFoundError as exc:
+            except OSError as exc:
                 raise SchemaError(f"fold {fold_no}: cannot read {key!r} file: {exc}") from exc
         dim = parsed["train"].feature_dim
         if dim == 0:

@@ -42,20 +42,16 @@ import numpy as np
 
 from .smoothi import SmoothIndicatorMatrix, _lists_per_call, smooth_indicators
 from .smooth_metrics import (
-    SMOOTH_AP,
-    SMOOTH_NDCG_AT_K,
-    SMOOTH_P_AT_K,
     STOP_GRADIENT,
     LossSpec,
     _Lists,
     _forward,
     _prepare,
     _shift,
+    _upstream_coeffs,
     metric_from_weighted_sums,
     shift_scores,
 )
-
-LN2 = float(np.log(2.0))
 
 # max_rel_err normalizes by max(|analytic|, |numeric|, this floor), the
 # magnitudes of the two gradient vectors: both round on the scale of their
@@ -75,29 +71,6 @@ class GradientReport:
     max_abs_err: float
     max_rel_err: float
     step_h: float
-
-
-def _upstream_coeffs(u: np.ndarray, kind: str, k, rel_total, ideal) -> np.ndarray:
-    """Per-rank derivative of the metric wrt the weighted row sums ``u``.
-
-    Along the last axis, as ``metric_from_weighted_sums`` (``u`` is 0 past
-    each list's cutoff ``k``); ranks past the cutoff get 0.
-    """
-    ranks = np.arange(1.0, u.shape[-1] + 1.0)
-    live = ranks <= np.asarray(k)[..., None]
-    if kind == SMOOTH_P_AT_K:
-        coeffs = live / np.asarray(k)[..., None]
-    elif kind == SMOOTH_AP:
-        prec = np.cumsum(u, axis=-1) / ranks
-        # u_t appears directly against prec_t and inside prec_k for all k >= t
-        tail = np.flip(np.cumsum(np.flip(u / ranks, axis=-1), axis=-1), axis=-1)
-        coeffs = (prec + tail) / np.asarray(rel_total)[..., None]
-    elif kind == SMOOTH_NDCG_AT_K:
-        discounts = np.log2(ranks + 1.0)
-        coeffs = LN2 * np.exp2(u) / (discounts * np.asarray(ideal)[..., None])
-    else:
-        raise ValueError(f"unknown loss kind {kind!r}")
-    return np.where(live, coeffs, 0.0)
 
 
 def _softmax_rows_backward_stop(mat: SmoothIndicatorMatrix, upstream: np.ndarray, alpha) -> np.ndarray:
@@ -137,7 +110,7 @@ def _gradient(lists: _Lists, mat: SmoothIndicatorMatrix, u: np.ndarray, spec: Lo
     caller's layout, from one forward pass (``_forward``) over ``lists``.
     ``alpha`` is the inverse temperature the forward scaled the scores by:
     the spec's, or one per list as a ``(B, 1)`` array."""
-    coeffs = _upstream_coeffs(u, spec.kind, lists.k, lists.rel_total, lists.ideal)
+    coeffs = _upstream_coeffs(u, spec.kind, lists.k, lists.norm)
     upstream = coeffs[:, :, None] * lists.rel[:, None, :]
     if spec.grad_mode == STOP_GRADIENT:
         grad = _softmax_rows_backward_stop(mat, upstream, alpha)
@@ -214,8 +187,7 @@ def _differenced_loss(lists: _Lists, mat: SmoothIndicatorMatrix, spec: LossSpec,
             rows = smooth_indicators(alpha[b] * perturbed, mat.params, k=k).rows
             parts.append((rows @ rel[b][:, :, None])[:, :, 0])
         u = np.concatenate(parts).reshape(count, n, k)
-    loss = 1.0 - metric_from_weighted_sums(
-        u, spec.kind, lists.k[:, None], lists.rel_total[:, None], lists.ideal[:, None])
+    loss = 1.0 - metric_from_weighted_sums(u, spec.kind, lists.norm[:, None])
     return loss.imag / h
 
 

@@ -34,7 +34,7 @@ import numpy as np
 from .data_io import Dataset, DatasetError
 from .gradients import loss_and_gradient
 from .rank_core import _ideal_dcgs, _integer, _ranked_metrics, check_cutoffs
-from .smooth_metrics import SMOOTH_NDCG_AT_K, LossSpec, undefined_lists
+from .smooth_metrics import LossSpec, undefined_lists
 
 CHECKPOINT_FORMAT = "smoothrank-scorer"
 CHECKPOINT_VERSION = 2
@@ -348,13 +348,6 @@ class TrainHistory:
     select_metric: str = "ndcg"
 
 
-def _binarized(rel: np.ndarray, kind: str) -> np.ndarray:
-    # precision/AP losses need binary grades; grade >= 1 counts as relevant
-    if kind == SMOOTH_NDCG_AT_K:
-        return rel
-    return (rel >= 1.0).astype(np.float64)
-
-
 def length_buckets(lengths) -> list[np.ndarray]:
     """Positions of the lists grouped into buckets of similar length.
 
@@ -411,7 +404,7 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Scorer, TrainHistory]:
     rng = np.random.default_rng(config.seed)
     train_ids = dataset.query_ids("train")
     groups = [dataset.groups[qid] for qid in train_ids]
-    rels = [_binarized(g.relevance, config.loss.kind) for g in groups]
+    rels = [config.loss.grades(g.relevance) for g in groups]
     lengths = np.array([len(g) for g in groups])
     defined = np.array([not undefined_lists(rel, config.loss.kind) for rel in rels])
     select_key = "ndcg" if config.select_cutoff is None else f"ndcg@{config.select_cutoff}"
@@ -641,10 +634,14 @@ def load_checkpoint(path) -> Scorer:
     scorer = Scorer(*dims, **{key: float(value) for key, value in bn.items()})
     shapes = {"b1": (scorer.hidden_dim,), "bn1_beta": (scorer.input_dim,)} | {
         name: arr.shape for name, arr in scorer.state().items()}
-    loaded = {name: np.asarray(arrays[name], dtype=np.float64) for name in names}
-    for name, arr in loaded.items():
-        if arr.shape != shapes[name]:
-            raise ValueError(f"{path}: array {name!r} has shape {arr.shape}")
+    loaded = {}
+    for name in names:
+        try:
+            loaded[name] = np.asarray(arrays[name], dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ValueError(f"{path}: array {name!r} is not an array of numbers") from None
+        if loaded[name].shape != shapes[name]:
+            raise ValueError(f"{path}: array {name!r} has shape {loaded[name].shape}")
     if version == 1:
         loaded["bn2_mean"] = loaded["bn2_mean"] - (loaded.pop("b1") + loaded.pop("bn1_beta") @ loaded["w1"])
     for name, arr in loaded.items():

@@ -9,6 +9,11 @@ shifted to be strictly positive.
 The metrics are evaluated along the last axis, so one list and a padded
 ``(B, N)`` batch of lists share one code path: padded grades are 0, and each
 list's weighted sums past its own cutoff are ignored.
+
+This is the one module that knows what sets the three metrics apart: each
+metric's value over ``u`` (``metric_from_weighted_sums``) and its derivative
+(``_upstream_coeffs``), its one normalizer per list (``_prepare``) and the
+grades it reads (``LossSpec.grades``).
 """
 
 from __future__ import annotations
@@ -35,6 +40,8 @@ GRAD_MODES = (FULL, STOP_GRADIENT)
 # than this are truncated to their top-scoring documents (LETOR lists are
 # typically well under this). Read at call time, so a test can lower it.
 AP_LIST_CAP = 128
+
+LN2 = float(np.log(2.0))
 
 
 @dataclass(frozen=True)
@@ -73,6 +80,16 @@ class LossSpec:
         """How many documents of an ``n``-document list the metric ranks: AP
         keeps the top ``AP_LIST_CAP``, the others keep every document."""
         return np.minimum(n, AP_LIST_CAP) if self.kind == SMOOTH_AP else n
+
+    @property
+    def binary(self) -> bool:
+        """Whether the metric reads binary grades: P@K and AP do, NDCG@K not."""
+        return self.kind != SMOOTH_NDCG_AT_K
+
+    def grades(self, rel: np.ndarray) -> np.ndarray:
+        """The grades the metric reads: NDCG@K's are ``rel`` as given; P@K and
+        AP count a grade of at least 1 as relevant (1.0), the rest as 0.0."""
+        return (rel >= 1.0).astype(np.float64) if self.binary else rel
 
     def label(self) -> str:
         if self.kind == SMOOTH_AP:
@@ -135,30 +152,51 @@ def undefined_lists(rel, kind: str) -> np.ndarray:
     return np.zeros(rel.shape[:-1], dtype=bool)
 
 
-def metric_from_weighted_sums(u, kind: str, k, rel_total, ideal):
+def metric_from_weighted_sums(u, kind: str, norm):
     """Evaluate a smooth metric given the weighted row sums ``u``.
 
     Works along the last axis: ``u`` is ``(K,)`` for one list or ``(B, K)``
-    for a batch, and ``k``, ``rel_total`` and ``ideal`` are scalars or one
-    value per list. Entries of ``u`` past a list's cutoff ``k`` must be 0
-    (``u`` of exactly ``k`` entries needs nothing). Returns a float for one
-    list and a ``(B,)`` array for a batch. Shared by the forward path, the
-    analytic gradients, and the finite-difference harness (which
-    re-evaluates it on perturbed rows).
+    for a batch, and ``norm`` is the normalizer, a scalar or one per list:
+    the cutoff for P@K, the grade total for AP and the ideal DCG at the
+    cutoff for NDCG@K. Entries of ``u`` past a list's cutoff must be 0
+    (``u`` of exactly ``K`` entries needs nothing). Returns a float for one
+    list and a ``(B,)`` array for a batch. Shared by the forward path and
+    the complex-step harness (which re-evaluates it on perturbed rows);
+    ``_upstream_coeffs`` is its derivative.
     """
     u = np.asarray(u)
     ranks = np.arange(1.0, u.shape[-1] + 1.0)
     if kind == SMOOTH_P_AT_K:
-        value = u.sum(axis=-1) / k
+        value = u.sum(axis=-1) / norm
     elif kind == SMOOTH_AP:
         prec = np.cumsum(u, axis=-1) / ranks
-        value = (u * prec).sum(axis=-1) / rel_total
-    elif kind == SMOOTH_NDCG_AT_K:
-        gains = np.exp2(u) - 1.0
-        value = (gains / np.log2(ranks + 1.0)).sum(axis=-1) / ideal
+        value = (u * prec).sum(axis=-1) / norm
     else:
-        raise ValueError(f"unknown loss kind {kind!r}")
+        gains = np.exp2(u) - 1.0
+        value = (gains / np.log2(ranks + 1.0)).sum(axis=-1) / norm
     return float(value) if np.ndim(value) == 0 else value
+
+
+def _upstream_coeffs(u: np.ndarray, kind: str, k, norm) -> np.ndarray:
+    """Per-rank derivative of ``metric_from_weighted_sums`` wrt ``u``.
+
+    Along the last axis, as the metric (``u`` is 0 past each list's cutoff
+    ``k``); ranks past the cutoff get 0.
+    """
+    ranks = np.arange(1.0, u.shape[-1] + 1.0)
+    live = ranks <= np.asarray(k)[..., None]
+    norm = np.asarray(norm)[..., None]
+    if kind == SMOOTH_P_AT_K:
+        coeffs = live / norm
+    elif kind == SMOOTH_AP:
+        prec = np.cumsum(u, axis=-1) / ranks
+        # u_t appears directly against prec_t and inside prec_k for all k >= t
+        tail = np.flip(np.cumsum(np.flip(u / ranks, axis=-1), axis=-1), axis=-1)
+        coeffs = (prec + tail) / norm
+    else:
+        discounts = np.log2(ranks + 1.0)
+        coeffs = LN2 * np.exp2(u) / (discounts * norm)
+    return np.where(live, coeffs, 0.0)
 
 
 @dataclass(frozen=True)
@@ -166,20 +204,19 @@ class _Lists:
     """Validated lists, padded to a common width, with what the metric needs.
 
     ``rel``, ``scores`` and ``mask`` are ``(B, N)``; padded grades are 0 and
-    ``mask`` is ``None`` when no entry is padded. ``k``, ``rel_total`` and
-    ``ideal`` hold each list's cutoff and normalizers. The lists are sorted
-    by cutoff, longest first, for the staircase recursion; ``order`` holds
-    the input positions they came from. When AP truncates long lists,
-    ``keep`` holds the ``(B, cap)`` input positions the three arrays were
-    gathered from, and ``width`` the input's width.
+    ``mask`` is ``None`` when no entry is padded. ``k`` holds each list's
+    cutoff and ``norm`` its normalizer (see ``metric_from_weighted_sums``).
+    The lists are sorted by cutoff, longest first, for the staircase
+    recursion; ``order`` holds the input positions they came from. When AP
+    truncates long lists, ``keep`` holds the ``(B, cap)`` input positions
+    the three arrays were gathered from, and ``width`` the input's width.
     """
 
     rel: np.ndarray
     scores: np.ndarray
     mask: np.ndarray | None
     k: np.ndarray
-    rel_total: np.ndarray
-    ideal: np.ndarray
+    norm: np.ndarray
     keep: np.ndarray | None
     order: np.ndarray
     width: int
@@ -238,7 +275,7 @@ def _prepare(rel, scores, spec: LossSpec, mask=None) -> _Lists:
         grades = np.where(valid, grades, 0.0)
     if not single and not np.all(np.isfinite(valid_scores)):
         raise ValueError("scores contain NaN or Inf")
-    grades = as_relevance(grades.ravel(), grades.size, binary=spec.kind != SMOOTH_NDCG_AT_K)
+    grades = as_relevance(grades.ravel(), grades.size, binary=spec.binary)
     grades = grades.reshape(batch.shape)
 
     if single and spec.k is not None and spec.k > n[0]:
@@ -253,11 +290,12 @@ def _prepare(rel, scores, spec: LossSpec, mask=None) -> _Lists:
     order = np.argsort(-k, kind="stable")
     batch, grades, n, k = batch[order], grades[order], n[order], k[order]
     valid = None if valid is None else valid[order]
-    rel_total = grades.sum(axis=1)
-    if spec.kind == SMOOTH_NDCG_AT_K:
-        ideal = ideal_dcg(grades, k[:, None])[:, 0]
+    if spec.kind == SMOOTH_P_AT_K:
+        norm = k
+    elif spec.kind == SMOOTH_AP:
+        norm = grades.sum(axis=1)
     else:
-        ideal = np.ones(len(grades))
+        norm = ideal_dcg(grades, k[:, None])[:, 0]
 
     keep = None
     cap = AP_LIST_CAP
@@ -275,8 +313,7 @@ def _prepare(rel, scores, spec: LossSpec, mask=None) -> _Lists:
         scores=batch,
         mask=None if valid is None or valid.all() else valid,
         k=k,
-        rel_total=rel_total,
-        ideal=ideal,
+        norm=norm,
         keep=keep,
         order=order,
         width=arr.shape[-1],
@@ -296,7 +333,7 @@ def _forward(lists: _Lists, spec: LossSpec, alpha) -> tuple[SmoothIndicatorMatri
     params = SmoothIParams(alpha=1.0, delta=spec.params.delta)
     mat = smooth_indicators(alpha * lists.scores, params, lists.mask, k=lists.k)
     u = (mat.rows @ lists.rel[:, :, None])[:, :, 0]
-    return mat, u, metric_from_weighted_sums(u, spec.kind, lists.k, lists.rel_total, lists.ideal)
+    return mat, u, metric_from_weighted_sums(u, spec.kind, lists.norm)
 
 
 def smooth_metric(rel, scores, spec: LossSpec) -> float:

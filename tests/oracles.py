@@ -391,7 +391,7 @@ def finite_difference_loop(rel, raw_scores, spec: LossSpec, h: float = 1e-4) -> 
         else:
             rows = smooth_indicators(sub, spec.params, k=k).rows
         u = rows @ lists.rel[0]
-        return 1.0 - metric_from_weighted_sums(u, spec.kind, k, lists.rel_total[0], lists.ideal[0])
+        return 1.0 - metric_from_weighted_sums(u, spec.kind, lists.norm[0])
 
     numeric = np.empty(raw.size)
     for j in range(raw.size):
@@ -704,8 +704,8 @@ def rectangular_loss_and_gradient(rel, raw_scores, spec: LossSpec, mask):
         mat = rectangular_smooth_indicators(lists.scores, spec.params, lists.mask, k=k_max)
         u = (mat.rows @ lists.rel[:, :, None])[:, :, 0]
         u = np.where(np.arange(1, k_max + 1) <= lists.k[:, None], u, 0.0)
-        value = metric_from_weighted_sums(u, spec.kind, lists.k, lists.rel_total, lists.ideal)
-        coeffs = _upstream_coeffs(u, spec.kind, lists.k, lists.rel_total, lists.ideal)
+        value = metric_from_weighted_sums(u, spec.kind, lists.norm)
+        coeffs = _upstream_coeffs(u, spec.kind, lists.k, lists.norm)
         upstream = coeffs[:, :, None] * lists.rel[:, None, :]
         values.append(1.0 - lists.values(value)[0])
         grads.append(-lists.restore(_rectangular_backward(mat, upstream, spec.grad_mode))[0])

@@ -123,6 +123,24 @@ class TestCertificate:
         with pytest.raises(CertificateError, match="out of range"):
             certificate([2.0, 1.0], k=3, delta=0.1)
 
+    @pytest.mark.parametrize("k", [1024, 1025])
+    def test_threshold_past_the_float_range_refused(self, k):
+        """At K=1024 the threshold's 2**(K-1) * log-ratio is inf, at K=1025
+        2**(K-1) overflows; both are refused, one list or a batch."""
+        scores = np.arange(1.0, 1101.0)
+        message = f"certificate threshold at K={k} is not a finite float$"
+        with pytest.raises(CertificateError, match=message):
+            certificate(scores, k, 0.1)
+        with pytest.raises(CertificateError, match="^list 0: " + message):
+            bounds_lab.certificates(scores[None], k, 0.1)
+        assert math.isfinite(certificate(scores, 1000, 0.1).alpha_threshold)
+
+    @pytest.mark.parametrize("scores", [[1.0, 1.0000000000000002], [5e-324, 1e-323]],
+                             ids=["gamma rounds to 0", "divisor rounds to 0"])
+    def test_threshold_that_divides_by_zero_refused(self, scores):
+        with pytest.raises(CertificateError, match="K=2 is not a finite float"):
+            certificate(scores, 2, 0.1)
+
     def test_delta_validated(self):
         with pytest.raises(ValueError, match="delta"):
             certificate([2.0, 1.0], k=2, delta=0.5)

@@ -450,6 +450,17 @@ class TestEvaluateCommand:
         assert err.startswith("config error: ") and "bn_eps must be a finite number" in err
         assert not (out_root / "eval7" / "metrics.json").exists()
 
+    def test_checkpoint_array_of_another_json_type_exits_two(self, tmp_path, out_root, capsys):
+        ckpt = tmp_path / "w2.json"
+        save_checkpoint(Scorer(4, hidden_dim=2, seed=0), ckpt)
+        payload = json.loads(ckpt.read_text())
+        payload["arrays"]["w2"] = {"0": 1.0}
+        ckpt.write_text(json.dumps(payload))
+        cfg = write_config(tmp_path / "e.json", tiny_config("evaluate", "eval8", tmp_path,
+                                                              checkpoint=str(ckpt)))
+        assert cli.main(["evaluate", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"config error: {ckpt}: array 'w2' is not an array of numbers\n"
+
     def test_checkpoint_schema_mismatch(self, tmp_path, out_root):
         ckpt = self._train(tmp_path, out_root)
         payload = {
@@ -596,6 +607,17 @@ class TestVerifyBoundsCommand:
         cfg = write_config(tmp_path / "v.json", payload)
         assert cli.main(["verify-bounds", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("k", [1024, 1025])
+    def test_threshold_past_the_float_range_is_config_error(self, tmp_path, out_root, capsys, k):
+        """The threshold is inf at K=1024, and 2**(K-1) overflows at K=1025:
+        the certificate names the threshold, not an alpha of inf or an
+        OverflowError."""
+        payload = {"instances": 1, "min_docs": 1100, "max_docs": 1100, "k_values": [k], "output_dir": "vb4"}
+        cfg = write_config(tmp_path / "v.json", payload)
+        assert cli.main(["verify-bounds", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: list 0: certificate threshold at K={k} is not a finite float\n")
+
 
 class TestSweepCommand:
     def test_grid_shape_and_single_cell_equivalence(self, tmp_path, out_root):
@@ -633,3 +655,34 @@ class TestArgumentParsing:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert cli.main(["train", "--config", str(bad)]) == 2
+
+
+# a directory where a file is read, or a regular file where the output
+# directory goes: (command, config overrides, exit code, message); "DIR" is a
+# directory and "blocker" a regular file under the output root
+UNREADABLE_PATHS = {
+    "checkpoint": ("evaluate", {"checkpoint": "DIR"}, 2, "config error: [Errno 21] Is a directory: 'DIR'"),
+    "data": ("train", {"dataset": "svmlight", "train_path": "DIR", "vali_path": "DIR", "test_path": "DIR"}, 3,
+             "data error: fold 0: cannot read 'train' file: [Errno 21] Is a directory: 'DIR'"),
+    "output under a file": ("verify-bounds", {"output_dir": "blocker/sub"}, 2,
+                            "config error: [Errno 20] Not a directory: 'ROOT/blocker/sub'"),
+    "output is a file": ("verify-bounds", {"output_dir": "blocker"}, 2,
+                         "config error: [Errno 17] File exists: 'ROOT/blocker'"),
+}
+
+
+@pytest.mark.parametrize("case", UNREADABLE_PATHS)
+def test_unreadable_paths_exit_with_one_line(tmp_path, out_root, capsys, case):
+    command, overrides, code, message = UNREADABLE_PATHS[case]
+    (tmp_path / "DIR").mkdir()
+    (tmp_path / "blocker").write_text("")
+    overrides = {key: value.replace("DIR", str(tmp_path / "DIR")) for key, value in overrides.items()}
+    cfg = write_config(tmp_path / "c.json", tiny_config(command, "out", tmp_path, **overrides))
+    assert cli.main([command, "--config", cfg]) == code
+    expected = message.replace("ROOT", str(tmp_path)).replace("DIR", str(tmp_path / "DIR"))
+    assert capsys.readouterr().err == expected + "\n"
+
+
+def test_config_naming_a_directory_exits_two(tmp_path, out_root, capsys):
+    assert cli.main(["verify-bounds", "--config", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"config error: cannot read config file {tmp_path}: Is a directory\n"

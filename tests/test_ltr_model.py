@@ -487,6 +487,17 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=key):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [{"a": 1.0}, ["x", "y", "z"], [[1.0], 2.0, 3.0]],
+                             ids=["object", "strings", "ragged"])
+    def test_array_of_another_json_type_is_named(self, tmp_path, value):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(Scorer(2, hidden_dim=3), path)
+        payload = json.loads(path.read_text())
+        payload["arrays"]["w2"] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="array 'w2' is not an array of numbers"):
+            load_checkpoint(path)
+
     def test_boolean_version_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"
         save_checkpoint(Scorer(2, hidden_dim=3), path)

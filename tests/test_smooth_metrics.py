@@ -259,6 +259,16 @@ class TestLossSpec:
             make_loss_spec("ap", k=10)
         assert make_loss_spec("ap").k is None
 
+    def test_grades_binary_for_precision_and_ap_only(self):
+        """P@K and AP read a grade of at least 1 as relevant; NDCG@K reads
+        the grades as given."""
+        rel = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 0.5])
+        for kind in ("p@k", "ap"):
+            grades = make_loss_spec(kind).grades(rel)
+            assert grades.dtype == np.float64
+            np.testing.assert_array_equal(grades, [0.0, 1.0, 1.0, 1.0, 1.0, 0.0])
+        assert make_loss_spec("ndcg@k").grades(rel) is rel
+
     @pytest.mark.parametrize("margin", [0.0, float("nan"), float("inf"), float("-inf")])
     def test_shift_margin_outside_positive_reals_rejected(self, margin):
         """The margin is named, where the loss would otherwise fail later on

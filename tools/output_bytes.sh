@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Usage: tools/output_bytes.sh <base-checkout>
 #
-# Runs verify-bounds, gradcheck, train and evaluate on fixed configs with
-# this checkout's src/ and with <base-checkout>/src, and diffs the 20 output
-# files of the two sides byte for byte: synthetic lists of one length (one
-# scorer at the default 1,024 units), and LETOR files of varying length, some
-# past AP's list cap. Exits non-zero on any difference; `diff -u` shows which
-# rows and columns moved. The .log files hold timestamps and stay out.
+# Runs verify-bounds, gradcheck, train, evaluate and sweep on fixed configs
+# with this checkout's src/ and with <base-checkout>/src, and diffs the 22
+# output files of the two sides byte for byte: synthetic lists of one length
+# (one scorer at the default 1,024 units), and LETOR files of varying length,
+# some past AP's list cap. Exits non-zero on any difference; `diff -u` shows
+# which rows and columns moved. The .log files hold timestamps and stay out.
 set -euo pipefail
 
 if [ $# -ne 1 ] || [ ! -d "$1/src/smoothrank" ]; then
@@ -30,6 +30,10 @@ echo "{$data, \"hidden_dim\": 16, \"epochs\": 2, \"seed\": 1, \"output_dir\": \"
 # and 150 test documents span three slices each
 wide='"docs_per_query": 10, "feature_dim": 5, "train_queries": 40, "validation_queries": 15, "test_queries": 15, "data_seed": 4'
 echo "{$wide, \"hidden_dim\": 1024, \"epochs\": 2, \"seed\": 4, \"output_dir\": \"train-wide\"}" > "$cfg/train-wide.json"
+# a 2 x 2 grid on graded labels; batches of 8 queries give each epoch five
+# Adam steps, so the two alphas score apart (at one step per epoch all four
+# cells tie); the two deltas rank the validation lists alike
+echo "{$data, \"graded\": true, \"alpha_grid\": [1.0, 10.0], \"delta_grid\": [0.1, 0.3], \"hidden_dim\": 16, \"epochs\": 2, \"batch_size_queries\": 8, \"seed\": 1, \"output_dir\": \"sweep\"}" > "$cfg/sweep.json"
 # LETOR files of 3-40 documents per query, so validation spans several
 # length buckets; every fifth vali and test query has no relevant document
 python - "$cfg" <<'PY'
@@ -79,7 +83,7 @@ for side in base head; do
   echo "{$wide, \"checkpoint\": \"$cfg/$side/train-wide/checkpoint.json\", \"output_dir\": \"evaluate-wide\"}" > "$cfg/evaluate-wide-$side.json"
   for run in "verify-bounds bounds" "verify-bounds bounds-alphas" "gradcheck gradcheck" "gradcheck gradcheck-long" \
              "train train" "evaluate evaluate-$side" "train train-letor" "evaluate evaluate-letor-$side" \
-             "train train-ap" "train train-wide" "evaluate evaluate-wide-$side"; do
+             "train train-ap" "train train-wide" "evaluate evaluate-wide-$side" "sweep sweep"; do
     set -- $run
     SMOOTHRANK_OUT="$cfg/$side" PYTHONPATH="$src" python -c \
       'import sys; from smoothrank.cli import main; sys.exit(main(sys.argv[1:]))' \
@@ -92,8 +96,9 @@ for file in bounds/bounds.csv bounds/summary.json bounds-alphas/bounds.csv bound
             gradcheck/gradcheck.csv gradcheck-long/gradcheck.csv train/history.csv train/checkpoint.json \
             evaluate/metrics.json evaluate/run.txt train-letor/history.csv train-letor/checkpoint.json \
             evaluate-letor/metrics.json evaluate-letor/run.txt train-ap/history.csv train-ap/checkpoint.json \
-            train-wide/history.csv train-wide/checkpoint.json evaluate-wide/metrics.json evaluate-wide/run.txt; do
+            train-wide/history.csv train-wide/checkpoint.json evaluate-wide/metrics.json evaluate-wide/run.txt \
+            sweep/sweep.csv sweep/best.json; do
   diff -u "$cfg/base/$file" "$cfg/head/$file" || status=1
 done
-[ "$status" = 0 ] && echo "all 20 output files are byte-identical"
+[ "$status" = 0 ] && echo "all 22 output files are byte-identical"
 exit $status

@@ -480,7 +480,9 @@ def bound_sweep(
     one ``verify_indicator_bounds`` call. No value depends on the batch:
     each row has the bits of certifying and checking its instance alone.
     Rows come back in instance order. Returns (rows, summary) where summary
-    carries the fraction of checked rows on which the bound held.
+    carries the fraction of checked rows on which the bound held. Raises
+    ValueError, naming the instance, n, K and alpha, when a probe alpha
+    would scale an instance's scores past the float range.
     """
     rng = np.random.default_rng(seed)
     drawn = []
@@ -504,6 +506,12 @@ def bound_sweep(
         for alpha in (alphas if alphas is not None else [f * cert.alpha_threshold for f in alpha_factors])
     ]
     above = [(idx, alpha) for idx, alpha in probes if not alpha <= certs[idx].alpha_threshold]
+    for idx, alpha in above:
+        n, k, scores = drawn[idx]
+        # refused before any scaling; verify_indicator_bounds names a NaN alpha
+        if alpha > 0.0 and not math.isfinite(float(alpha) * float(scores.max())):
+            raise ValueError(f"instance {idx} (n={n}, K={k}): alpha={float(alpha)!r} scales its scores "
+                             "past the float range")
     reports = verify_indicator_bounds(
         [drawn[idx][2] for idx, _ in above], [alpha for _, alpha in above], [certs[idx] for idx, _ in above]
     )

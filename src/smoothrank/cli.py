@@ -292,8 +292,19 @@ def _out_dir(settings: _Settings) -> Path:
     return out
 
 
+@contextlib.contextmanager
+def _writing(path: Path):
+    """An output file that cannot be written (a directory in its place, no
+    permission, a full disk) reports a config error naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    with _writing(path):
+        path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[dict]) -> None:
@@ -305,12 +316,13 @@ def _write_csv(path: Path, header: list[str], rows: list[dict]) -> None:
 
     lines = [",".join(header)]
     lines += [",".join(fmt(row[col]) for col in header) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    with _writing(path):
+        path.write_text("\n".join(lines) + "\n")
 
 
 def _log(path: Path, lines: list[str]) -> None:
     stamp = time.strftime("%Y-%m-%d %H:%M:%S")
-    with path.open("a") as fh:
+    with _writing(path), path.open("a") as fh:
         for line in lines:
             fh.write(f"[{stamp}] {line}\n")
 

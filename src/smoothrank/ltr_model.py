@@ -77,6 +77,11 @@ class DivergenceError(RuntimeError):
         super().__init__(message)
         self.epoch = epoch
 
+    def __reduce__(self):
+        # the default rebuilds from ``args``, the message alone, which a
+        # process pool's result pipe cannot unpickle
+        return type(self), (self.epoch, *self.args)
+
 
 class NonFiniteScoresError(ValueError):
     """The scorer emitted NaN/Inf scores (typically a diverged checkpoint)."""
@@ -503,8 +508,8 @@ def score_queries(scorer: Scorer, groups) -> dict[str, np.ndarray]:
     pass over their stacked features."""
     x = np.vstack([g.features for g in groups]) if groups else np.empty((0, scorer.input_dim))
     flat = scorer.forward(x, training=False)
-    sizes = [len(g) for g in groups]
-    return dict(zip([g.query_id for g in groups], np.split(flat, np.cumsum(sizes)[:-1])))
+    ends = np.cumsum([len(g) for g in groups], dtype=np.int64).tolist()
+    return {g.query_id: flat[end - len(g):end] for g, end in zip(groups, ends)}
 
 
 class _ValidationPlan:
@@ -585,7 +590,8 @@ def evaluate(scorer: Scorer, dataset: Dataset, split: str, cutoffs=EVAL_CUTOFFS)
         per_query={g.query_id: dict(zip(columns, row)) for g, row in zip(plan.scored, rows)},
         skipped_queries=plan.skipped,
         query_count=len(plan.scored),
-        scores=dict(zip([g.query_id for g in plan.scored], np.split(flat, plan.offsets[1:]))),
+        scores={g.query_id: flat[start:start + n]
+                for g, start, n in zip(plan.scored, plan.offsets.tolist(), plan.lengths.tolist())},
     )
 
 

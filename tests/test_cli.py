@@ -618,6 +618,19 @@ class TestVerifyBoundsCommand:
         assert capsys.readouterr().err == (
             f"config error: list 0: certificate threshold at K={k} is not a finite float\n")
 
+    def test_probe_alpha_past_the_float_range_is_config_error(self, tmp_path, out_root, capsys):
+        """At K=1000 the threshold is finite but about 1e305, so 1.05 times it
+        scales 1,100 scores past the float range: refused before any scaling
+        (a RuntimeWarning fails the test), naming the instance, n, K and
+        alpha."""
+        payload = {"instances": 1, "min_docs": 1100, "max_docs": 1100, "k_values": [1000], "output_dir": "vb5"}
+        cfg = write_config(tmp_path / "v.json", payload)
+        assert cli.main(["verify-bounds", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: instance 0 (n=1100, K=1000): alpha=")
+        assert err.endswith(" scales its scores past the float range\n")
+        assert not (out_root / "vb5" / "bounds.csv").exists()
+
 
 class TestSweepCommand:
     def test_grid_shape_and_single_cell_equivalence(self, tmp_path, out_root):
@@ -686,3 +699,17 @@ def test_unreadable_paths_exit_with_one_line(tmp_path, out_root, capsys, case):
 def test_config_naming_a_directory_exits_two(tmp_path, out_root, capsys):
     assert cli.main(["verify-bounds", "--config", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"config error: cannot read config file {tmp_path}: Is a directory\n"
+
+
+# a directory where the command writes a file: (command, output file)
+UNWRITABLE_OUTPUTS = [("verify-bounds", "bounds.csv"), ("verify-bounds", "summary.json"),
+                      ("verify-bounds", "resolved_config.json"), ("train", "train.log")]
+
+
+@pytest.mark.parametrize("command, name", UNWRITABLE_OUTPUTS, ids=[name for _, name in UNWRITABLE_OUTPUTS])
+def test_an_output_file_that_cannot_be_written_exits_two(tmp_path, out_root, capsys, command, name):
+    (out_root / "out" / name).mkdir(parents=True)
+    cfg = write_config(tmp_path / "c.json", tiny_config(command, "out", tmp_path))
+    assert cli.main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err.endswith(
+        f"config error: cannot write {out_root / 'out' / name}: Is a directory\n")

@@ -1,6 +1,7 @@
 """Scorer forward/backward, Adam, the training loop, and evaluation."""
 
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -210,6 +211,12 @@ class TestTrainLoop:
                 warnings.simplefilter("ignore", RuntimeWarning)
                 train(ds, cfg)
         assert info.value.epoch >= 1
+
+    def test_divergence_error_survives_pickling(self):
+        """A train run in a process pool hands its error back pickled."""
+        error = pickle.loads(pickle.dumps(DivergenceError(3, "non-finite loss at epoch 3")))
+        assert type(error) is DivergenceError
+        assert (error.epoch, str(error)) == (3, "non-finite loss at epoch 3")
 
     def test_seeded_reproducibility(self):
         ds = toy_dataset(8, docs=5, dim=3, seed=2)

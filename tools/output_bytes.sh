@@ -2,11 +2,13 @@
 # Usage: tools/output_bytes.sh <base-checkout>
 #
 # Runs verify-bounds, gradcheck, train, evaluate and sweep on fixed configs
-# with this checkout's src/ and with <base-checkout>/src, and diffs the 22
+# with this checkout's src/ and with <base-checkout>/src, and diffs the 24
 # output files of the two sides byte for byte: synthetic lists of one length
-# (one scorer at the default 1,024 units), and LETOR files of varying length,
-# some past AP's list cap. Exits non-zero on any difference; `diff -u` shows
-# which rows and columns moved. The .log files hold timestamps and stay out.
+# (one scorer at the default 1,024 units), 120 graded test lists, whose
+# DCG, ideal DCG and AP sums take the fixed-point path, and LETOR files of
+# varying length, some past AP's list cap. Exits non-zero on any difference;
+# `diff -u` shows which rows and columns moved. The .log files hold
+# timestamps and stay out.
 set -euo pipefail
 
 if [ $# -ne 1 ] || [ ! -d "$1/src/smoothrank" ]; then
@@ -30,6 +32,10 @@ echo "{$data, \"hidden_dim\": 16, \"epochs\": 2, \"seed\": 1, \"output_dir\": \"
 # and 150 test documents span three slices each
 wide='"docs_per_query": 10, "feature_dim": 5, "train_queries": 40, "validation_queries": 15, "test_queries": 15, "data_seed": 4'
 echo "{$wide, \"hidden_dim\": 1024, \"epochs\": 2, \"seed\": 4, \"output_dir\": \"train-wide\"}" > "$cfg/train-wide.json"
+# 120 graded test lists of 24 documents, evaluated in one length bucket: at
+# least rank_core.FIXED_POINT_MIN_SUMS sums per call, so the exact metrics
+# take their fixed-point path
+graded='"docs_per_query": 24, "feature_dim": 5, "train_queries": 1, "validation_queries": 1, "test_queries": 120, "graded": true, "data_seed": 9'
 # a 2 x 2 grid on graded labels; batches of 8 queries give each epoch five
 # Adam steps, so the two alphas score apart (at one step per epoch all four
 # cells tie); the two deltas rank the validation lists alike
@@ -81,8 +87,10 @@ for side in base head; do
   echo "{$data, \"checkpoint\": \"$cfg/$side/train/checkpoint.json\", \"output_dir\": \"evaluate\"}" > "$cfg/evaluate-$side.json"
   echo "{$letor, \"checkpoint\": \"$cfg/$side/train-letor/checkpoint.json\", \"output_dir\": \"evaluate-letor\"}" > "$cfg/evaluate-letor-$side.json"
   echo "{$wide, \"checkpoint\": \"$cfg/$side/train-wide/checkpoint.json\", \"output_dir\": \"evaluate-wide\"}" > "$cfg/evaluate-wide-$side.json"
+  echo "{$graded, \"checkpoint\": \"$cfg/$side/train/checkpoint.json\", \"output_dir\": \"evaluate-graded\"}" > "$cfg/evaluate-graded-$side.json"
   for run in "verify-bounds bounds" "verify-bounds bounds-alphas" "gradcheck gradcheck" "gradcheck gradcheck-long" \
-             "train train" "evaluate evaluate-$side" "train train-letor" "evaluate evaluate-letor-$side" \
+             "train train" "evaluate evaluate-$side" "evaluate evaluate-graded-$side" \
+             "train train-letor" "evaluate evaluate-letor-$side" \
              "train train-ap" "train train-wide" "evaluate evaluate-wide-$side" "sweep sweep"; do
     set -- $run
     SMOOTHRANK_OUT="$cfg/$side" PYTHONPATH="$src" python -c \
@@ -94,11 +102,12 @@ done
 status=0
 for file in bounds/bounds.csv bounds/summary.json bounds-alphas/bounds.csv bounds-alphas/summary.json \
             gradcheck/gradcheck.csv gradcheck-long/gradcheck.csv train/history.csv train/checkpoint.json \
-            evaluate/metrics.json evaluate/run.txt train-letor/history.csv train-letor/checkpoint.json \
+            evaluate/metrics.json evaluate/run.txt evaluate-graded/metrics.json evaluate-graded/run.txt \
+            train-letor/history.csv train-letor/checkpoint.json \
             evaluate-letor/metrics.json evaluate-letor/run.txt train-ap/history.csv train-ap/checkpoint.json \
             train-wide/history.csv train-wide/checkpoint.json evaluate-wide/metrics.json evaluate-wide/run.txt \
             sweep/sweep.csv sweep/best.json; do
   diff -u "$cfg/base/$file" "$cfg/head/$file" || status=1
 done
-[ "$status" = 0 ] && echo "all 22 output files are byte-identical"
+[ "$status" = 0 ] && echo "all 24 output files are byte-identical"
 exit $status

@@ -54,6 +54,8 @@ STRICT_EPOCHS = 50
 STRICT_BATCH = 128
 
 ENV_OUTPUT_ROOT = "SMOOTHRANK_OUT"
+# where a BLAS library reads its threads per process, in the order OpenBLAS does
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 class ConfigError(ValueError):
@@ -467,16 +469,81 @@ def cmd_verify_bounds(settings: VerifyBoundsSettings) -> int:
     return EXIT_OK
 
 
+def _sweep_workers(cells: int) -> int:
+    """How many processes train a sweep's cells: the usable CPUs divided by
+    the BLAS threads each process runs, at most one per cell. The threads
+    come from the first of ``BLAS_THREAD_VARS`` holding a positive integer;
+    without one, BLAS is taken to use every CPU. Without the ``fork`` start
+    method, 1."""
+    # imported here and in _train_cells: only a sweep needs multiprocessing
+    # and concurrent.futures, which add about 10 ms to every command's start
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    threads = cpus
+    for var in BLAS_THREAD_VARS:
+        try:
+            value = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if value > 0:
+            threads = value
+            break
+    return max(1, min(cells, cpus // threads))
+
+
+def _cell_result(dataset: data_io.Dataset, train_cfg: ltr_model.TrainConfig) -> tuple[float, int]:
+    """One sweep cell: its validation value at the best epoch, and that epoch."""
+    _, history = ltr_model.train(dataset, train_cfg)
+    return history.records[history.best_epoch - 1].val_metrics[history.select_metric], history.best_epoch
+
+
+# a sweep worker's dataset, set by the pool's initializer: through fork it
+# reaches each worker once, copy-on-write, and is never pickled
+_worker_dataset: data_io.Dataset | None = None
+
+
+def _share_dataset(dataset: data_io.Dataset) -> None:
+    global _worker_dataset
+    _worker_dataset = dataset
+
+
+def _worker_cell(train_cfg: ltr_model.TrainConfig) -> tuple[float, int]:
+    return _cell_result(_worker_dataset, train_cfg)
+
+
+def _train_cells(dataset: data_io.Dataset, configs: list) -> list[tuple[float, int]]:
+    """``_cell_result`` of every config, in order: inline with one worker
+    (``_sweep_workers``), else in forked worker processes. The first cell to
+    raise raises here, the cells not yet started are cancelled, and no worker
+    outlives the call."""
+    workers = _sweep_workers(len(configs))
+    if workers == 1:
+        return [_cell_result(dataset, train_cfg) for train_cfg in configs]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # a forked worker flushes its copy of these buffers when it exits
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pool = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_share_dataset, initargs=(dataset,))
+    try:
+        return list(pool.map(_worker_cell, configs))
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def cmd_sweep(settings: SweepSettings, strict: bool) -> int:
     cells = [(alpha, delta, settings.train_config(alpha, delta, strict))
              for alpha in settings.alpha_grid for delta in settings.delta_grid]
     dataset = settings.load()
-    rows = []
-    for alpha, delta, train_cfg in cells:
-        _, history = ltr_model.train(dataset, train_cfg)
-        value = history.records[history.best_epoch - 1].val_metrics[history.select_metric]
-        rows.append({"alpha": alpha, "delta": delta, "val_ndcg": value,
-                     "best_epoch": history.best_epoch})
+    results = _train_cells(dataset, [train_cfg for _, _, train_cfg in cells])
+    rows = [{"alpha": alpha, "delta": delta, "val_ndcg": value, "best_epoch": best_epoch}
+            for (alpha, delta, _), (value, best_epoch) in zip(cells, results)]
     best = max(rows, key=lambda row: row["val_ndcg"])
     out = _out_dir(settings)
     _write_csv(out / "sweep.csv", ["alpha", "delta", "val_ndcg", "best_epoch"], rows)

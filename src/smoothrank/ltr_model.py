@@ -528,13 +528,19 @@ class _ValidationPlan:
         self.cutoffs = tuple(cutoffs)
         check_cutoffs(self.cutoffs)
         groups = [dataset.groups[qid] for qid in dataset.query_ids(split)]
-        self.scored = [g for g in groups if g.relevance.sum() != 0.0]
+        grades = [g.relevance for g in groups]
+        lengths = np.fromiter(map(len, grades), dtype=np.int64, count=len(grades))
+        rel = np.concatenate(grades) if grades else np.empty(0)
+        # grades are >= 0, so a list sums to 0 exactly when none is positive
+        relevant = (np.logical_or.reduceat(rel > 0.0, np.cumsum(lengths) - lengths) if grades
+                    else np.zeros(0, dtype=bool))
+        self.scored = [groups[i] for i in np.flatnonzero(relevant).tolist()]
         self.skipped = len(groups) - len(self.scored)
         self.features = (np.vstack([g.features for g in self.scored]) if self.scored
                          else np.empty((0, dataset.feature_dim)))
-        self.lengths = np.array([len(g) for g in self.scored], dtype=np.int64)
+        self.lengths = lengths[relevant]
         self.offsets = np.cumsum(self.lengths) - self.lengths
-        rel = np.concatenate([g.relevance for g in self.scored]) if self.scored else np.empty(0)
+        rel = rel[np.repeat(relevant, lengths)]
         self.buckets = []
         for bucket in length_buckets(self.lengths):
             docs, mask = padded_lists(self.offsets[bucket], self.lengths[bucket])

@@ -165,16 +165,29 @@ def _prefix_fsums(terms: np.ndarray, cutoffs) -> np.ndarray:
 
     A batch of at least ``FIXED_POINT_MIN_SUMS`` sums goes through
     ``_fixed_point_sums``; a smaller one, or one outside that path's guard,
-    through the fsum loop.
+    through the fsum loop. A cutoff outside [0, N] raises ValueError on
+    either path.
     """
     cuts = np.asarray(cutoffs)
     if cuts.size >= FIXED_POINT_MIN_SUMS:
+        _check_sum_cutoffs(cuts.min(), cuts.max(), terms.shape[1])
         sums = _fixed_point_sums(terms, cuts)
         if sums is not None:
             return sums
+    cut_rows = cuts.tolist()
+    if cuts.size:
+        # on Python lists: two numpy reductions would cost a one-list metric more than its sums
+        _check_sum_cutoffs(min(map(min, cut_rows)), max(map(max, cut_rows)), terms.shape[1])
     rows = terms.tolist()
-    sums = [[math.fsum(row[:c]) for c in row_cuts] for row, row_cuts in zip(rows, cuts.tolist())]
+    sums = [[math.fsum(row[:c]) for c in row_cuts] for row, row_cuts in zip(rows, cut_rows)]
     return np.array(sums, dtype=np.float64).reshape(cuts.shape)
+
+
+def _check_sum_cutoffs(low, high, width: int) -> None:
+    """Raise ValueError naming a cutoff outside [0, ``width``], given the
+    smallest and the largest."""
+    if not 0 <= low <= high <= width:
+        raise ValueError(f"cutoff={low if low < 0 else high} out of range [0, {width}]")
 
 
 def _fixed_point_sums(terms: np.ndarray, cuts: np.ndarray) -> np.ndarray | None:
@@ -225,7 +238,7 @@ def ideal_dcg(rel, cutoffs) -> np.ndarray:
     """DCG of the best possible ordering (grades sorted descending) of each
     row of grades, at each of that row's cutoffs: ``rel`` is ``(B, N)``, a
     row's padding grade 0, and ``cutoffs`` is ``(B, m)``, as ``_dcg`` takes
-    them."""
+    them. Raises ValueError naming a cutoff outside [0, N]."""
     return _dcg(np.sort(np.asarray(rel, dtype=np.float64), axis=-1)[..., ::-1], cutoffs)
 
 

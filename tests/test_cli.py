@@ -3,6 +3,8 @@
 import dataclasses
 import inspect
 import json
+import multiprocessing
+import os
 from pathlib import Path
 
 import numpy as np
@@ -658,6 +660,106 @@ class TestSweepCommand:
         ndcg_col = header.index("val_ndcg")
         best_from_train = max(float(r.split(",")[ndcg_col]) for r in history[1:])
         assert best["val_ndcg"] == pytest.approx(best_from_train, abs=1e-15)
+
+
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="the sweep's worker pool forks")
+
+
+def sweep_payload(out_dir, **overrides):
+    payload = tiny_train_config(out_dir, **overrides)
+    del payload["alpha"], payload["delta"]
+    # six cells, more than the two workers
+    payload.setdefault("alpha_grid", [1.0, 10.0, 100.0])
+    payload.setdefault("delta_grid", [0.1, 0.3])
+    return payload
+
+
+@needs_fork
+class TestSweepWorkers:
+    """The sweep trains its cells inline or in forked workers; ``_sweep_workers``
+    is patched to force either path."""
+
+    def run_sweep(self, tmp_path, monkeypatch, workers, payload):
+        monkeypatch.setattr(cli, "_sweep_workers", lambda cells: workers)
+        cfg = write_config(tmp_path / f"{payload['output_dir']}.json", payload)
+        code = cli.main(["sweep", "--config", cfg])
+        assert multiprocessing.active_children() == []
+        return code
+
+    def test_pool_writes_the_bytes_of_the_inline_path(self, tmp_path, out_root, monkeypatch):
+        real = ltr_model.train
+        pids = tmp_path / "pids"
+
+        def train(dataset, config):
+            with pids.open("a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real(dataset, config)
+
+        monkeypatch.setattr(ltr_model, "train", train)
+        outputs, trainers = {}, {}
+        for workers in (1, 2):
+            payload = sweep_payload(f"sweep-{workers}", batch_size_queries=4)
+            assert self.run_sweep(tmp_path, monkeypatch, workers, payload) == 0
+            outputs[workers] = [(out_root / f"sweep-{workers}" / name).read_bytes()
+                                for name in ("sweep.csv", "best.json")]
+            trainers[workers] = pids.read_text().split()
+            pids.unlink()
+        assert outputs[1] == outputs[2]
+        assert len(outputs[2][0].splitlines()) == 1 + 6
+        assert trainers[1] == [str(os.getpid())] * 6
+        assert len(trainers[2]) == 6 and len(set(trainers[2])) == 2
+        assert str(os.getpid()) not in trainers[2]
+
+    def test_a_diverging_cell_exits_four_on_both_paths(self, tmp_path, out_root, monkeypatch, capsys):
+        """The first diverging cell in grid order names the error, as inline."""
+        real = ltr_model.train
+
+        def train(dataset, config):
+            params = config.loss.params
+            if params.alpha >= 10.0:
+                raise ltr_model.DivergenceError(2, f"non-finite loss at epoch 2 (alpha {params.alpha}, "
+                                                   f"delta {params.delta})")
+            return real(dataset, config)
+
+        monkeypatch.setattr(ltr_model, "train", train)
+        errors = []
+        for workers in (1, 2):
+            payload = sweep_payload(f"sweep-{workers}")
+            assert self.run_sweep(tmp_path, monkeypatch, workers, payload) == 4
+            errors.append(capsys.readouterr().err)
+            assert not (out_root / f"sweep-{workers}" / "sweep.csv").exists()
+        assert errors == ["divergence: non-finite loss at epoch 2 (alpha 10.0, delta 0.1)\n"] * 2
+
+
+@pytest.mark.parametrize("env, cpus, cells, workers", [
+    ({}, 2, 20, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 20, 2),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 8, 3, 3),
+    ({"OPENBLAS_NUM_THREADS": "0"}, 2, 20, 1),
+    ({"OPENBLAS_NUM_THREADS": "abc"}, 2, 20, 1),
+    ({"OPENBLAS_NUM_THREADS": "4"}, 2, 20, 1),
+    ({"GOTO_NUM_THREADS": "1"}, 2, 20, 2),
+    ({"OMP_NUM_THREADS": "2"}, 4, 20, 2),
+    # the first variable holding a positive integer counts
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 20, 2),
+    ({"OPENBLAS_NUM_THREADS": "abc", "OMP_NUM_THREADS": "1"}, 2, 20, 2),
+])
+def test_sweep_workers_are_the_cpus_per_blas_threads(monkeypatch, env, cpus, cells, workers):
+    for var in cli.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork", "spawn"])
+    assert cli._sweep_workers(cells) == workers
+
+
+def test_sweep_without_fork_has_one_worker(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert cli._sweep_workers(20) == 1
 
 
 class TestArgumentParsing:

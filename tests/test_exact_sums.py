@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from smoothrank import Scorer, data_io, evaluate, ideal_dcg_at_k, ltr_model
-from smoothrank.rank_core import FIXED_POINT_MIN_SUMS, _fixed_point_sums, _prefix_fsums
+from smoothrank.rank_core import FIXED_POINT_MIN_SUMS, _fixed_point_sums, _prefix_fsums, ideal_dcg
 
 
 def fsum_loop(terms, cuts):
@@ -179,6 +179,20 @@ def test_the_smallest_terms_the_guard_takes_are_exact():
     assert_both_paths(terms, cuts)
     terms[0, 0] = 2.0**-998
     assert _fixed_point_sums(terms, cuts) is None
+
+
+@pytest.mark.parametrize("lists", [1, FIXED_POINT_MIN_SUMS], ids=["loop", "fixed point"])
+@pytest.mark.parametrize("cutoff", [-1, 5])
+def test_ideal_dcg_refuses_a_cutoff_outside_the_list(fsum_calls, lists, cutoff):
+    grades = np.ones((lists, 4))
+    cuts = np.full((lists, 2), 4)
+    cuts[-1, 1] = cutoff
+    fsum_calls.clear()
+    with pytest.raises(ValueError, match=rf"^cutoff={cutoff} out of range \[0, 4\]$"):
+        ideal_dcg(grades, cuts)
+    assert fsum_calls == []
+    cuts[-1, 1] = 0
+    assert ideal_dcg(grades, cuts)[-1].tolist() == [math.fsum(1.0 / np.log2(np.arange(2.0, 6.0))), 0.0]
 
 
 def test_a_split_evaluates_without_fsum(fsum_calls):

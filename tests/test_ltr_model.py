@@ -396,6 +396,24 @@ class TestValidationPlan:
             assert ltr_model._summary(plan.run(scorer)[1]) == result.summary
             assert plan.skipped == result.skipped_queries
 
+    @pytest.mark.parametrize("split", ["train", "validation"])
+    def test_plan_scores_the_queries_with_a_relevant_document(self, split):
+        ds = varlen_dataset()
+        groups = [ds.groups[qid] for qid in ds.query_ids(split)]
+        scored = [g for g in groups if g.relevance.sum() != 0.0]
+        plan = ltr_model._ValidationPlan(ds, split, self.CUTOFFS)
+        assert [g.query_id for g in plan.scored] == [g.query_id for g in scored]
+        assert plan.skipped == len(groups) - len(scored)
+        assert plan.lengths.tolist() == [len(g) for g in scored]
+        assert np.array_equal(plan.features, np.vstack([g.features for g in scored]))
+
+    def test_plan_of_an_empty_split(self):
+        ds = varlen_dataset()
+        ds.splits["test"] = []
+        plan = ltr_model._ValidationPlan(ds, "test", self.CUTOFFS)
+        assert (plan.scored, plan.skipped, plan.lengths.tolist(), plan.buckets) == ([], 0, [], [])
+        assert plan.features.shape == (0, ds.feature_dim)
+
     def test_train_records_evaluates_summary(self):
         ds = varlen_dataset(1)
         scorer, history = train(ds, self.config(epochs=1))

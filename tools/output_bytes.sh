@@ -6,7 +6,10 @@
 # output files of the two sides byte for byte: synthetic lists of one length
 # (one scorer at the default 1,024 units), 120 graded test lists, whose
 # DCG, ideal DCG and AP sums take the fixed-point path, and LETOR files of
-# varying length, some past AP's list cap. Exits non-zero on any difference;
+# varying length, some past AP's list cap. This checkout's sweep runs a
+# second time with OPENBLAS_NUM_THREADS=1, which trains its cells in forked
+# workers on two or more CPUs, and its two files are diffed against the
+# base's as well: 26 files in all. Exits non-zero on any difference;
 # `diff -u` shows which rows and columns moved. The .log files hold
 # timestamps and stay out.
 set -euo pipefail
@@ -39,7 +42,11 @@ graded='"docs_per_query": 24, "feature_dim": 5, "train_queries": 1, "validation_
 # a 2 x 2 grid on graded labels; batches of 8 queries give each epoch five
 # Adam steps, so the two alphas score apart (at one step per epoch all four
 # cells tie); the two deltas rank the validation lists alike
-echo "{$data, \"graded\": true, \"alpha_grid\": [1.0, 10.0], \"delta_grid\": [0.1, 0.3], \"hidden_dim\": 16, \"epochs\": 2, \"batch_size_queries\": 8, \"seed\": 1, \"output_dir\": \"sweep\"}" > "$cfg/sweep.json"
+grid="$data, \"graded\": true, \"alpha_grid\": [1.0, 10.0], \"delta_grid\": [0.1, 0.3], \"hidden_dim\": 16, \"epochs\": 2, \"batch_size_queries\": 8, \"seed\": 1"
+echo "{$grid, \"output_dir\": \"sweep\"}" > "$cfg/sweep.json"
+# the same grid again, run by the head alone with one BLAS thread per process:
+# on two or more CPUs it trains its cells in forked worker processes
+echo "{$grid, \"output_dir\": \"sweep-pool\"}" > "$cfg/sweep-pool.json"
 # LETOR files of 3-40 documents per query, so validation spans several
 # length buckets; every fifth vali and test query has no relevant document
 python - "$cfg" <<'PY'
@@ -98,6 +105,9 @@ for side in base head; do
       "$1" --config "$cfg/$2.json"
   done
 done
+SMOOTHRANK_OUT="$cfg/head" OPENBLAS_NUM_THREADS=1 PYTHONPATH="$HEAD/src" python -c \
+  'import sys; from smoothrank.cli import main; sys.exit(main(sys.argv[1:]))' \
+  sweep --config "$cfg/sweep-pool.json"
 
 status=0
 for file in bounds/bounds.csv bounds/summary.json bounds-alphas/bounds.csv bounds-alphas/summary.json \
@@ -109,5 +119,8 @@ for file in bounds/bounds.csv bounds/summary.json bounds-alphas/bounds.csv bound
             sweep/sweep.csv sweep/best.json; do
   diff -u "$cfg/base/$file" "$cfg/head/$file" || status=1
 done
-[ "$status" = 0 ] && echo "all 24 output files are byte-identical"
+for file in sweep.csv best.json; do
+  diff -u "$cfg/base/sweep/$file" "$cfg/head/sweep-pool/$file" || status=1
+done
+[ "$status" = 0 ] && echo "all 26 output files are byte-identical"
 exit $status
